@@ -70,15 +70,11 @@ from .model import (
 )
 from .blh import (
     InnerColumnSet,
-    InvariantSubspace,
     NotCoinvariant,
     OneVarSubspace,
     RankOneVerdict,
-    fiber_extract,
     inner_from_fiber,
-    invariant_subspace_from_projection,
     model_inner_functions,
-    multiplier_columns,
     rankone_corollary_check,
     reconstruct_S_check,
     wandering_basis,

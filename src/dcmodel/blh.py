@@ -1,27 +1,36 @@
-"""One-variable structure of the model's shift-invariant space: fiber
-extraction, wandering subspaces, recovery of the one-variable inner
-columns, reconstruction of the sum space, and the rank-one defect
-round-trip for co-invariant subspaces of the scalar Hardy space."""
+"""One-variable structure of the model's shift-invariant space:
+wandering subspaces of the model fibers, recovery of the one-variable
+inner columns, reconstruction of the sum space, and the rank-one defect
+round-trip for co-invariant subspaces of the scalar Hardy space.
+
+Each multiplier projection acts as ``I (x) P_i (x) I`` with ``P_i`` a
+matrix on the one-variable space of ``(d+1) r`` coefficients, so every
+step here works in that space: the fiber of variable ``i`` is
+``range(P_i)``, held by an orthonormal basis of its complement (the model
+fiber, a few columns), and the wandering subspace is found in a space of
+at most ``2 r`` plus that many dimensions (Halmos, "Shifts on Hilbert
+spaces", J. reine angew. Math. 208, 1961)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .dilation import build_dilation
-from .hardy import TruncatedHardySpace, apply_shift, shift_matrix
+from .hardy import TruncatedHardySpace, apply_coshift, apply_shift
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
     operator_norm,
     orthonormal_range_basis,
     phase_normalize_columns,
-    spectral_radius,
-    subspace_distance,
 )
 from .model import (
     ModelSpaces,
+    _masked_opnorm_hermitian,
+    apply_complement_product,
     charfns_for_tuple,
     model_space,
     one_var_toeplitz,
@@ -34,30 +43,17 @@ class NotCoinvariant(ValueError):
 
 
 @dataclass(frozen=True)
-class InvariantSubspace:
-    """A (numerically) shift-invariant subspace of the truncated space."""
-
-    ambient: TruncatedHardySpace
-    basis: np.ndarray  # (total_dim, m) orthonormal columns
-    shift_invariance_residual: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
 class OneVarSubspace:
-    """A shift-invariant subspace of the one-variable truncated space."""
+    """A shift-invariant subspace of the one-variable truncated space,
+    given by an orthonormal basis of its orthogonal complement."""
 
     degree: int
     coeff_dim: int
-    basis: np.ndarray  # ((degree+1) * coeff_dim, m)
-    reconstruction_residual: float
+    complement: np.ndarray  # ((degree+1) * coeff_dim, k) orthonormal columns
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.complement.shape[0] - self.complement.shape[1]
 
 
 @dataclass(frozen=True)
@@ -75,83 +71,43 @@ class InnerColumnSet:
         return list(self.columns)
 
 
-def invariant_subspace_from_projection(model: ModelSpaces, i: int, cfg: ToleranceConfig = DEFAULT_TOL) -> InvariantSubspace:
-    """Range of the i-th clipped multiplier projection as an
-    :class:`InvariantSubspace` of the joint-defect-valued space."""
-    P = model.projection_matrix(i)
-    basis = orthonormal_range_basis(P, cfg)
-    residuals = []
-    space = model.space
-    for j in range(space.n):
-        shifted = apply_shift(space, basis, j)
-        leak = shifted - basis @ (basis.conj().T @ shifted)
-        residuals.append(operator_norm(leak))
-    return InvariantSubspace(space, basis, tuple(residuals))
-
-
-def fiber_extract(S: InvariantSubspace, i: int, cfg: ToleranceConfig = DEFAULT_TOL, margin: int = None) -> OneVarSubspace:
-    """Slice the subspace along the coefficient layers with every other
-    variable's degree equal to zero, producing the one-variable fiber.
-
-    Also measures how well the tensor reconstruction (full polydisc
-    space in the other variables, fiber in variable ``i``) matches the
-    input on margin-restricted layers."""
-    space = S.ambient
-    d, r = space.degree, space.coeff_dim
-    if margin is None:
-        margin = max(1, d // 2) if d > 0 else 0
-    rows = []
-    for m in range(d + 1):
-        k = [0] * space.n
-        k[i] = m
-        p = space.index_pos[tuple(k)]
-        rows.extend(range(p * r, (p + 1) * r))
-    sliced = S.basis[np.array(rows, dtype=np.intp)]
-    fiber_basis = _orthonormal_cols_loose(sliced, cfg)
-    # tensor-product reconstruction check on margin layers
-    Pf = fiber_basis @ fiber_basis.conj().T
-    PS = S.basis @ S.basis.conj().T
-    mask = space.margin_mask(margin)
-    Pt = np.zeros_like(PS)
-    for p, k in enumerate(space.indices):
-        for q, l in enumerate(space.indices):
-            if all(kj == lj for j, (kj, lj) in enumerate(zip(k, l)) if j != i):
-                Pt[p * r:(p + 1) * r, q * r:(q + 1) * r] = Pf[
-                    k[i] * r:(k[i] + 1) * r, l[i] * r:(l[i] + 1) * r
-                ]
-    sel = np.nonzero(mask)[0]
-    resid = operator_norm((Pt - PS)[np.ix_(sel, sel)])
-    return OneVarSubspace(d, r, fiber_basis, float(resid))
+def _loose_cut(cfg: ToleranceConfig) -> float:
+    """Relative singular-value cutoff below which directions of truncated
+    objects count as tail noise."""
+    return max(cfg.rank_tol, np.sqrt(cfg.tail_tol))
 
 
 def wandering_basis(S_tilde: OneVarSubspace, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the wandering part: the subspace minus its
-    image under multiplication by the variable.
+    """Orthonormal basis of the wandering part ``M - Z`` of the subspace
+    ``M``, with ``Z = z (M ∩ ker top)``.
 
     Only the part of the subspace with vanishing top-degree coefficient
     is shifted: on the truncated space the shift annihilates the top
     layer, and shifting full-tail vectors would smear their dropped
-    coefficients across the whole space.  Singular values below
+    coefficients across the whole space.
+
+    With ``K`` the complement basis, ``(M ∩ ker top)^perp`` is
+    ``span(K, E_top)``; its shift (the truncated shift drops the top
+    layer) together with the constants ``E_0`` spans ``Z^perp``.  In an
+    orthonormal basis ``Y`` of ``Z^perp``, ``(I - P_Z) P_M`` has the Gram
+    matrix ``I - (Y^H K)(Y^H K)^H``, whose eigenvalues are the squared
+    singular values of the projected subspace.  Those below
     ``sqrt(tail_tol)`` (relative) are treated as truncation noise."""
-    B = S_tilde.basis
-    if B.shape[1] == 0:
-        return np.zeros((B.shape[0], 0), dtype=complex)
+    K = S_tilde.complement
     d, r = S_tilde.degree, S_tilde.coeff_dim
-    one_var = TruncatedHardySpace(1, d, r)
-    top = B[d * r:(d + 1) * r, :]  # top-degree coefficient functional
-    _, s, Vh = np.linalg.svd(top, full_matrices=True)
-    rank_top = int(np.sum(s > cfg.rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    null = Vh.conj().T[:, rank_top:]
-    low = B @ null  # combinations with (numerically) zero top coefficient
-    shifted = apply_shift(one_var, low, 0)
-    Z = orthonormal_range_basis(shifted, cfg)
-    residual = B - Z @ (Z.conj().T @ B)
-    U, s, _ = np.linalg.svd(residual, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((B.shape[0], 0), dtype=complex)
-    cut = max(cfg.rank_tol, np.sqrt(cfg.tail_tol)) * s[0]
-    rank = int(np.sum(s > cut))
-    return phase_normalize_columns(U[:, :rank])
+    size = (d + 1) * r
+    top = np.eye(size, r, k=-d * r, dtype=complex)
+    Q = orthonormal_range_basis(np.hstack([K, top]), cfg)
+    shifted = apply_shift(TruncatedHardySpace(1, d, r), Q, 0)
+    Y = orthonormal_range_basis(np.hstack([np.eye(size, r, dtype=complex), shifted]), cfg)
+    G = Y.conj().T @ K
+    lam, V = np.linalg.eigh(np.eye(Y.shape[1]) - G @ G.conj().T)
+    lam, V = lam[::-1], V[:, ::-1]
+    # the eigenvalues lie in [0, 1]; a largest one at rounding level means M is empty
+    if lam.size == 0 or lam[0] <= cfg.rank_tol:
+        return np.zeros((size, 0), dtype=complex)
+    keep = lam > _loose_cut(cfg) ** 2 * lam[0]
+    return phase_normalize_columns(Y @ V[:, keep])
 
 
 def inner_from_wandering(
@@ -179,7 +135,7 @@ def inner_from_wandering(
     norms = np.array([np.linalg.norm(c) for c in cols])
     peak = norms.max()
     if peak > 0.0:
-        sig = norms > max(cfg.rank_tol, np.sqrt(cfg.tail_tol)) * peak
+        sig = norms > _loose_cut(cfg) * peak
         deg = int(np.max(np.nonzero(sig)[0])) if sig.any() else 0
     else:
         deg = 0
@@ -196,65 +152,54 @@ def inner_from_fiber(S_tilde: OneVarSubspace, cfg: ToleranceConfig = DEFAULT_TOL
     return inner_from_wandering(W, S_tilde.coeff_dim, cfg, variable=variable)
 
 
-def multiplier_columns(inner: InnerColumnSet, space: TruncatedHardySpace) -> np.ndarray:
-    """Images of the full truncated domain under the multiplier by the
-    recovered inner function (variable ``inner.variable``), as columns
-    in the codomain space ``space``."""
+def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Full per-variable pipeline: model fiber, wandering subspace,
+    inner Taylor columns."""
+    d, r = model.space.degree, model.space.coeff_dim
+    return [
+        inner_from_fiber(OneVarSubspace(d, r, K), cfg, variable=i)
+        for i, K in enumerate(model.fibers)
+    ]
+
+
+def _inner_range_projection(inner: InnerColumnSet, degree: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """One-variable projection onto the range of the truncated Toeplitz
+    matrix ``T`` of a recovered inner function: the identity minus the
+    projection onto the eigenvectors of ``T T^H`` whose eigenvalues lie
+    below ``sqrt(tail_tol)^2`` of the largest."""
+    size = (degree + 1) * inner.coeff_dim
     if inner.inner_dim == 0:
-        return np.zeros((space.total_dim, 0), dtype=complex)
-    i = inner.variable
-    r = space.coeff_dim
-    e = inner.inner_dim
-    d = space.degree
-    dom = TruncatedHardySpace(space.n, d, e)
-    out = np.zeros((space.total_dim, dom.total_dim), dtype=complex)
-    for p, k in enumerate(dom.indices):
-        for m, block in enumerate(inner.columns):
-            if k[i] + m > d:
-                break
-            kk = list(k)
-            kk[i] = k[i] + m
-            q = space.index_pos[tuple(kk)]
-            out[q * r:(q + 1) * r, p * e:(p + 1) * e] = block
-    return out
+        return np.zeros((size, size), dtype=complex)
+    T = one_var_toeplitz(inner.columns, degree)
+    G = T @ T.conj().T
+    del T  # one-variable matrices are ~1000-square at d = 256: keep two, not three
+    top = sla.eigh(G, eigvals_only=True, subset_by_index=[size - 1, size - 1])[0]
+    _, V = sla.eigh(G, subset_by_value=(-np.inf, _loose_cut(cfg) ** 2 * top), overwrite_a=True)
+    R = -(V @ V.conj().T)
+    R[np.diag_indices(size)] += 1.0
+    return R
 
 
-def _orthonormal_cols_loose(M: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Orthonormal range basis with a truncation-aware relative cutoff:
-    singular values below ``sqrt(tail_tol)`` of the largest are treated
-    as tail noise, not genuine directions."""
-    M = np.asarray(M, dtype=complex)
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    cut = max(cfg.rank_tol, np.sqrt(cfg.tail_tol)) * s[0]
-    return phase_normalize_columns(U[:, : int(np.sum(s > cut))])
+def _recovered_complement_distance(inners, space: TruncatedHardySpace, margin: int, apply_other, cfg) -> float:
+    """Masked norm of ``prod(I - Q_i) - X`` where ``Q_i`` projects onto
+    the multiplier range of ``inners[i]`` (variable ``i``) and
+    ``apply_other`` applies the Hermitian ``X``."""
+    factors = [_inner_range_projection(inner, space.degree, cfg) for inner in inners]
+
+    def apply_X(v):
+        return apply_complement_product(space, factors, v) - apply_other(v)
+
+    mask = space.margin_mask(margin).astype(float)
+    return _masked_opnorm_hermitian(apply_X, mask, space.total_dim)
 
 
 def reconstruct_S_check(inners, model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Distance (on margin-restricted layers) between the sum of the
-    recovered inner-multiplier ranges and the model's sum space."""
-    space = model.space
-    blocks = [multiplier_columns(inner, space) for inner in inners]
-    stacked = np.concatenate([b for b in blocks if b.shape[1] > 0] or [np.zeros((space.total_dim, 0))], axis=1)
-    U = _orthonormal_cols_loose(stacked, cfg)
-    PS = model.s_projection()
-    PU = U @ U.conj().T
-    sel = np.nonzero(space.margin_mask(model.margin))[0]
-    return operator_norm((PS - PU)[np.ix_(sel, sel)])
-
-
-def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Full per-variable pipeline: projection range, fiber, wandering
-    subspace, inner Taylor columns."""
-    out = []
-    for i in range(model.space.n):
-        S = invariant_subspace_from_projection(model, i, cfg)
-        fiber = fiber_extract(S, i, cfg, margin=model.margin)
-        out.append(inner_from_fiber(fiber, cfg, variable=i))
-    return out
+    recovered inner-multiplier ranges and the model's sum space, as the
+    norm of the difference of their complements ``prod(I - Q_i)`` and
+    ``prod(I - P_i)``."""
+    return _recovered_complement_distance(inners, model.space, model.margin,
+                                          model.apply_s_complement, cfg)
 
 
 @dataclass(frozen=True)
@@ -289,13 +234,11 @@ def rankone_corollary_check(
         raise NotCoinvariant("the zero subspace is not a valid co-invariant input")
     if operator_norm(Q.conj().T @ Q - np.eye(q)) > cfg.check_tol:
         raise NotCoinvariant("basis is not orthonormal")
-    P = Q @ Q.conj().T
-    shifts = [shift_matrix(space, i) for i in range(space.n)]
-    for i, S in enumerate(shifts):
-        leak = S.conj().T @ Q - Q @ (Q.conj().T @ (S.conj().T @ Q))
-        if operator_norm(leak) > cfg.check_tol:
+    for i in range(space.n):
+        co = apply_coshift(space, Q, i)
+        if operator_norm(co - Q @ (Q.conj().T @ co)) > cfg.check_tol:
             raise NotCoinvariant(f"not invariant under adjoint shift {i}")
-    comps = [Q.conj().T @ S @ Q for S in shifts]
+    comps = [Q.conj().T @ apply_shift(space, Q, i) for i in range(space.n)]
     worst = 0.0
     violator = ()
     for i in range(space.n):
@@ -327,10 +270,8 @@ def rankone_corollary_check(
     for C in comps:
         D2 = D2 @ (np.eye(q) - C @ C.conj().T)
     defect_rank = _numerical_rank(D2, cfg)
-    p0 = space.index_pos[(0,) * space.n]
-    Pc = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    Pc[p0, p0] = 1.0
-    const_rank = _numerical_rank(Q.conj().T @ Pc @ Q, cfg)
+    q0 = Q[space.index_pos[(0,) * space.n]]
+    const_rank = _numerical_rank(np.outer(q0.conj(), q0), cfg)
     if not pure:
         return RankOneVerdict(
             doubly_commuting=True,
@@ -346,17 +287,11 @@ def rankone_corollary_check(
     cfs = charfns_for_tuple(tupleC, L.defects, cfg)
     ms = model_space(tupleC, L, cfs, cfg)
     inners = model_inner_functions(ms, cfg)
-    # sum of recovered multiplier ranges, compared against the complement
-    # of the input subspace inside the ambient scalar space
-    blocks = [multiplier_columns(inner, space) for inner in inners]
-    stacked = np.concatenate(
-        [b for b in blocks if b.shape[1] > 0] or [np.zeros((space.total_dim, 0))], axis=1
-    )
-    U = _orthonormal_cols_loose(stacked, cfg)
-    PU = U @ U.conj().T
-    Pperp = np.eye(space.total_dim, dtype=complex) - P
-    sel = np.nonzero(space.margin_mask(ms.margin))[0]
-    dist = operator_norm((PU - Pperp)[np.ix_(sel, sel)])
+    # sum of recovered multiplier ranges against the complement of the
+    # input subspace inside the ambient scalar space, via the complements
+    # of both: prod(I - Q_i) against the projection onto the subspace
+    dist = _recovered_complement_distance(inners, space, ms.margin,
+                                          lambda v: Q @ (Q.conj().T @ v), cfg)
     return RankOneVerdict(
         doubly_commuting=True,
         max_commutation_residual=worst,

@@ -25,9 +25,11 @@ from .dilation import (
     isometry_defect,
     minimality_check,
 )
-from .matrixcore import DEFAULT_TOL, ToleranceConfig
+from .matrixcore import DEFAULT_TOL, NumericalFailure, ToleranceConfig
 from .model import (
-    DENSE_LIMIT,
+    NotProjection,
+    ProjectionDriftExceedsTolerance,
+    ResolventSingular,
     charfns_for_tuple,
     defect_invariance_check,
     gramian_identity_check,
@@ -193,13 +195,23 @@ _SUITE_NUMERICAL = [
 ]
 
 
+# numerical failures that stop the suite part-way; the checks not yet
+# evaluated are reported as skipped
+_STAGE_ERRORS = (DegreeCapExceeded, ProjectionDriftExceedsTolerance, NotProjection,
+                 ResolventSingular, NumericalFailure)
+
+
 def run_full_suite(
     path: str,
     cfg: ToleranceConfig = DEFAULT_TOL,
     degree: int | None = None,
     boundary_samples: int = 64,
 ) -> tuple:
-    """Full verification pipeline; returns (report, exit_code)."""
+    """Full verification pipeline; returns (report, exit_code).
+
+    Exit code 0 means every numerical identity was evaluated and passed:
+    a run that skipped one, because a stage failed numerically, exits 2
+    even though no evaluated check failed."""
     T, meta = load_tuple_file(path)
     report = VerificationReport()
     v = _validation_checks(T, cfg, report)
@@ -210,15 +222,22 @@ def run_full_suite(
 
     rng = np.random.default_rng(int(meta.get("seed", 0)))
     try:
-        if degree is None:
-            L = build_dilation(T, d=8, cfg=cfg, adaptive=True)
-        else:
-            L = build_dilation(T, d=degree, cfg=cfg, adaptive=False)
-    except DegreeCapExceeded as e:
+        _numerical_checks(T, cfg, degree, boundary_samples, rng, report)
+    except _STAGE_ERRORS as e:
+        evaluated = {c.name for c in report.checks}
         for name, ref in _SUITE_NUMERICAL:
-            report.skip(name, ref,
-                        f"tail not converged (achieved defect {e.achieved_defect:.3e})")
-        return report, (0 if report.verdict == "pass" else 2)
+            if name not in evaluated:
+                report.skip(name, ref, f"not evaluated: {e}")
+    complete = all(c.status != "skipped" for c in report.checks)
+    return report, (0 if report.verdict == "pass" and complete else 2)
+
+
+def _numerical_checks(T, cfg, degree, boundary_samples, rng, report: VerificationReport):
+    """Add the numerical checks to ``report`` in roster order."""
+    if degree is None:
+        L = build_dilation(T, d=8, cfg=cfg, adaptive=True)
+    else:
+        L = build_dilation(T, d=degree, cfg=cfg, adaptive=False)
     report.degree = L.degree
 
     report.add("dilation.isometry", isometry_defect(L), cfg.tail_tol,
@@ -266,11 +285,11 @@ def run_full_suite(
     report.add("model.gramian_kernel",
                gramian_identity_check(L, charfns, mode="kernel", samples=vec_pairs, cfg=cfg),
                cfg.check_tol, _SUITE_NUMERICAL[9][1])
-    report.add("model.gramian_operator",
-               gramian_identity_check(L, charfns, mode="operator", cfg=cfg),
-               10.0 * cfg.tail_tol, _SUITE_NUMERICAL[10][1])
 
+    # model_space also measures the operator-form Gramian on the factors it builds
     ms = model_space(T, L, charfns, cfg)
+    report.add("model.gramian_operator", ms.gramian_residual,
+               10.0 * cfg.tail_tol, _SUITE_NUMERICAL[10][1])
     report.add("model.projection_drift", max(ms.margin_drifts), np.sqrt(cfg.tail_tol),
                _SUITE_NUMERICAL[11][1])
     comm = max(ms.commutator_residuals.values(), default=0.0)
@@ -279,21 +298,12 @@ def run_full_suite(
     report.add("model.subspace_split", ms.s_residual, np.sqrt(cfg.tail_tol),
                _SUITE_NUMERICAL[13][1])
 
-    if ms.space.total_dim > DENSE_LIMIT:
-        report.skip("blh.inner_recovery", _SUITE_NUMERICAL[14][1],
-                    "space too large for dense subspace extraction")
-        report.skip("blh.reconstruct_sum", _SUITE_NUMERICAL[15][1],
-                    "space too large for dense subspace extraction")
-    else:
-        inners = model_inner_functions(ms, cfg)
-        drift = max((inner.isometry_drift for inner in inners), default=0.0)
-        report.add("blh.inner_recovery", drift, np.sqrt(cfg.tail_tol),
-                   _SUITE_NUMERICAL[14][1])
-        report.add("blh.reconstruct_sum", reconstruct_S_check(inners, ms, cfg),
-                   np.sqrt(cfg.tail_tol), _SUITE_NUMERICAL[15][1])
-
-    code = 0 if report.verdict == "pass" else 2
-    return report, code
+    inners = model_inner_functions(ms, cfg)
+    drift = max((inner.isometry_drift for inner in inners), default=0.0)
+    report.add("blh.inner_recovery", drift, np.sqrt(cfg.tail_tol),
+               _SUITE_NUMERICAL[14][1])
+    report.add("blh.reconstruct_sum", reconstruct_S_check(inners, ms, cfg),
+               np.sqrt(cfg.tail_tol), _SUITE_NUMERICAL[15][1])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from functools import reduce
 
 import numpy as np
 
-from .matrixcore import operator_norm
-
 
 class PointOutsidePolydisc(ValueError):
     """A sample point left the open unit polydisc."""
@@ -64,17 +62,18 @@ class TruncatedHardySpace:
     def total_dim(self) -> int:
         return self.num_indices * self.coeff_dim
 
+    def _index_perm(self) -> np.ndarray:
+        # perm[p] = position in lexicographic tensor layout of graded index p
+        if "iperm" not in self._cache:
+            idx = np.array(self.indices, dtype=np.intp).reshape(-1, self.n)
+            self._cache["iperm"] = np.ravel_multi_index(idx.T, (self.degree + 1,) * self.n)
+        return self._cache["iperm"]
+
     def _tensor_perm(self) -> np.ndarray:
         # perm[j] = row in lexicographic tensor layout of graded row j
         if "perm" not in self._cache:
-            d1, r = self.degree + 1, self.coeff_dim
-            perm = np.empty(self.total_dim, dtype=np.intp)
-            for p, k in enumerate(self.indices):
-                t = 0
-                for ki in k:
-                    t = t * d1 + ki
-                perm[p * r:(p + 1) * r] = np.arange(t * r, (t + 1) * r)
-            self._cache["perm"] = perm
+            r = self.coeff_dim
+            self._cache["perm"] = (self._index_perm()[:, None] * r + np.arange(r)).ravel()
         return self._cache["perm"]
 
     def to_tensor(self, arr: np.ndarray) -> np.ndarray:
@@ -105,24 +104,6 @@ class TruncatedHardySpace:
         cap = self.degree - margin
         keep = np.array([all(ki <= cap for ki in k) for k in self.indices])
         return np.repeat(keep, self.coeff_dim)
-
-
-def shift_matrix(space: TruncatedHardySpace, i: int) -> np.ndarray:
-    """Dense matrix of multiplication by z_i on the truncated space
-    (top-layer coefficients are annihilated)."""
-    N, r = space.total_dim, space.coeff_dim
-    S = np.zeros((N, N), dtype=complex)
-    up = space.shift_up_map(i)
-    for p in range(space.num_indices):
-        q = up[p]
-        if q >= 0:
-            S[q * r:(q + 1) * r, p * r:(p + 1) * r] = np.eye(r)
-    return S
-
-
-def coshift_matrix(space: TruncatedHardySpace, i: int) -> np.ndarray:
-    """Adjoint of :func:`shift_matrix`."""
-    return shift_matrix(space, i).conj().T
 
 
 def apply_shift(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:
@@ -170,6 +151,13 @@ def szego_kernel(z, w) -> complex:
     return complex(reduce(lambda a, b: a * b, 1.0 / (1.0 - z * np.conj(w)), 1.0))
 
 
+def _monomials(space: TruncatedHardySpace, z: np.ndarray) -> np.ndarray:
+    """``z^k = prod_i z_i^{k_i}`` for every multi-index, in graded order:
+    the outer product of the per-variable power vectors."""
+    powers = [zi ** np.arange(space.degree + 1) for zi in z]
+    return reduce(np.multiply.outer, powers).reshape(-1)[space._index_perm()]
+
+
 def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:
     """Truncated reproducing-kernel vector: coefficient at k is
     ``conj(w)^k eta``."""
@@ -178,51 +166,11 @@ def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:
         raise ValueError("point dimension mismatch")
     _check_polydisc(w)
     eta = np.asarray(eta, dtype=complex).reshape(space.coeff_dim)
-    out = np.zeros(space.total_dim, dtype=complex)
-    r = space.coeff_dim
-    wc = np.conj(w)
-    for p, k in enumerate(space.indices):
-        scale = 1.0 + 0.0j
-        for ki, wi in zip(k, wc):
-            scale *= wi ** ki
-        out[p * r:(p + 1) * r] = scale * eta
-    return out
+    return np.outer(_monomials(space, np.conj(w)), eta).reshape(-1)
 
 
 def point_evaluation(space: TruncatedHardySpace, flat: np.ndarray, z) -> np.ndarray:
     """Evaluate the stored polynomial at a point of the polydisc."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     flat = np.asarray(flat, dtype=complex)
-    r = space.coeff_dim
-    val = np.zeros(r, dtype=complex)
-    for p, k in enumerate(space.indices):
-        scale = 1.0 + 0.0j
-        for ki, zi in zip(k, z):
-            scale *= zi ** ki
-        val += scale * flat[p * r:(p + 1) * r]
-    return val
-
-
-def constants_projection_check(space: TruncatedHardySpace, cfg=None) -> float:
-    """Residual of the inclusion-exclusion identity
-
-        sum_{S subset of variables} (-1)^|S| (prod shift_S)(prod coshift_S)
-            = projection onto the degree-zero coefficients,
-
-    which holds exactly on the truncated space."""
-    N = space.total_dim
-    acc = np.zeros((N, N), dtype=complex)
-    shifts = [shift_matrix(space, i) for i in range(space.n)]
-    for sel in itertools.product((0, 1), repeat=space.n):
-        chosen = [i for i, s in enumerate(sel) if s]
-        M = np.eye(N, dtype=complex)
-        for i in chosen:
-            M = shifts[i] @ M
-        for i in chosen:
-            M = M @ shifts[i].conj().T
-        acc += ((-1) ** len(chosen)) * M
-    P0 = np.zeros((N, N), dtype=complex)
-    p0 = space.index_pos[(0,) * space.n]
-    r = space.coeff_dim
-    P0[p0 * r:(p0 + 1) * r, p0 * r:(p0 + 1) * r] = np.eye(r)
-    return operator_norm(acc - P0)
+    return _monomials(space, z) @ flat.reshape(space.num_indices, space.coeff_dim)

@@ -5,7 +5,7 @@ commuting-projection algebra, and the model space construction."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -39,11 +39,6 @@ class MarginTooLarge(ValueError):
 
 class ProjectionDriftExceedsTolerance(RuntimeError):
     """Truncated multiplier projection drifts beyond the certified bound."""
-
-
-# Spaces at most this total dimension use dense matrices; larger ones
-# switch to implicit operators with iterative norm estimation.
-DENSE_LIMIT = 6000
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,6 @@ def taylor_tail_estimate(cf: CharFn, degree: int) -> float:
     rho = cf.decay_rate
     if rho <= 0.0 or rho >= 1.0:
         return stored
-    gap = max(0, degree - last) + 1 if degree >= last else 1
     extrapolated = norms[-1] * rho ** (max(0, degree - last) + 1) / (1.0 - rho)
     return stored + extrapolated
 
@@ -365,11 +359,17 @@ def clip_to_projection(A: np.ndarray) -> tuple:
     """Round a nearly-idempotent Hermitian matrix to the nearest genuine
     orthogonal projection (eigenvalues snapped to 0/1 at 1/2); returns
     the projection and the drift ``||P - A||``."""
-    H = 0.5 * (A + A.conj().T)
-    w, V = np.linalg.eigh(H)
-    snapped = (w.real >= 0.5).astype(float)
-    P = (V * snapped) @ V.conj().T
-    return P, operator_norm(P - A)
+    P, _, drift = _clip(A)
+    return P, drift
+
+
+def _clip(A: np.ndarray) -> tuple:
+    """:func:`clip_to_projection` plus an orthonormal basis of the
+    projection's kernel: the eigenvectors snapped to 0."""
+    w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
+    keep = w.real >= 0.5
+    P = V[:, keep] @ V[:, keep].conj().T
+    return P, V[:, ~keep], operator_norm(P - A)
 
 
 def apply_one_var_factor(space: TruncatedHardySpace, A: np.ndarray, i: int, V: np.ndarray) -> np.ndarray:
@@ -388,6 +388,15 @@ def apply_one_var_factor(space: TruncatedHardySpace, A: np.ndarray, i: int, V: n
     res = np.moveaxis(res, [0, 1], [i, n])
     out = space.from_tensor(res.reshape(space.total_dim, m))
     return out[:, 0] if single else out
+
+
+def apply_complement_product(space: TruncatedHardySpace, factors, V: np.ndarray) -> np.ndarray:
+    """Apply ``prod_i (I - I (x) A_i (x) I)`` to flat columns, where
+    ``factors[i]`` is the one-variable matrix ``A_i`` of variable ``i``."""
+    out = np.asarray(V, dtype=complex)
+    for i, A in enumerate(factors):
+        out = out - apply_one_var_factor(space, A, i, out)
+    return out
 
 
 def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
@@ -485,24 +494,17 @@ def gramian_identity_check(
         margin = d // 2
     if margin >= d:
         raise MarginTooLarge(f"margin {margin} >= degree {d}")
-    space = L.space
     factors = one_var_raw_factors(defects, charfns, d, cfg)
-    mask = space.margin_mask(margin).astype(float)
-    N = space.total_dim
+    return _gramian_operator_residual(L, factors, L.space.margin_mask(margin).astype(float))
 
+
+def _gramian_operator_residual(L: DilationMap, factors, mask: np.ndarray) -> float:
+    """Masked norm of ``L L^H - prod(I - A_i)`` for the raw one-variable
+    factors ``A_i``."""
     def apply_X(v):
-        lhs = L.matrix @ (L.matrix.conj().T @ v)
-        rhs = v.copy()
-        for i, A in enumerate(factors):
-            rhs = rhs - apply_one_var_factor(space, A, i, rhs)
-        return lhs - rhs
+        return L.matrix @ (L.matrix.conj().T @ v) - apply_complement_product(L.space, factors, v)
 
-    if N <= DENSE_LIMIT:
-        I = np.eye(N, dtype=complex)
-        X = np.column_stack([apply_X(I[:, j]) for j in range(N)])
-        sel = mask > 0
-        return operator_norm(X[np.ix_(sel, sel)])
-    return _masked_opnorm_hermitian(apply_X, mask, N)
+    return _masked_opnorm_hermitian(apply_X, mask, L.space.total_dim)
 
 
 def sum_projection(projections, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -532,53 +534,27 @@ def sum_projection(projections, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
 @dataclass
 class ModelSpaces:
     """Model-space data: per-variable clipped multiplier projections (in
-    one-variable compressed form), the dilation range basis, and the
+    one-variable compressed form) and the orthonormal bases of their
+    complements (the model fibers), the dilation range basis, and the
     residuals tying them together."""
 
     space: TruncatedHardySpace
     charfns: list
     one_var_raw: list
     one_var_proj: list
+    fibers: list
     drifts: list
     margin_drifts: list
     commutator_residuals: dict
     q_basis: np.ndarray
     s_residual: float
+    gramian_residual: float
     compression_residuals: list
     margin: int
-    _dense: dict = field(default_factory=dict, repr=False)
 
     def apply_s_complement(self, V: np.ndarray) -> np.ndarray:
         """Apply ``prod(I - P_i)`` (clipped projections) to flat columns."""
-        out = np.asarray(V, dtype=complex)
-        for i, A in enumerate(self.one_var_proj):
-            out = out - apply_one_var_factor(self.space, A, i, out)
-        return out
-
-    def projection_matrix(self, i: int) -> np.ndarray:
-        """Dense matrix of the clipped projection for variable ``i``
-        (small spaces only)."""
-        key = ("P", i)
-        if key not in self._dense:
-            N = self.space.total_dim
-            if N > DENSE_LIMIT:
-                raise MemoryError("space too large for dense projections")
-            I = np.eye(N, dtype=complex)
-            self._dense[key] = apply_one_var_factor(self.space, self.one_var_proj[i], i, I)
-        return self._dense[key]
-
-    def s_projection(self) -> np.ndarray:
-        """Dense projection onto the model's shift-invariant sum space."""
-        if "S" not in self._dense:
-            N = self.space.total_dim
-            if N > DENSE_LIMIT:
-                raise MemoryError("space too large for a dense projection")
-            I = np.eye(N, dtype=complex)
-            self._dense["S"] = I - self.apply_s_complement(I)
-        return self._dense["S"]
-
-    def s_range_basis(self, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        return orthonormal_range_basis(self.s_projection(), cfg)
+        return apply_complement_product(self.space, self.one_var_proj, V)
 
 
 def model_space(
@@ -592,9 +568,11 @@ def model_space(
     multipliers (given as :class:`CharFn` or :class:`OneVarMultiplier`).
 
     Clips each compressed multiplier projection to a genuine projection,
-    certifies the drift against the measured symbol tail, and records
-    the residual between the dilation range and the complement of the
-    multiplier sum space on the margin-restricted layers."""
+    keeping an orthonormal basis of its complement (the model fiber),
+    certifies the drift against the measured symbol tail, and records,
+    on the margin-restricted layers, the residual between the dilation
+    range and the complement of the multiplier sum space and the
+    operator-form Gramian residual of the raw factors."""
     charfns = [m.char_fn if isinstance(m, OneVarMultiplier) else m for m in multipliers]
     d = L.degree
     if margin is None:
@@ -605,12 +583,13 @@ def model_space(
         margin = 0
     space = L.space
     raw = one_var_raw_factors(L.defects, charfns, d, cfg)
-    proj, drifts, margin_drifts = [], [], []
+    proj, fibers, drifts, margin_drifts = [], [], [], []
     r = space.coeff_dim
     row_keep = np.repeat(np.arange(d + 1) <= d - margin, r)
     for i, A in enumerate(raw):
-        P, drift = clip_to_projection(A)
+        P, K, drift = _clip(A)
         proj.append(P)
+        fibers.append(K)
         drifts.append(drift)
         diff = (P - A)[np.ix_(row_keep, row_keep)]
         md = operator_norm(diff)
@@ -634,24 +613,23 @@ def model_space(
     q_basis = orthonormal_range_basis(L.matrix, cfg)
 
     def apply_X(v):
-        lhs = q_basis @ (q_basis.conj().T @ v)
-        rhs = v.copy()
-        for i, A in enumerate(proj):
-            rhs = rhs - apply_one_var_factor(space, A, i, rhs)
-        return lhs - rhs
+        return q_basis @ (q_basis.conj().T @ v) - apply_complement_product(space, proj, v)
 
     s_residual = _masked_opnorm_hermitian(apply_X, mask, N)
+    gramian_residual = _gramian_operator_residual(L, raw, mask)
     comp = compressed_tuple_residual(L)
     return ModelSpaces(
         space=space,
         charfns=charfns,
         one_var_raw=raw,
         one_var_proj=proj,
+        fibers=fibers,
         drifts=drifts,
         margin_drifts=margin_drifts,
         commutator_residuals=comms,
         q_basis=q_basis,
         s_residual=float(s_residual),
+        gramian_residual=float(gramian_residual),
         compression_residuals=comp,
         margin=margin,
     )

@@ -289,9 +289,13 @@ def test_acceptance_10_cli_contract(tmp_path, capsys):
     ]
     capsys.readouterr()
     identical = open(r1, "rb").read() == open(r2, "rb").read()
-    verdict = json.load(open(r1))["verdict"]
+    doc = json.load(open(r1))
+    verdict = doc["verdict"]
+    skipped = [c["name"] for c in doc["checks"] if c["status"] == "skipped"]
     elapsed = time.time() - t0
-    ok = codes == [0, 0, 0] and identical and verdict == "pass" and elapsed <= 120.0
+    ok = (codes == [0, 0, 0] and identical and verdict == "pass" and not skipped
+          and elapsed <= 120.0)
     _report(10, ok,
             f"CLI pipeline (n=3, dim 12): exit codes {codes}, byte-identical "
-            f"reports {identical}, verdict {verdict}, {elapsed:.2f}s (limit 120s)")
+            f"reports {identical}, verdict {verdict}, skipped {skipped}, "
+            f"{elapsed:.2f}s (limit 120s)")

@@ -15,8 +15,11 @@ from dcmodel.blh import (
 )
 from dcmodel.dilation import build_dilation
 from dcmodel.hardy import TruncatedHardySpace
+from dcmodel.matrixcore import DEFAULT_TOL, subspace_distance
 from dcmodel.model import charfns_for_tuple, model_space
-from dcmodel.tuples import make_tensor_tuple
+from dcmodel.tuples import make_random_pure_contraction, make_tensor_tuple
+
+import oracles
 
 
 def _model_for(factors, d, adaptive=False):
@@ -46,24 +49,24 @@ def _phase_aligned_error(got, want):
 
 
 class TestWandering:
+    # each subspace is given by an orthonormal basis of its complement
     def test_monomial_subspace(self):
-        # S = span{z, ..., z^d}: wandering part is exactly {z}
+        # S = span{z, ..., z^d}, complement {1}: wandering part is exactly {z}
         d = 5
-        B = np.eye(d + 1, dtype=complex)[:, 1:]
-        S = OneVarSubspace(d, 1, B, 0.0)
+        S = OneVarSubspace(d, 1, np.eye(d + 1, dtype=complex)[:, :1])
         W = wandering_basis(S)
         assert W.shape == (d + 1, 1)
         assert abs(W[1, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_space_wanders_at_constants(self):
         d = 4
-        S = OneVarSubspace(d, 1, np.eye(d + 1, dtype=complex), 0.0)
+        S = OneVarSubspace(d, 1, np.zeros((d + 1, 0), dtype=complex))
         W = wandering_basis(S)
         assert W.shape == (d + 1, 1)
         assert abs(W[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_subspace(self):
-        S = OneVarSubspace(3, 1, np.zeros((4, 0), dtype=complex), 0.0)
+        S = OneVarSubspace(3, 1, np.eye(4, dtype=complex))
         assert wandering_basis(S).shape == (4, 0)
 
     def test_inner_from_wandering_empty(self):
@@ -97,6 +100,37 @@ class TestModelInnerFunctions:
         ms = _model_for([[[0.0]], np.array([[0, 0.6], [0, 0]])], d=6)
         inners = model_inner_functions(ms)
         assert reconstruct_S_check(inners, ms) <= 1e-9
+
+
+class TestDenseOracle:
+    """The one-variable BLH path against the dense ``N x N`` oracle."""
+
+    CASES = {
+        "tensor-2x2": (lambda: [make_random_pure_contraction(2, 0.4, 11),
+                                make_random_pure_contraction(2, 0.4, 12)], 8),
+        "moebius-pair": (lambda: [[[0.5]], [[0.6]]], 20),
+        "nilpotent": (lambda: [[[0.0]], np.array([[0, 0.6], [0, 0]])], 6),
+        "one-variable": (lambda: [make_random_pure_contraction(3, 0.5, 9)], 10),
+        "three-variables": (lambda: [make_random_pure_contraction(2, 0.3, 7),
+                                     [[0.2]], [[0.15]]], 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_agrees_with_dense(self, case):
+        factors, d = self.CASES[case]
+        ms = _model_for(factors(), d=d)
+        got, want = model_inner_functions(ms), oracles.inner_functions(ms)
+        assert [inn.variable for inn in got] == list(range(ms.space.n))
+        for a, b in zip(got, want):
+            assert a.inner_dim == b.inner_dim > 0
+            # inner functions are unique up to a constant unitary: compare spans
+            assert subspace_distance(np.vstack(a.columns), np.vstack(b.columns)) <= 1e-12
+        tol = np.sqrt(DEFAULT_TOL.tail_tol)
+        drift = max(inn.isometry_drift for inn in got)
+        assert (drift <= tol) == (max(inn.isometry_drift for inn in want) <= tol)
+        rec, rec_dense = reconstruct_S_check(got, ms), oracles.reconstruct_distance(want, ms)
+        assert (rec <= tol) == (rec_dense <= tol)
+        assert rec == pytest.approx(rec_dense, rel=1e-3, abs=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from dcmodel.cli import (
     run_validate,
     save_tuple_file,
 )
-from dcmodel.tuples import ContractionTuple
+from dcmodel.tuples import ContractionTuple, make_tensor_tuple
 
 
 def _write_tuple(path, mats, meta=None):
@@ -199,3 +199,45 @@ class TestMain:
         assert main(["suite", demo, "--degree", "6"]) == 0
         out = capsys.readouterr().out
         assert "degree used: 6" in out
+
+
+class TestExitCodes:
+    """A run that could not evaluate every numerical identity never
+    exits 0, and a numerical stage failure never escapes ``main``."""
+
+    @staticmethod
+    def _slow_tuple(tmp_path):
+        # spectral radius 0.999: neither the dilation tail nor the
+        # characteristic-function series converges within its cap
+        T = make_tensor_tuple([np.diag([0.999, 0.2]), np.diag([0.3])])
+        return _write_tuple(tmp_path / "slow.json", T.matrices)
+
+    @staticmethod
+    def _run(tmp_path, *extra):
+        rep = str(tmp_path / "report.json")
+        code = main(["--format", "json", "suite", TestExitCodes._slow_tuple(tmp_path),
+                     "--report", rep, *extra])
+        checks = json.load(open(rep))["checks"]
+        return code, {c["name"]: c for c in checks}, [c["name"] for c in checks]
+
+    def test_unconverged_adaptive_run_exits_2(self, tmp_path, capsys):
+        code, checks, names = self._run(tmp_path)
+        capsys.readouterr()
+        assert code == 2
+        numerical = [c for name, c in checks.items() if not name.startswith("validate.")]
+        assert len(numerical) == 16
+        assert all(c["status"] == "skipped" for c in numerical)
+        assert all(c["status"] == "pass" for name, c in checks.items()
+                   if name.startswith("validate."))
+
+    def test_fixed_degree_charfn_cap_exits_2(self, tmp_path, capsys):
+        code, checks, names = self._run(tmp_path, "--degree", "8")
+        capsys.readouterr()
+        assert code == 2
+        assert len(names) == 21
+        for name, c in checks.items():
+            if name.startswith(("model.", "blh.")):
+                assert c["status"] == "skipped"
+                assert c["note"].startswith("not evaluated:")
+            else:
+                assert c["status"] != "skipped"

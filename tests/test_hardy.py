@@ -11,15 +11,14 @@ from dcmodel.hardy import (
     TruncatedHardySpace,
     apply_coshift,
     apply_shift,
-    coshift_matrix,
-    constants_projection_check,
     enumerate_multi_indices,
     kernel_vector,
     point_evaluation,
-    shift_matrix,
     szego_kernel,
 )
 from dcmodel.matrixcore import operator_norm
+import oracles
+from oracles import coshift_matrix, constants_projection_check, shift_matrix
 
 
 class TestIndexing:
@@ -46,6 +45,11 @@ class TestIndexing:
         sp = TruncatedHardySpace(2, 2, 3)
         v = np.arange(sp.total_dim, dtype=complex)
         assert np.array_equal(sp.from_tensor(sp.to_tensor(v)), v)
+
+    @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
+    def test_tensor_perm_matches_loop(self, n, d, r):
+        sp = TruncatedHardySpace(n, d, r)
+        assert np.array_equal(sp._tensor_perm(), oracles.tensor_perm(sp))
 
     def test_margin_mask(self):
         sp = TruncatedHardySpace(2, 2, 1)
@@ -124,6 +128,13 @@ class TestKernels:
         lhs = np.vdot(kv, f)
         rhs = np.vdot(eta, point_evaluation(sp, f, w))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    def test_kernel_vector_matches_loop(self):
+        sp = TruncatedHardySpace(3, 4, 2)
+        w, eta = np.array([0.4 + 0.1j, -0.3j, 0.7]), np.array([1.0, -2.0j])
+        got, want = kernel_vector(sp, w, eta), oracles.kernel_vector(sp, w, eta)
+        # powers are formed in a different order: allow a few rounding units
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_kernel_gram_matches_truncated_szego(self):
         sp = TruncatedHardySpace(1, 200, 1)
