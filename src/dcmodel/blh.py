@@ -173,8 +173,10 @@ def _inner_range_projection(inner: InnerColumnSet, degree: int, cfg: ToleranceCo
     T = one_var_toeplitz(inner.columns, degree)
     G = T @ T.conj().T
     del T  # one-variable matrices are ~1000-square at d = 256: keep two, not three
-    top = sla.eigh(G, eigvals_only=True, subset_by_index=[size - 1, size - 1])[0]
-    _, V = sla.eigh(G, subset_by_value=(-np.inf, _loose_cut(cfg) ** 2 * top), overwrite_a=True)
+    # T T^H is close to a projection, so its spectrum sits in two tight
+    # clusters, on which the subset eigensolvers (MRRR, bisection) can fail
+    lam, V = sla.eigh(G, overwrite_a=True, driver="evd")
+    V = V[:, lam <= _loose_cut(cfg) ** 2 * lam[-1]]
     R = -(V @ V.conj().T)
     R[np.diag_indices(size)] += 1.0
     return R

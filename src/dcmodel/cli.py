@@ -198,7 +198,7 @@ _SUITE_NUMERICAL = [
 # numerical failures that stop the suite part-way; the checks not yet
 # evaluated are reported as skipped
 _STAGE_ERRORS = (DegreeCapExceeded, ProjectionDriftExceedsTolerance, NotProjection,
-                 ResolventSingular, NumericalFailure)
+                 ResolventSingular, NumericalFailure, np.linalg.LinAlgError)
 
 
 def run_full_suite(

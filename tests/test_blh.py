@@ -101,6 +101,17 @@ class TestModelInnerFunctions:
         inners = model_inner_functions(ms)
         assert reconstruct_S_check(inners, ms) <= 1e-9
 
+    def test_clustered_toeplitz_spectrum(self):
+        # T T^H of the recovered symbols has eigenvalues only near 0 and 1;
+        # on this input the MRRR subset eigensolver fails with "Internal Error"
+        A = np.diag([0.03614179424110661 - 0.01402629719477871j,
+                     0.00792397336956709 - 0.012935262792353432j,
+                     -0.017401027625370536 + 0.11228240708241718j])
+        B = np.diag([-0.02298007429301073 - 0.008058890264885406j])
+        ms = _model_for([A, B], d=8, adaptive=True)
+        inners = model_inner_functions(ms)
+        assert reconstruct_S_check(inners, ms) <= 1e-9
+
 
 class TestDenseOracle:
     """The one-variable BLH path against the dense ``N x N`` oracle."""

@@ -241,3 +241,19 @@ class TestExitCodes:
                 assert c["note"].startswith("not evaluated:")
             else:
                 assert c["status"] != "skipped"
+
+    def test_linear_algebra_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a LAPACK failure is a ValueError; it must not read as a parse error (3)
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Internal Error.")
+
+        monkeypatch.setattr("dcmodel.cli.model_inner_functions", fail)
+        demo = str(tmp_path / "demo.json")
+        main(["demo", "jordan", "--dims", "2", "--out", demo])
+        report, code = run_full_suite(demo)
+        capsys.readouterr()
+        assert code == 2
+        skipped = [c.name for c in report.checks if c.status == "skipped"]
+        assert skipped == ["blh.inner_recovery", "blh.reconstruct_sum"]
+        assert all(c.note == "not evaluated: Internal Error." for c in report.checks
+                   if c.status == "skipped")
