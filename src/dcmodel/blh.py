@@ -30,7 +30,7 @@ from .matrixcore import (
 from .model import (
     ModelSpaces,
     _masked_opnorm_hermitian,
-    apply_complement_product,
+    apply_one_var_projections,
     charfns_for_tuple,
     model_space,
     one_var_toeplitz,
@@ -162,34 +162,34 @@ def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL
     ]
 
 
-def _inner_range_projection(inner: InnerColumnSet, degree: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """One-variable projection onto the range of the truncated Toeplitz
-    matrix ``T`` of a recovered inner function: the identity minus the
-    projection onto the eigenvectors of ``T T^H`` whose eigenvalues lie
-    below ``sqrt(tail_tol)^2`` of the largest."""
+def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the complement of the range of the truncated
+    Toeplitz matrix ``T`` of a recovered inner function: the eigenvectors
+    of ``T T^H`` whose eigenvalues lie below ``sqrt(tail_tol)^2`` of the
+    largest."""
     size = (degree + 1) * inner.coeff_dim
     if inner.inner_dim == 0:
-        return np.zeros((size, size), dtype=complex)
+        return np.eye(size, dtype=complex)
     T = one_var_toeplitz(inner.columns, degree)
-    G = T @ T.conj().T
-    del T  # one-variable matrices are ~1000-square at d = 256: keep two, not three
+    G = (T.conj() @ T.T).T  # T T^H in Fortran order, which LAPACK overwrites in place
+    del T  # one-variable matrices are ~1000-square at d = 256: keep one, not two
     # T T^H is close to a projection, so its spectrum sits in two tight
-    # clusters, on which the subset eigensolvers (MRRR, bisection) can fail
-    lam, V = sla.eigh(G, overwrite_a=True, driver="evd")
-    V = V[:, lam <= _loose_cut(cfg) ** 2 * lam[-1]]
-    R = -(V @ V.conj().T)
-    R[np.diag_indices(size)] += 1.0
-    return R
+    # clusters, on which the subset eigensolvers (MRRR, bisection) can
+    # fail; heevd is the divide-and-conquer solver
+    lam, V, info = sla.lapack.zheevd(G, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevd failed with info {info}")
+    return V[:, lam <= _loose_cut(cfg) ** 2 * lam[-1]]
 
 
 def _recovered_complement_distance(inners, space: TruncatedHardySpace, margin: int, apply_other, cfg) -> float:
     """Masked norm of ``prod(I - Q_i) - X`` where ``Q_i`` projects onto
     the multiplier range of ``inners[i]`` (variable ``i``) and
     ``apply_other`` applies the Hermitian ``X``."""
-    factors = [_inner_range_projection(inner, space.degree, cfg) for inner in inners]
+    complements = [_inner_range_complement(inner, space.degree, cfg) for inner in inners]
 
     def apply_X(v):
-        return apply_complement_product(space, factors, v) - apply_other(v)
+        return apply_one_var_projections(space, complements, v) - apply_other(v)
 
     mask = space.margin_mask(margin).astype(float)
     return _masked_opnorm_hermitian(apply_X, mask, space.total_dim)

@@ -2,8 +2,8 @@
 validation and verification pipeline, generate demo tuples, and emit
 text or JSON reports.
 
-Exit codes: 0 pass, 1 validation failure, 2 numerical-check failure,
-3 I/O or parse error.
+Exit codes: 0 every check evaluated and passed, 1 validation failure,
+2 a numerical check failed or was not evaluated, 3 I/O or parse error.
 """
 
 from __future__ import annotations

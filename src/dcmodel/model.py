@@ -390,13 +390,24 @@ def apply_one_var_factor(space: TruncatedHardySpace, A: np.ndarray, i: int, V: n
     return out[:, 0] if single else out
 
 
-def apply_complement_product(space: TruncatedHardySpace, factors, V: np.ndarray) -> np.ndarray:
-    """Apply ``prod_i (I - I (x) A_i (x) I)`` to flat columns, where
-    ``factors[i]`` is the one-variable matrix ``A_i`` of variable ``i``."""
-    out = np.asarray(V, dtype=complex)
-    for i, A in enumerate(factors):
-        out = out - apply_one_var_factor(space, A, i, out)
-    return out
+def apply_one_var_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> np.ndarray:
+    """Apply ``prod_i (I (x) B_i B_i^H (x) I)`` to flat columns, where
+    ``bases[i]`` has orthonormal columns in the one-variable space of
+    variable ``i`` (usually a few, so nothing ``(d+1) r``-square is formed)."""
+    V = np.asarray(V, dtype=complex)
+    single = V.ndim == 1
+    if single:
+        V = V[:, None]
+    d1, r, n = space.degree + 1, space.coeff_dim, space.n
+    m = V.shape[1]
+    Tn = space.to_tensor(V).reshape((d1,) * n + (r, m))
+    for i, B in enumerate(bases):
+        B3 = B.reshape(d1, r, B.shape[1])
+        coef = np.tensordot(B3.conj(), Tn, axes=([0, 1], [i, n]))
+        # axes (k_i', coeff', other k's..., m) -> canonical order
+        Tn = np.moveaxis(np.tensordot(B3, coef, axes=([2], [0])), [0, 1], [i, n])
+    out = space.from_tensor(Tn.reshape(space.total_dim, m))
+    return out[:, 0] if single else out
 
 
 def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
@@ -502,7 +513,10 @@ def _gramian_operator_residual(L: DilationMap, factors, mask: np.ndarray) -> flo
     """Masked norm of ``L L^H - prod(I - A_i)`` for the raw one-variable
     factors ``A_i``."""
     def apply_X(v):
-        return L.matrix @ (L.matrix.conj().T @ v) - apply_complement_product(L.space, factors, v)
+        rhs = v
+        for i, A in enumerate(factors):
+            rhs = rhs - apply_one_var_factor(L.space, A, i, rhs)
+        return L.matrix @ (L.matrix.conj().T @ v) - rhs
 
     return _masked_opnorm_hermitian(apply_X, mask, L.space.total_dim)
 
@@ -553,8 +567,9 @@ class ModelSpaces:
     margin: int
 
     def apply_s_complement(self, V: np.ndarray) -> np.ndarray:
-        """Apply ``prod(I - P_i)`` (clipped projections) to flat columns."""
-        return apply_complement_product(self.space, self.one_var_proj, V)
+        """Apply ``prod(I - P_i)`` (clipped projections) to flat columns;
+        ``I - P_i`` projects onto the model fiber ``fibers[i]``."""
+        return apply_one_var_projections(self.space, self.fibers, V)
 
 
 def model_space(
@@ -613,7 +628,7 @@ def model_space(
     q_basis = orthonormal_range_basis(L.matrix, cfg)
 
     def apply_X(v):
-        return q_basis @ (q_basis.conj().T @ v) - apply_complement_product(space, proj, v)
+        return q_basis @ (q_basis.conj().T @ v) - apply_one_var_projections(space, fibers, v)
 
     s_residual = _masked_opnorm_hermitian(apply_X, mask, N)
     gramian_residual = _gramian_operator_residual(L, raw, mask)

@@ -98,7 +98,10 @@ def projection_matrix(model, i: int) -> np.ndarray:
 def s_projection(model) -> np.ndarray:
     """Dense projection onto the model's sum space ``I - prod(I - P_i)``."""
     I = np.eye(model.space.total_dim, dtype=complex)
-    return I - model.apply_s_complement(I)
+    C = I
+    for i in range(model.space.n):
+        C = C @ (I - projection_matrix(model, i))
+    return I - C
 
 
 def _loose_basis(M: np.ndarray, cfg) -> np.ndarray:

@@ -13,6 +13,7 @@ from dcmodel.model import (
     NotProjection,
     ResolventSingular,
     apply_one_var_factor,
+    apply_one_var_projections,
     charfn_eval,
     charfn_point_from_taylor,
     charfn_taylor,
@@ -133,6 +134,18 @@ class TestMultipliers:
             out = np.moveaxis(out, [0, 1], [i, 2])
             want = sp.from_tensor(out.reshape(sp.total_dim, V.shape[1]))
             assert np.allclose(got, want, atol=1e-12)
+
+    def test_apply_one_var_projections_matches_factors(self):
+        sp = TruncatedHardySpace(3, 2, 2)
+        rng = np.random.default_rng(10)
+        bases = [np.linalg.qr(rng.standard_normal((6, k)) + 1j * rng.standard_normal((6, k)))[0]
+                 for k in (1, 3, 6)]
+        V = rng.standard_normal((sp.total_dim, 2)) + 1j * rng.standard_normal((sp.total_dim, 2))
+        want = V
+        for i, B in enumerate(bases):
+            want = apply_one_var_factor(sp, B @ B.conj().T, i, want)
+        assert np.allclose(apply_one_var_projections(sp, bases, V), want, atol=1e-13)
+        assert np.allclose(apply_one_var_projections(sp, bases, V[:, 0]), want[:, 0], atol=1e-13)
 
 
 class TestKernelIdentities:
