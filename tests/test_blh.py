@@ -101,14 +101,29 @@ class TestModelInnerFunctions:
         inners = model_inner_functions(ms)
         assert reconstruct_S_check(inners, ms) <= 1e-9
 
-    def test_clustered_toeplitz_spectrum(self):
-        # T T^H of the recovered symbols has eigenvalues only near 0 and 1;
-        # on this input the MRRR subset eigensolver fails with "Internal Error"
-        A = np.diag([0.03614179424110661 - 0.01402629719477871j,
-                     0.00792397336956709 - 0.012935262792353432j,
-                     -0.017401027625370536 + 0.11228240708241718j])
-        B = np.diag([-0.02298007429301073 - 0.008058890264885406j])
-        ms = _model_for([A, B], d=8, adaptive=True)
+    # T T^H of the recovered symbols has eigenvalues only near 0 and 1; on
+    # these inputs the MRRR subset eigensolver fails with "Internal Error"
+    CLUSTERED = {
+        "random-3x1": [np.diag([0.03134608984832728 - 0.005300186625672597j,
+                                0.0038535050073783736 + 0.009927844772496832j,
+                                -0.0034963792357965142 + 0.05569184066638125j]),
+                       np.diag([0.0011279753116889605 - 0.009695126985033055j])],
+        "random-2x2": [np.diag([-0.035587607654129036 - 0.010148839538177704j,
+                                0.019377136001865466 - 0.11475973208156146j]),
+                       np.diag([0.10600801922899869 + 0.14465316320079682j,
+                                0.11544479323544982 + 0.13861673164946384j])],
+        "tensor-3": [np.array([
+            [0.13152189292504912 - 0.05173640168751536j, -0.09168652436311273 - 0.1976013759296691j,
+             -0.14505600580601333 - 0.009159835385347016j],
+            [0.21105945225242367 - 0.0893186760020633j, 0.11317984693550867 + 0.01682562330206968j,
+             0.2714303004992361 + 0.03277809507760742j],
+            [0.06037031324270788 - 0.027003496938985946j, -0.05666022853294215 + 0.021121299387599483j,
+             -0.11518626744216934 - 0.020339776300673705j]])],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CLUSTERED))
+    def test_clustered_toeplitz_spectrum(self, case):
+        ms = _model_for(self.CLUSTERED[case], d=8, adaptive=True)
         inners = model_inner_functions(ms)
         assert reconstruct_S_check(inners, ms) <= 1e-9
 
