@@ -89,20 +89,14 @@ def _build_matrix(T: ContractionTuple, defects: DefectData, d: int) -> tuple:
             achieved_defect=float("nan"),
         )
     B = defects.big_defect_basis
-    C0 = B.conj().T @ defects.big_defect  # (rank, dim)
-    adjoints = [M.conj().T for M in T.matrices]
-    # dynamic programming over multi-indices: T^{*k} = T_i^* T^{*(k - e_i)}
-    powers = {(0,) * T.n: np.eye(T.dim, dtype=complex)}
-    r = defects.rank
-    L = np.zeros((space.total_dim, T.dim), dtype=complex)
-    for p, k in enumerate(space.indices):
-        if k not in powers:
-            i = next(a for a, ka in enumerate(k) if ka > 0)
-            prev = list(k)
-            prev[i] -= 1
-            powers[k] = adjoints[i] @ powers[tuple(prev)]
-        L[p * r:(p + 1) * r, :] = C0 @ powers[k]
-    return space, L
+    X = B.conj().T @ defects.big_defect  # C0, (rank, dim)
+    # rows C0 T_1^{*k_1} ... T_n^{*k_n}, one axis at a time, in tensor layout
+    for M in T.matrices:
+        powers = [np.eye(T.dim, dtype=complex)]
+        for _ in range(d):
+            powers.append(powers[-1] @ M.conj().T)
+        X = np.einsum("...ra,kab->...krb", X, np.array(powers), optimize=True)
+    return space, space.from_tensor(X.reshape(space.total_dim, T.dim))
 
 
 def build_dilation(
@@ -168,7 +162,7 @@ def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEF
     for w, eta in samples:
         w = np.atleast_1d(np.asarray(w, dtype=complex))
         kv = kernel_vector(L.space, w, eta)
-        lhs = L.matrix.conj().T @ kv
+        lhs = (kv.conj() @ L.matrix).conj()  # L^H kv without copying L
         v = D @ (B @ np.asarray(eta, dtype=complex).reshape(-1))
         for i, M in enumerate(L.tuple.matrices):
             v = np.linalg.solve(I - np.conj(w[i]) * M, v)
@@ -181,9 +175,7 @@ def minimality_check(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
     dilation and the full joint-defect coordinate space.  Zero means the
     dilation is minimal (constants are hit exactly by the defect)."""
     r = L.defects.rank
-    p0 = L.space.index_pos[(0,) * L.tuple.n]
-    block = L.matrix[p0 * r:(p0 + 1) * r, :]
-    got = orthonormal_range_basis(block, cfg)
+    got = orthonormal_range_basis(L.matrix[:r], cfg)  # graded order puts k = 0 first
     want = np.eye(r, dtype=complex)
     return subspace_distance(got, want)
 

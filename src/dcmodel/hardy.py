@@ -63,10 +63,11 @@ class TruncatedHardySpace:
         return self.num_indices * self.coeff_dim
 
     def _index_perm(self) -> np.ndarray:
-        # perm[p] = position in lexicographic tensor layout of graded index p
+        # perm[p] = position in lexicographic tensor layout of graded index p:
+        # a stable sort of the lexicographic positions by total degree
         if "iperm" not in self._cache:
-            idx = np.array(self.indices, dtype=np.intp).reshape(-1, self.n)
-            self._cache["iperm"] = np.ravel_multi_index(idx.T, (self.degree + 1,) * self.n)
+            lex = np.indices((self.degree + 1,) * self.n).reshape(self.n, -1)
+            self._cache["iperm"] = np.argsort(lex.sum(axis=0), kind="stable")
         return self._cache["iperm"]
 
     def _tensor_perm(self) -> np.ndarray:
@@ -85,52 +86,53 @@ class TruncatedHardySpace:
     def from_tensor(self, arr: np.ndarray) -> np.ndarray:
         return np.asarray(arr, dtype=complex)[self._tensor_perm()]
 
+    def _index_digits(self) -> np.ndarray:
+        # row i = component k_i of each graded index
+        return np.array(np.unravel_index(self._index_perm(), (self.degree + 1,) * self.n))
+
     def shift_up_map(self, i: int) -> np.ndarray:
         """Position of k + e_i for each index position (or -1 past the cap)."""
         key = ("up", i)
         if key not in self._cache:
+            lex = self._index_perm()
+            graded = np.empty_like(lex)
+            graded[lex] = np.arange(lex.size)
             up = np.full(self.num_indices, -1, dtype=np.intp)
-            for p, k in enumerate(self.indices):
-                if k[i] < self.degree:
-                    kk = list(k)
-                    kk[i] += 1
-                    up[p] = self.index_pos[tuple(kk)]
+            below = self._index_digits()[i] < self.degree
+            # k + e_i sits (d+1)^(n-1-i) further on in lexicographic order
+            up[below] = graded[lex[below] + (self.degree + 1) ** (self.n - 1 - i)]
             self._cache[key] = up
         return self._cache[key]
 
     def margin_mask(self, margin: int) -> np.ndarray:
         """Boolean row mask keeping indices with every component
         <= degree - margin."""
-        cap = self.degree - margin
-        keep = np.array([all(ki <= cap for ki in k) for k in self.indices])
+        keep = np.all(self._index_digits() <= self.degree - margin, axis=0)
         return np.repeat(keep, self.coeff_dim)
+
+
+def _shift_rows(space: TruncatedHardySpace, i: int) -> list:
+    """Flat rows of each k with k_i < d and of its image k + e_i."""
+    r, up = space.coeff_dim, space.shift_up_map(i)
+    src = np.nonzero(up >= 0)[0]
+    return [(p[:, None] * r + np.arange(r)).ravel() for p in (src, up[src])]
 
 
 def apply_shift(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:
     """Apply multiplication by z_i to columns stored as flat vectors,
     without materializing the shift matrix."""
     arr = np.asarray(arr, dtype=complex)
-    r = space.coeff_dim
     out = np.zeros_like(arr)
-    up = space.shift_up_map(i)
-    src = np.nonzero(up >= 0)[0]
-    dst = up[src]
-    rows_src = (src[:, None] * r + np.arange(r)).ravel()
-    rows_dst = (dst[:, None] * r + np.arange(r)).ravel()
-    out[rows_dst] = arr[rows_src]
+    src, dst = _shift_rows(space, i)
+    out[dst] = arr[src]
     return out
 
 
 def apply_coshift(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=complex)
-    r = space.coeff_dim
     out = np.zeros_like(arr)
-    up = space.shift_up_map(i)
-    src = np.nonzero(up >= 0)[0]
-    dst = up[src]
-    rows_src = (src[:, None] * r + np.arange(r)).ravel()
-    rows_dst = (dst[:, None] * r + np.arange(r)).ravel()
-    out[rows_src] = arr[rows_dst]
+    src, dst = _shift_rows(space, i)
+    out[src] = arr[dst]
     return out
 
 

@@ -183,13 +183,11 @@ def one_var_toeplitz(taylor, d: int) -> np.ndarray:
     """Lower-triangular block-Toeplitz matrix of a one-variable symbol
     truncated at degree ``d`` (degree-graded block order)."""
     r_out, r_in = taylor[0].shape
-    M = np.zeros(((d + 1) * r_out, (d + 1) * r_in), dtype=complex)
-    for k in range(d + 1):
-        for m, theta in enumerate(taylor):
-            if m > k:
-                break
-            M[k * r_out:(k + 1) * r_out, (k - m) * r_in:(k - m + 1) * r_in] = theta
-    return M
+    M = np.zeros((d + 1, r_out, d + 1, r_in), dtype=complex)
+    k = np.arange(d + 1)
+    for m, theta in enumerate(taylor[:d + 1]):
+        M[k[m:], :, k[m:] - m, :] = theta  # block diagonal m
+    return M.reshape((d + 1) * r_out, (d + 1) * r_in)
 
 
 @dataclass(frozen=True)
@@ -348,17 +346,17 @@ def one_var_raw_factors(defects: DefectData, charfns, d: int, cfg: ToleranceConf
     out = []
     for i, cf in enumerate(charfns):
         E = _embedding(defects, i, cfg)
-        M1 = one_var_toeplitz(cf.taylor, d)          # (d+1) r_out x (d+1) r_in
-        K = np.kron(np.eye(d + 1, dtype=complex), E)  # (d+1) r_out x (d+1) r
-        A = K.conj().T @ (M1 @ (M1.conj().T @ K))
+        # K^H M_theta is the block-Toeplitz matrix of the symbol E^H theta
+        F = one_var_toeplitz([E.conj().T @ theta for theta in cf.taylor[:d + 1]], d)
+        A = F @ F.conj().T
         out.append(0.5 * (A + A.conj().T))
     return out
 
 
 def clip_to_projection(A: np.ndarray) -> tuple:
-    """Round a nearly-idempotent Hermitian matrix to the nearest genuine
-    orthogonal projection (eigenvalues snapped to 0/1 at 1/2); returns
-    the projection and the drift ``||P - A||``."""
+    """Round a nearly-idempotent matrix to the nearest orthogonal projection
+    (eigenvalues of its Hermitian part snapped to 0/1 at 1/2); returns the
+    projection and a bound on the drift ``||P - A||``, exact for Hermitian A."""
     P, _, drift = _clip(A)
     return P, drift
 
@@ -366,10 +364,16 @@ def clip_to_projection(A: np.ndarray) -> tuple:
 def _clip(A: np.ndarray) -> tuple:
     """:func:`clip_to_projection` plus an orthonormal basis of the
     projection's kernel: the eigenvectors snapped to 0."""
-    w, V = np.linalg.eigh(0.5 * (A + A.conj().T))
-    keep = w.real >= 0.5
-    P = V[:, keep] @ V[:, keep].conj().T
-    return P, V[:, ~keep], operator_norm(P - A)
+    H = 0.5 * (A + A.conj().T)
+    # H is close to a projection, so its spectrum sits in two tight
+    # clusters, on which the subset eigensolvers (MRRR, bisection) can
+    # fail or lose orthogonality; eigh is the divide-and-conquer solver
+    w, V = np.linalg.eigh(H)
+    K = V[:, w < 0.5]
+    P = np.eye(A.shape[0], dtype=complex) - K @ K.conj().T
+    # P - H = V diag(snap(w) - w) V^H; the anti-Hermitian part adds at most its norm
+    drift = np.max(np.abs((w >= 0.5) - w), initial=0.0) + np.linalg.norm(A - H)
+    return P, K, float(drift)
 
 
 def apply_one_var_factor(space: TruncatedHardySpace, A: np.ndarray, i: int, V: np.ndarray) -> np.ndarray:

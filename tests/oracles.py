@@ -18,7 +18,7 @@ from dcmodel.matrixcore import (
     orthonormal_range_basis,
     phase_normalize_columns,
 )
-from dcmodel.model import apply_one_var_factor
+from dcmodel.model import _embedding, apply_one_var_factor
 
 
 def shift_matrix(space: TruncatedHardySpace, i: int) -> np.ndarray:
@@ -87,6 +87,68 @@ def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:
             scale *= wi ** ki
         out[p * r:(p + 1) * r] = scale * np.asarray(eta, dtype=complex)
     return out
+
+
+def shift_up_map(space: TruncatedHardySpace, i: int) -> np.ndarray:
+    """Position of k + e_i for each index position (or -1 past the cap),
+    one index at a time."""
+    up = np.full(space.num_indices, -1, dtype=np.intp)
+    for p, k in enumerate(space.indices):
+        if k[i] < space.degree:
+            kk = list(k)
+            kk[i] += 1
+            up[p] = space.index_pos[tuple(kk)]
+    return up
+
+
+def margin_mask(space: TruncatedHardySpace, margin: int) -> np.ndarray:
+    """Row mask of the indices with every component <= degree - margin,
+    one index at a time."""
+    cap = space.degree - margin
+    keep = np.array([all(ki <= cap for ki in k) for k in space.indices])
+    return np.repeat(keep, space.coeff_dim)
+
+
+def one_var_toeplitz(taylor, d: int) -> np.ndarray:
+    """Lower-triangular block-Toeplitz matrix, one block at a time."""
+    r_out, r_in = taylor[0].shape
+    M = np.zeros(((d + 1) * r_out, (d + 1) * r_in), dtype=complex)
+    for k in range(d + 1):
+        for m, theta in enumerate(taylor):
+            if m > k:
+                break
+            M[k * r_out:(k + 1) * r_out, (k - m) * r_in:(k - m + 1) * r_in] = theta
+    return M
+
+
+def one_var_raw_factors(defects, charfns, d: int, cfg=DEFAULT_TOL) -> list:
+    """``K^H M_theta M_theta^H K`` with the explicit ``K = I_{d+1} (x) E``."""
+    out = []
+    for i, cf in enumerate(charfns):
+        E = _embedding(defects, i, cfg)
+        M1 = one_var_toeplitz(cf.taylor, d)
+        K = np.kron(np.eye(d + 1, dtype=complex), E)
+        A = K.conj().T @ (M1 @ (M1.conj().T @ K))
+        out.append(0.5 * (A + A.conj().T))
+    return out
+
+
+def dilation_matrix(T, defects, d: int) -> np.ndarray:
+    """Rows ``C0 T^{*k}`` of the truncated dilation in graded order, from
+    ``T^{*k} = T_i^* T^{*(k - e_i)}`` memoised over the multi-indices."""
+    space = TruncatedHardySpace(T.n, d, defects.rank)
+    C0 = defects.big_defect_basis.conj().T @ defects.big_defect
+    powers = {(0,) * T.n: np.eye(T.dim, dtype=complex)}
+    r = defects.rank
+    L = np.zeros((space.total_dim, T.dim), dtype=complex)
+    for p, k in enumerate(space.indices):
+        if k not in powers:
+            i = next(a for a, ka in enumerate(k) if ka > 0)
+            prev = list(k)
+            prev[i] -= 1
+            powers[k] = T.matrices[i].conj().T @ powers[tuple(prev)]
+        L[p * r:(p + 1) * r, :] = C0 @ powers[k]
+    return L
 
 
 def projection_matrix(model, i: int) -> np.ndarray:

@@ -51,6 +51,18 @@ class TestIndexing:
         sp = TruncatedHardySpace(n, d, r)
         assert np.array_equal(sp._tensor_perm(), oracles.tensor_perm(sp))
 
+    @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
+    def test_shift_up_map_matches_loop(self, n, d, r):
+        sp = TruncatedHardySpace(n, d, r)
+        for i in range(n):
+            assert np.array_equal(sp.shift_up_map(i), oracles.shift_up_map(sp, i))
+
+    @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
+    def test_margin_mask_matches_loop(self, n, d, r):
+        sp = TruncatedHardySpace(n, d, r)
+        for margin in range(d + 1):
+            assert np.array_equal(sp.margin_mask(margin), oracles.margin_mask(sp, margin))
+
     def test_margin_mask(self):
         sp = TruncatedHardySpace(2, 2, 1)
         mask = sp.margin_mask(1)

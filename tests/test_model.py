@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmodel.dilation import build_dilation
-from dcmodel.matrixcore import operator_norm, orthonormal_range_basis
+from dcmodel.matrixcore import DEFAULT_TOL, operator_norm, orthonormal_range_basis
 from dcmodel.model import (
     NotCommuting,
     NotProjection,
     ResolventSingular,
+    _embedding,
     apply_one_var_factor,
     apply_one_var_projections,
     charfn_eval,
@@ -25,6 +26,7 @@ from dcmodel.model import (
     kernel_identity_check,
     model_space,
     multiplier_matrix,
+    one_var_raw_factors,
     one_var_toeplitz,
     product_kernel_identity_check,
     sum_projection,
@@ -32,6 +34,8 @@ from dcmodel.model import (
 )
 from dcmodel.hardy import TruncatedHardySpace
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
+
+import oracles
 
 
 def _moebius_coeffs(lam, m_max):
@@ -148,6 +152,53 @@ class TestMultipliers:
         assert np.allclose(apply_one_var_projections(sp, bases, V[:, 0]), want[:, 0], atol=1e-13)
 
 
+class TestLoopOracles:
+    """Block-Toeplitz symbols, raw one-variable factors and the dilation
+    matrix against their one-block-at-a-time versions."""
+
+    CASES = {
+        # the Taylor series is longer than d + 1
+        "one-variable": (lambda: [make_random_pure_contraction(3, 0.5, 9)], 10),
+        "tensor-2x2": (lambda: [make_random_pure_contraction(2, 0.4, 11),
+                                make_random_pure_contraction(2, 0.4, 12)], 6),
+        # E is 2 x 1 and 3 x 1; the nilpotent symbols stop before degree d
+        "jordan-3x2": (lambda: [np.eye(3, k=1), np.eye(2, k=1)], 8),
+        "three-variables": (lambda: [make_random_pure_contraction(2, 0.3, 7),
+                                     [[0.2]], [[0.15]]], 4),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request):
+        factors, d = self.CASES[request.param]
+        T = make_tensor_tuple(factors())
+        L = build_dilation(T, d=d, adaptive=False)
+        return request.param, T, L, charfns_for_tuple(T, L.defects)
+
+    def test_toeplitz(self, case):
+        _, _, L, cfs = case
+        for cf in cfs:
+            for d in (0, L.degree):
+                assert np.array_equal(one_var_toeplitz(cf.taylor, d),
+                                      oracles.one_var_toeplitz(cf.taylor, d))
+
+    def test_raw_factors(self, case):
+        label, _, L, cfs = case
+        if label == "jordan-3x2":
+            assert [_embedding(L.defects, i, DEFAULT_TOL).shape for i in range(2)] == [(2, 1), (3, 1)]
+            assert all(len(cf.taylor) < L.degree + 1 for cf in cfs)
+        got = one_var_raw_factors(L.defects, cfs, L.degree)
+        want = oracles.one_var_raw_factors(L.defects, cfs, L.degree)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, a.conj().T)
+            assert np.max(np.abs(a - b)) <= 1e-14
+
+    def test_dilation_matrix(self, case):
+        _, T, L, _ = case
+        want = oracles.dilation_matrix(T, L.defects, L.degree)
+        # powers are multiplied in another order: allow a few rounding units
+        assert np.max(np.abs(L.matrix - want)) <= 1e-15
+
+
 class TestKernelIdentities:
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -219,6 +270,25 @@ class TestProjections:
         Q, drift = clip_to_projection(np.diag([0.999, 0.001]))
         assert np.allclose(Q, np.diag([1.0, 0.0]), atol=1e-13)
         assert drift == pytest.approx(0.001, abs=1e-12)
+
+    @pytest.mark.parametrize("eigs", [[1.0 - 1e-3, 1.0 + 2e-4, 1e-3, -5e-4, 0.0, 1.0],
+                                      [1.0, 0.7, 0.3, 2e-9, 1.0 - 3e-9, 0.0]])
+    def test_clip_drift_from_eigenvalues(self, eigs):
+        rng = np.random.default_rng(23)
+        U = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        A = U @ np.diag(eigs) @ U.conj().T
+        A = 0.5 * (A + A.conj().T)
+        P, drift = clip_to_projection(A)
+        assert operator_norm(P @ P - P) <= 1e-14
+        assert drift == pytest.approx(operator_norm(P - A), abs=1e-14)
+
+    def test_clip_drift_bounds_non_hermitian(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            A = np.diag([1.0, 1.0, 0.0, 0.0]) + 1e-3 * (rng.standard_normal((4, 4))
+                                                       + 1j * rng.standard_normal((4, 4)))
+            P, drift = clip_to_projection(A)
+            assert drift >= operator_norm(P - A)
 
     def test_sum_projection_oracle(self):
         # simultaneously diagonal 0/1 patterns conjugated by a random unitary
