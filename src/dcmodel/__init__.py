@@ -53,7 +53,6 @@ from .model import (
     ModelSpaces,
     NotCommuting,
     NotProjection,
-    OneVarMultiplier,
     ProjectionDriftExceedsTolerance,
     ResolventSingular,
     charfn_eval,
@@ -64,7 +63,6 @@ from .model import (
     inner_boundary_check,
     kernel_identity_check,
     model_space,
-    multiplier_matrix,
     product_kernel_identity_check,
     taylor_tail_estimate,
 )

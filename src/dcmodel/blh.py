@@ -30,7 +30,7 @@ from .matrixcore import (
 from .model import (
     ModelSpaces,
     _masked_opnorm_hermitian,
-    apply_one_var_projections,
+    apply_axis_projections,
     charfns_for_tuple,
     model_space,
     one_var_toeplitz,
@@ -189,7 +189,7 @@ def _recovered_complement_distance(inners, space: TruncatedHardySpace, margin: i
     complements = [_inner_range_complement(inner, space.degree, cfg) for inner in inners]
 
     def apply_X(v):
-        return apply_one_var_projections(space, complements, v) - apply_other(v)
+        return apply_axis_projections(space, complements, v) - apply_other(v)
 
     mask = space.margin_mask(margin).astype(float)
     return _masked_opnorm_hermitian(apply_X, mask, space.total_dim)

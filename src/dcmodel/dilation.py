@@ -45,17 +45,22 @@ class DilationMap:
     degree: int
 
 
+def _box_sum(G: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
+    """``sum_{k=0}^{d} M^k G M^{*k}``."""
+    acc = np.zeros_like(G)
+    P = np.eye(M.shape[0], dtype=complex)
+    for _ in range(d + 1):
+        acc = acc + P @ G @ P.conj().T
+        P = M @ P
+    return acc
+
+
 def _box_gram_defect(T: ContractionTuple, big_defect_sq: np.ndarray, d: int) -> float:
     """``||I - sum_{k in box} T^k D^2 T^{*k}||`` without building the
     dilation matrix (the box is per-variable degree <= d)."""
     G = big_defect_sq
     for M in T.matrices:
-        acc = np.zeros_like(G)
-        P = np.eye(T.dim, dtype=complex)
-        for _ in range(d + 1):
-            acc = acc + P @ G @ P.conj().T
-            P = M @ P
-        G = acc
+        G = _box_sum(G, M, d)
     return operator_norm(np.eye(T.dim) - G)
 
 
@@ -68,14 +73,8 @@ def _top_layer_tail(T: ContractionTuple, big_defect_sq: np.ndarray, d: int) -> f
     for i, M in enumerate(T.matrices):
         G = big_defect_sq
         for j, Mj in enumerate(T.matrices):
-            if j == i:
-                continue
-            acc = np.zeros_like(G)
-            P = np.eye(T.dim, dtype=complex)
-            for _ in range(d + 1):
-                acc = acc + P @ G @ P.conj().T
-                P = Mj @ P
-            G = acc
+            if j != i:
+                G = _box_sum(G, Mj, d)
         Pi = np.linalg.matrix_power(M, d + 1)
         worst = max(worst, float(np.sqrt(operator_norm(Pi @ G @ Pi.conj().T))))
     return worst
@@ -90,13 +89,13 @@ def _build_matrix(T: ContractionTuple, defects: DefectData, d: int) -> tuple:
         )
     B = defects.big_defect_basis
     X = B.conj().T @ defects.big_defect  # C0, (rank, dim)
-    # rows C0 T_1^{*k_1} ... T_n^{*k_n}, one axis at a time, in tensor layout
+    # rows C0 T_1^{*k_1} ... T_n^{*k_n}, one axis at a time
     for M in T.matrices:
         powers = [np.eye(T.dim, dtype=complex)]
         for _ in range(d):
             powers.append(powers[-1] @ M.conj().T)
         X = np.einsum("...ra,kab->...krb", X, np.array(powers), optimize=True)
-    return space, space.from_tensor(X.reshape(space.total_dim, T.dim))
+    return space, X.reshape(space.total_dim, T.dim)
 
 
 def build_dilation(
@@ -175,7 +174,7 @@ def minimality_check(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
     dilation and the full joint-defect coordinate space.  Zero means the
     dilation is minimal (constants are hit exactly by the defect)."""
     r = L.defects.rank
-    got = orthonormal_range_basis(L.matrix[:r], cfg)  # graded order puts k = 0 first
+    got = orthonormal_range_basis(L.matrix[:r], cfg)  # k = 0 is row block 0 in lexicographic order
     want = np.eye(r, dtype=complex)
     return subspace_distance(got, want)
 

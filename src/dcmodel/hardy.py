@@ -1,9 +1,12 @@
 """Truncated model of the vector-valued Hardy space over the polydisc.
 
 A function with coefficient space of dimension ``r`` and per-variable
-degree cap ``d`` is stored as a flat vector of length ``(d+1)^n * r``.
-Basis order is graded on multi-indices (ascending total degree, ties
-lexicographic), with the coefficient-space basis fastest-varying.
+degree cap ``d`` is stored as a flat vector of length ``(d+1)^n * r``:
+the C-order layout of the tensor of shape ``(d+1,)*n + (r,)``
+(:attr:`TruncatedHardySpace.shape`).  Multi-indices run
+lexicographically with ``k_1`` slowest, and the coefficient-space basis
+varies fastest, so ``k = 0`` is row block 0 and an operator in one
+variable acts on one tensor axis.
 """
 
 from __future__ import annotations
@@ -43,9 +46,16 @@ class TruncatedHardySpace:
             raise ValueError("invalid space parameters")
 
     @property
+    def shape(self) -> tuple:
+        """Tensor shape of the flat storage: one axis per variable, then
+        the coefficient axis."""
+        return (self.degree + 1,) * self.n + (self.coeff_dim,)
+
+    @property
     def indices(self) -> list:
+        """Multi-indices in storage (lexicographic) order."""
         if "indices" not in self._cache:
-            self._cache["indices"] = enumerate_multi_indices(self.n, self.degree)
+            self._cache["indices"] = list(itertools.product(range(self.degree + 1), repeat=self.n))
         return self._cache["indices"]
 
     @property
@@ -62,77 +72,33 @@ class TruncatedHardySpace:
     def total_dim(self) -> int:
         return self.num_indices * self.coeff_dim
 
-    def _index_perm(self) -> np.ndarray:
-        # perm[p] = position in lexicographic tensor layout of graded index p:
-        # a stable sort of the lexicographic positions by total degree
-        if "iperm" not in self._cache:
-            lex = np.indices((self.degree + 1,) * self.n).reshape(self.n, -1)
-            self._cache["iperm"] = np.argsort(lex.sum(axis=0), kind="stable")
-        return self._cache["iperm"]
-
-    def _tensor_perm(self) -> np.ndarray:
-        # perm[j] = row in lexicographic tensor layout of graded row j
-        if "perm" not in self._cache:
-            r = self.coeff_dim
-            self._cache["perm"] = (self._index_perm()[:, None] * r + np.arange(r)).ravel()
-        return self._cache["perm"]
-
-    def to_tensor(self, arr: np.ndarray) -> np.ndarray:
-        """Reorder rows from graded layout to lexicographic tensor layout."""
-        out = np.empty_like(np.asarray(arr, dtype=complex))
-        out[self._tensor_perm()] = arr
-        return out
-
-    def from_tensor(self, arr: np.ndarray) -> np.ndarray:
-        return np.asarray(arr, dtype=complex)[self._tensor_perm()]
-
-    def _index_digits(self) -> np.ndarray:
-        # row i = component k_i of each graded index
-        return np.array(np.unravel_index(self._index_perm(), (self.degree + 1,) * self.n))
-
-    def shift_up_map(self, i: int) -> np.ndarray:
-        """Position of k + e_i for each index position (or -1 past the cap)."""
-        key = ("up", i)
-        if key not in self._cache:
-            lex = self._index_perm()
-            graded = np.empty_like(lex)
-            graded[lex] = np.arange(lex.size)
-            up = np.full(self.num_indices, -1, dtype=np.intp)
-            below = self._index_digits()[i] < self.degree
-            # k + e_i sits (d+1)^(n-1-i) further on in lexicographic order
-            up[below] = graded[lex[below] + (self.degree + 1) ** (self.n - 1 - i)]
-            self._cache[key] = up
-        return self._cache[key]
-
     def margin_mask(self, margin: int) -> np.ndarray:
         """Boolean row mask keeping indices with every component
         <= degree - margin."""
-        keep = np.all(self._index_digits() <= self.degree - margin, axis=0)
-        return np.repeat(keep, self.coeff_dim)
+        keep = np.zeros(self.shape, dtype=bool)
+        keep[(slice(max(0, self.degree - margin + 1)),) * self.n] = True
+        return keep.reshape(-1)
 
 
-def _shift_rows(space: TruncatedHardySpace, i: int) -> list:
-    """Flat rows of each k with k_i < d and of its image k + e_i."""
-    r, up = space.coeff_dim, space.shift_up_map(i)
-    src = np.nonzero(up >= 0)[0]
-    return [(p[:, None] * r + np.arange(r)).ravel() for p in (src, up[src])]
+def _axis_view(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:
+    """Flat columns viewed as tensors with the axis of variable ``i`` first
+    (a view, so writable, only when ``arr`` is C-contiguous)."""
+    return np.moveaxis(arr.reshape(space.shape + arr.shape[1:]), i, 0)
 
 
 def apply_shift(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:
     """Apply multiplication by z_i to columns stored as flat vectors,
     without materializing the shift matrix."""
     arr = np.asarray(arr, dtype=complex)
-    out = np.zeros_like(arr)
-    src, dst = _shift_rows(space, i)
-    out[dst] = arr[src]
+    out = np.zeros(arr.shape, dtype=complex)
+    _axis_view(space, out, i)[1:] = _axis_view(space, arr, i)[:-1]
     return out
 
 
 def apply_coshift(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=complex)
-    out = np.zeros_like(arr)
-    src, dst = _shift_rows(space, i)
-    out[src] = arr[dst]
+    out = np.zeros(arr.shape, dtype=complex)
+    _axis_view(space, out, i)[:-1] = _axis_view(space, arr, i)[1:]
     return out
 
 
@@ -154,10 +120,10 @@ def szego_kernel(z, w) -> complex:
 
 
 def _monomials(space: TruncatedHardySpace, z: np.ndarray) -> np.ndarray:
-    """``z^k = prod_i z_i^{k_i}`` for every multi-index, in graded order:
-    the outer product of the per-variable power vectors."""
+    """``z^k = prod_i z_i^{k_i}`` for every multi-index: the outer
+    product of the per-variable power vectors."""
     powers = [zi ** np.arange(space.degree + 1) for zi in z]
-    return reduce(np.multiply.outer, powers).reshape(-1)[space._index_perm()]
+    return reduce(np.multiply.outer, powers).reshape(-1)
 
 
 def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:

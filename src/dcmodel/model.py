@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .dilation import DegreeCapExceeded, DilationMap, compressed_tuple_residual
-from .hardy import PointOutsidePolydisc, TruncatedHardySpace, szego_kernel
+from .hardy import TruncatedHardySpace, _check_polydisc, szego_kernel
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -50,6 +50,7 @@ class CharFn:
     operator: np.ndarray
     pair: DefectPair
     taylor: tuple          # theta_0 = -T compressed, theta_m = D* T^{H(m-1)} D
+    norms: tuple           # operator norm of each Taylor coefficient
     decay_rate: float
 
     @property
@@ -132,22 +133,15 @@ def charfn_taylor(
         operator=Ti,
         pair=pair,
         taylor=tuple(coeffs),
+        norms=(operator_norm(coeffs[0]), *norms),
         decay_rate=float(rate),
     )
-
-
-def charfn_point_from_taylor(cf: CharFn, z: complex) -> np.ndarray:
-    """Horner evaluation of the stored Taylor series."""
-    acc = np.zeros((cf.dim_out, cf.dim_in), dtype=complex)
-    for theta in reversed(cf.taylor):
-        acc = z * acc + theta
-    return acc
 
 
 def taylor_tail_estimate(cf: CharFn, degree: int) -> float:
     """Estimated ``sum_{m > degree} ||theta_m||`` from the stored
     coefficients plus geometric extrapolation of the measured decay."""
-    norms = [operator_norm(t) for t in cf.taylor]
+    norms = cf.norms
     stored = sum(v for m, v in enumerate(norms) if m > degree)
     last = len(norms) - 1
     rho = cf.decay_rate
@@ -190,48 +184,6 @@ def one_var_toeplitz(taylor, d: int) -> np.ndarray:
     return M.reshape((d + 1) * r_out, (d + 1) * r_in)
 
 
-@dataclass(frozen=True)
-class OneVarMultiplier:
-    """Truncated multiplier by a one-variable symbol acting in variable
-    ``char_fn.op_index`` and as the identity in the others."""
-
-    char_fn: CharFn
-    domain_space: TruncatedHardySpace
-    codomain_space: TruncatedHardySpace
-    one_var: np.ndarray  # (d+1) r_out x (d+1) r_in block-Toeplitz
-
-    def full_matrix(self) -> np.ndarray:
-        """Dense matrix on the n-variable truncated spaces."""
-        dom, cod = self.domain_space, self.codomain_space
-        r_in, r_out = dom.coeff_dim, cod.coeff_dim
-        i = self.char_fn.op_index
-        M = np.zeros((cod.total_dim, dom.total_dim), dtype=complex)
-        for p, k in enumerate(dom.indices):
-            # input coefficient at k feeds output coefficients at k + m e_i
-            for m, theta in enumerate(self.char_fn.taylor):
-                if k[i] + m > dom.degree:
-                    break
-                kk = list(k)
-                kk[i] = k[i] + m
-                q = cod.index_pos[tuple(kk)]
-                M[q * r_out:(q + 1) * r_out, p * r_in:(p + 1) * r_in] = theta
-        return M
-
-
-def multiplier_matrix(cf: CharFn, space: TruncatedHardySpace, cfg: ToleranceConfig = DEFAULT_TOL) -> OneVarMultiplier:
-    """Build the truncated multiplier of ``cf`` on a polydisc space with
-    the same variable count and degree cap as ``space``."""
-    n, d = space.n, space.degree
-    dom = TruncatedHardySpace(n, d, cf.dim_in)
-    cod = TruncatedHardySpace(n, d, cf.dim_out)
-    return OneVarMultiplier(
-        char_fn=cf,
-        domain_space=dom,
-        codomain_space=cod,
-        one_var=one_var_toeplitz(cf.taylor, d),
-    )
-
-
 def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair: DefectPair = None) -> float:
     """Closed-form residual of the one-variable kernel identity
 
@@ -248,8 +200,7 @@ def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair:
     Ir = np.eye(Bout.shape[1], dtype=complex)
     worst = 0.0
     for z, w in samples:
-        if abs(z) >= 1.0 or abs(w) >= 1.0:
-            raise PointOutsidePolydisc(f"sample ({z}, {w}) outside the disc")
+        _check_polydisc(z, w)
         th_z = charfn_eval(Ti, z, pair, cfg)
         th_w = charfn_eval(Ti, w, pair, cfg)
         lhs = szego_kernel([z], [w]) * (Ir - th_z @ th_w.conj().T)
@@ -289,8 +240,7 @@ def defect_invariance_check(T: ContractionTuple, samples, cfg: ToleranceConfig =
     for z, w in samples:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        if np.any(np.abs(z) >= 1.0) or np.any(np.abs(w) >= 1.0):
-            raise PointOutsidePolydisc("sample outside the polydisc")
+        _check_polydisc(z, w)
         for i in range(T.n):
             X1 = _resolvent_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i])
             X2 = _theta_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i], cfg)
@@ -312,8 +262,7 @@ def product_kernel_identity_check(T: ContractionTuple, samples, cfg: ToleranceCo
     for z, w in samples:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        if np.any(np.abs(z) >= 1.0) or np.any(np.abs(w) >= 1.0):
-            raise PointOutsidePolydisc("sample outside the polydisc")
+        _check_polydisc(z, w)
         lhs_amb = I.copy()
         rhs_amb = I.copy()
         for i in range(T.n):
@@ -357,61 +306,55 @@ def clip_to_projection(A: np.ndarray) -> tuple:
     """Round a nearly-idempotent matrix to the nearest orthogonal projection
     (eigenvalues of its Hermitian part snapped to 0/1 at 1/2); returns the
     projection and a bound on the drift ``||P - A||``, exact for Hermitian A."""
-    P, _, drift = _clip(A)
-    return P, drift
+    K, drift = _clip(A)
+    return np.eye(A.shape[0], dtype=complex) - K @ K.conj().T, drift
 
 
 def _clip(A: np.ndarray) -> tuple:
-    """:func:`clip_to_projection` plus an orthonormal basis of the
-    projection's kernel: the eigenvectors snapped to 0."""
+    """The clipped projection of :func:`clip_to_projection` as
+    ``I - K K^H``: an orthonormal basis ``K`` of its kernel (the
+    eigenvectors snapped to 0), and the drift bound."""
     H = 0.5 * (A + A.conj().T)
     # H is close to a projection, so its spectrum sits in two tight
     # clusters, on which the subset eigensolvers (MRRR, bisection) can
     # fail or lose orthogonality; eigh is the divide-and-conquer solver
     w, V = np.linalg.eigh(H)
     K = V[:, w < 0.5]
-    P = np.eye(A.shape[0], dtype=complex) - K @ K.conj().T
     # P - H = V diag(snap(w) - w) V^H; the anti-Hermitian part adds at most its norm
     drift = np.max(np.abs((w >= 0.5) - w), initial=0.0) + np.linalg.norm(A - H)
-    return P, K, float(drift)
+    return K, float(drift)
 
 
 def apply_one_var_factor(space: TruncatedHardySpace, A: np.ndarray, i: int, V: np.ndarray) -> np.ndarray:
     """Apply ``I (x) A (x) I`` (A acting jointly on the k_i index and the
     coefficient slot) to flat column vectors."""
     V = np.asarray(V, dtype=complex)
-    single = V.ndim == 1
-    if single:
-        V = V[:, None]
     d1, r, n = space.degree + 1, space.coeff_dim, space.n
-    m = V.shape[1]
-    Tn = space.to_tensor(V).reshape((d1,) * n + (r, m))
-    A4 = A.reshape(d1, r, d1, r)
-    res = np.tensordot(A4, Tn, axes=([2, 3], [i, n]))
-    # res axes: (k_i', coeff', other k's..., m) -> restore canonical order
-    res = np.moveaxis(res, [0, 1], [i, n])
-    out = space.from_tensor(res.reshape(space.total_dim, m))
-    return out[:, 0] if single else out
+    res = np.tensordot(A.reshape(d1, r, d1, r), V.reshape(space.shape + V.shape[1:]),
+                       axes=([2, 3], [i, n]))
+    # res axes: (k_i', coeff', other k's..., columns) -> storage order
+    return np.moveaxis(res, [0, 1], [i, n]).reshape(V.shape)
 
 
-def apply_one_var_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> np.ndarray:
+def _project_axis(space: TruncatedHardySpace, B: np.ndarray, i: int, t: np.ndarray) -> np.ndarray:
+    """Apply ``I (x) B B^H (x) I`` to ``t`` of shape ``space.shape + (...)``,
+    ``B`` acting on the axis of variable ``i`` and the coefficient axis."""
+    n = space.n
+    B3 = B.reshape(space.degree + 1, space.coeff_dim, B.shape[1])
+    coef = np.tensordot(B3.conj(), t, axes=([0, 1], [i, n]))
+    # axes (k_i', coeff', other k's..., columns) -> storage order
+    return np.moveaxis(np.tensordot(B3, coef, axes=([2], [0])), [0, 1], [i, n])
+
+
+def apply_axis_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> np.ndarray:
     """Apply ``prod_i (I (x) B_i B_i^H (x) I)`` to flat columns, where
     ``bases[i]`` has orthonormal columns in the one-variable space of
     variable ``i`` (usually a few, so nothing ``(d+1) r``-square is formed)."""
     V = np.asarray(V, dtype=complex)
-    single = V.ndim == 1
-    if single:
-        V = V[:, None]
-    d1, r, n = space.degree + 1, space.coeff_dim, space.n
-    m = V.shape[1]
-    Tn = space.to_tensor(V).reshape((d1,) * n + (r, m))
+    t = V.reshape(space.shape + V.shape[1:])
     for i, B in enumerate(bases):
-        B3 = B.reshape(d1, r, B.shape[1])
-        coef = np.tensordot(B3.conj(), Tn, axes=([0, 1], [i, n]))
-        # axes (k_i', coeff', other k's..., m) -> canonical order
-        Tn = np.moveaxis(np.tensordot(B3, coef, axes=([2], [0])), [0, 1], [i, n])
-    out = space.from_tensor(Tn.reshape(space.total_dim, m))
-    return out[:, 0] if single else out
+        t = _project_axis(space, B, i, t)
+    return t.reshape(V.shape)
 
 
 def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
@@ -486,8 +429,7 @@ def gramian_identity_check(
         for z, w in samples:
             z = np.atleast_1d(np.asarray(z, dtype=complex))
             w = np.atleast_1d(np.asarray(w, dtype=complex))
-            if np.any(np.abs(z) >= 1.0) or np.any(np.abs(w) >= 1.0):
-                raise PointOutsidePolydisc("sample outside the polydisc")
+            _check_polydisc(z, w)
             Vw = defects.big_defect @ B
             Vz = defects.big_defect @ B
             for i in range(T.n):
@@ -511,6 +453,19 @@ def gramian_identity_check(
         raise MarginTooLarge(f"margin {margin} >= degree {d}")
     factors = one_var_raw_factors(defects, charfns, d, cfg)
     return _gramian_operator_residual(L, factors, L.space.margin_mask(margin).astype(float))
+
+
+def _fiber_commutator(space: TruncatedHardySpace, fibers, a: int, b: int, mask: np.ndarray) -> float:
+    """Masked norm of the commutator of the clipped projections of
+    variables ``a`` and ``b``, from their model fibers:
+    ``[I - K_a K_a^H, I - K_b K_b^H] = [K_a K_a^H, K_b K_b^H]``."""
+    def apply_comm(v):
+        t = v.reshape(space.shape)
+        Pa = lambda x: _project_axis(space, fibers[a], a, x)
+        Pb = lambda x: _project_axis(space, fibers[b], b, x)
+        return 1j * (Pa(Pb(t)) - Pb(Pa(t))).reshape(-1)
+
+    return _masked_opnorm_hermitian(apply_comm, mask, space.total_dim)
 
 
 def _gramian_operator_residual(L: DilationMap, factors, mask: np.ndarray) -> float:
@@ -551,15 +506,13 @@ def sum_projection(projections, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
 
 @dataclass
 class ModelSpaces:
-    """Model-space data: per-variable clipped multiplier projections (in
-    one-variable compressed form) and the orthonormal bases of their
-    complements (the model fibers), the dilation range basis, and the
-    residuals tying them together."""
+    """Model-space data: per-variable clipped multiplier projections, held
+    as the orthonormal bases of their complements (the model fibers), the
+    dilation range basis, and the residuals tying them together."""
 
     space: TruncatedHardySpace
     charfns: list
     one_var_raw: list
-    one_var_proj: list
     fibers: list
     drifts: list
     margin_drifts: list
@@ -573,18 +526,18 @@ class ModelSpaces:
     def apply_s_complement(self, V: np.ndarray) -> np.ndarray:
         """Apply ``prod(I - P_i)`` (clipped projections) to flat columns;
         ``I - P_i`` projects onto the model fiber ``fibers[i]``."""
-        return apply_one_var_projections(self.space, self.fibers, V)
+        return apply_axis_projections(self.space, self.fibers, V)
 
 
 def model_space(
     T: ContractionTuple,
     L: DilationMap,
-    multipliers,
+    charfns,
     cfg: ToleranceConfig = DEFAULT_TOL,
     margin: int = None,
 ) -> ModelSpaces:
     """Assemble the model space from the dilation and the per-variable
-    multipliers (given as :class:`CharFn` or :class:`OneVarMultiplier`).
+    characteristic functions (:class:`CharFn`).
 
     Clips each compressed multiplier projection to a genuine projection,
     keeping an orthonormal basis of its complement (the model fiber),
@@ -592,7 +545,6 @@ def model_space(
     on the margin-restricted layers, the residual between the dilation
     range and the complement of the multiplier sum space and the
     operator-form Gramian residual of the raw factors."""
-    charfns = [m.char_fn if isinstance(m, OneVarMultiplier) else m for m in multipliers]
     d = L.degree
     if margin is None:
         margin = max(1, d // 2)
@@ -602,16 +554,15 @@ def model_space(
         margin = 0
     space = L.space
     raw = one_var_raw_factors(L.defects, charfns, d, cfg)
-    proj, fibers, drifts, margin_drifts = [], [], [], []
+    fibers, drifts, margin_drifts = [], [], []
     r = space.coeff_dim
-    row_keep = np.repeat(np.arange(d + 1) <= d - margin, r)
+    keep = (d - margin + 1) * r  # rows of the layers k_i <= d - margin
     for i, A in enumerate(raw):
-        P, K, drift = _clip(A)
-        proj.append(P)
+        K, drift = _clip(A)
         fibers.append(K)
         drifts.append(drift)
-        diff = (P - A)[np.ix_(row_keep, row_keep)]
-        md = operator_norm(diff)
+        Kk = K[:keep]
+        md = operator_norm(np.eye(keep) - Kk @ Kk.conj().T - A[:keep, :keep])
         margin_drifts.append(md)
         bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(charfns[i], d - margin))
         if md > bound:
@@ -620,19 +571,12 @@ def model_space(
             )
     N = space.total_dim
     mask = space.margin_mask(margin).astype(float)
-    # pairwise commutators of the full-space projections, margin-restricted
-    comms = {}
-    for a in range(T.n):
-        for b in range(a + 1, T.n):
-            def apply_comm(v, a=a, b=b):
-                Pa = lambda x: apply_one_var_factor(space, proj[a], a, x)
-                Pb = lambda x: apply_one_var_factor(space, proj[b], b, x)
-                return 1j * (Pa(Pb(v)) - Pb(Pa(v)))
-            comms[(a, b)] = _masked_opnorm_hermitian(apply_comm, mask, N)
+    comms = {(a, b): _fiber_commutator(space, fibers, a, b, mask)
+             for a in range(T.n) for b in range(a + 1, T.n)}
     q_basis = orthonormal_range_basis(L.matrix, cfg)
 
     def apply_X(v):
-        return q_basis @ (q_basis.conj().T @ v) - apply_one_var_projections(space, fibers, v)
+        return q_basis @ (q_basis.conj().T @ v) - apply_axis_projections(space, fibers, v)
 
     s_residual = _masked_opnorm_hermitian(apply_X, mask, N)
     gramian_residual = _gramian_operator_residual(L, raw, mask)
@@ -641,7 +585,6 @@ def model_space(
         space=space,
         charfns=charfns,
         one_var_raw=raw,
-        one_var_proj=proj,
         fibers=fibers,
         drifts=drifts,
         margin_drifts=margin_drifts,

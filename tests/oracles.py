@@ -7,6 +7,7 @@ The others walk the multi-indices one at a time, where the package
 uses whole-array operations."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from dcmodel.matrixcore import (
     orthonormal_range_basis,
     phase_normalize_columns,
 )
-from dcmodel.model import _embedding, apply_one_var_factor
+from dcmodel.model import CharFn, _embedding, apply_one_var_factor
 
 
 def shift_matrix(space: TruncatedHardySpace, i: int) -> np.ndarray:
@@ -26,7 +27,7 @@ def shift_matrix(space: TruncatedHardySpace, i: int) -> np.ndarray:
     (top-layer coefficients are annihilated)."""
     N, r = space.total_dim, space.coeff_dim
     S = np.zeros((N, N), dtype=complex)
-    up = space.shift_up_map(i)
+    up = shift_up_map(space, i)
     for p in range(space.num_indices):
         q = up[p]
         if q >= 0:
@@ -64,19 +65,6 @@ def constants_projection_check(space: TruncatedHardySpace) -> float:
     return operator_norm(acc - P0)
 
 
-def tensor_perm(space: TruncatedHardySpace) -> np.ndarray:
-    """Row in lexicographic tensor layout of each graded row, one index
-    at a time."""
-    d1, r = space.degree + 1, space.coeff_dim
-    perm = np.empty(space.total_dim, dtype=np.intp)
-    for p, k in enumerate(space.indices):
-        t = 0
-        for ki in k:
-            t = t * d1 + ki
-        perm[p * r:(p + 1) * r] = np.arange(t * r, (t + 1) * r)
-    return perm
-
-
 def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:
     """Truncated kernel vector ``conj(w)^k eta``, one index at a time."""
     r = space.coeff_dim
@@ -109,6 +97,67 @@ def margin_mask(space: TruncatedHardySpace, margin: int) -> np.ndarray:
     return np.repeat(keep, space.coeff_dim)
 
 
+def one_var_factor_matrix(space: TruncatedHardySpace, A: np.ndarray, i: int) -> np.ndarray:
+    """Dense ``I (x) A (x) I`` for a ``(d+1) r``-square ``A`` acting on
+    ``(k_i, coefficient)``, one pair of multi-indices at a time."""
+    r = space.coeff_dim
+    M = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for k, p in space.index_pos.items():
+        for l, q in space.index_pos.items():
+            if all(a == b for j, (a, b) in enumerate(zip(k, l)) if j != i):
+                M[p * r:(p + 1) * r, q * r:(q + 1) * r] = \
+                    A[k[i] * r:(k[i] + 1) * r, l[i] * r:(l[i] + 1) * r]
+    return M
+
+
+def charfn_point_from_taylor(cf: CharFn, z: complex) -> np.ndarray:
+    """Horner evaluation of the stored Taylor series."""
+    acc = np.zeros((cf.dim_out, cf.dim_in), dtype=complex)
+    for theta in reversed(cf.taylor):
+        acc = z * acc + theta
+    return acc
+
+
+@dataclass(frozen=True)
+class OneVarMultiplier:
+    """Truncated multiplier by a one-variable symbol acting in variable
+    ``char_fn.op_index`` and as the identity in the others."""
+
+    char_fn: CharFn
+    domain_space: TruncatedHardySpace
+    codomain_space: TruncatedHardySpace
+    one_var: np.ndarray  # (d+1) r_out x (d+1) r_in block-Toeplitz
+
+    def full_matrix(self) -> np.ndarray:
+        """Dense matrix on the n-variable truncated spaces."""
+        dom, cod = self.domain_space, self.codomain_space
+        r_in, r_out = dom.coeff_dim, cod.coeff_dim
+        i = self.char_fn.op_index
+        M = np.zeros((cod.total_dim, dom.total_dim), dtype=complex)
+        for p, k in enumerate(dom.indices):
+            # input coefficient at k feeds output coefficients at k + m e_i
+            for m, theta in enumerate(self.char_fn.taylor):
+                if k[i] + m > dom.degree:
+                    break
+                kk = list(k)
+                kk[i] = k[i] + m
+                q = cod.index_pos[tuple(kk)]
+                M[q * r_out:(q + 1) * r_out, p * r_in:(p + 1) * r_in] = theta
+        return M
+
+
+def multiplier_matrix(cf: CharFn, space: TruncatedHardySpace) -> OneVarMultiplier:
+    """The truncated multiplier of ``cf`` on a polydisc space with the
+    same variable count and degree cap as ``space``."""
+    n, d = space.n, space.degree
+    return OneVarMultiplier(
+        char_fn=cf,
+        domain_space=TruncatedHardySpace(n, d, cf.dim_in),
+        codomain_space=TruncatedHardySpace(n, d, cf.dim_out),
+        one_var=one_var_toeplitz(cf.taylor, d),
+    )
+
+
 def one_var_toeplitz(taylor, d: int) -> np.ndarray:
     """Lower-triangular block-Toeplitz matrix, one block at a time."""
     r_out, r_in = taylor[0].shape
@@ -134,7 +183,7 @@ def one_var_raw_factors(defects, charfns, d: int, cfg=DEFAULT_TOL) -> list:
 
 
 def dilation_matrix(T, defects, d: int) -> np.ndarray:
-    """Rows ``C0 T^{*k}`` of the truncated dilation in graded order, from
+    """Rows ``C0 T^{*k}`` of the truncated dilation in storage order, from
     ``T^{*k} = T_i^* T^{*(k - e_i)}`` memoised over the multi-indices."""
     space = TruncatedHardySpace(T.n, d, defects.rank)
     C0 = defects.big_defect_basis.conj().T @ defects.big_defect
@@ -152,9 +201,12 @@ def dilation_matrix(T, defects, d: int) -> np.ndarray:
 
 
 def projection_matrix(model, i: int) -> np.ndarray:
-    """Dense ``I (x) P_i (x) I`` for the clipped projection of variable i."""
+    """Dense ``I (x) P_i (x) I`` for the clipped projection
+    ``P_i = I - K_i K_i^H`` of variable i, ``K_i`` its model fiber."""
+    K = model.fibers[i]
+    P = np.eye(K.shape[0], dtype=complex) - K @ K.conj().T
     I = np.eye(model.space.total_dim, dtype=complex)
-    return apply_one_var_factor(model.space, model.one_var_proj[i], i, I)
+    return apply_one_var_factor(model.space, P, i, I)
 
 
 def s_projection(model) -> np.ndarray:

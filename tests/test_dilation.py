@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from dcmodel.dilation import (
     DegreeCapExceeded,
+    _box_gram_defect,
+    _top_layer_tail,
     adjoint_on_kernels_check,
     build_dilation,
     compressed_tuple_residual,
@@ -82,6 +84,17 @@ class TestAdaptive:
         d2 = isometry_defect(build_dilation(T, d=4, adaptive=False))
         d3 = isometry_defect(build_dilation(T, d=8, adaptive=False))
         assert d1 >= d2 >= d3
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_measured_tails_match_built_matrix(self, d):
+        # the adaptive search measures both residuals without building L
+        T = make_tensor_tuple([make_random_pure_contraction(2, 0.6, 3),
+                               make_random_pure_contraction(3, 0.6, 4)])
+        L = build_dilation(T, d=d, adaptive=False)
+        D2 = L.defects.big_defect @ L.defects.big_defect
+        assert _box_gram_defect(T, D2, d) == pytest.approx(isometry_defect(L), rel=1e-12)
+        assert _top_layer_tail(T, D2, d) == pytest.approx(
+            max(intertwining_residual(L, i) for i in range(T.n)), rel=1e-12)
 
     def test_cap_exceeded(self):
         with pytest.raises(DegreeCapExceeded) as e:

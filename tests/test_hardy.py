@@ -1,6 +1,8 @@
 """Truncated vector-valued polydisc Hardy space: indexing, shifts,
 kernels, evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,21 +43,37 @@ class TestIndexing:
         assert sp.num_indices == 16
         assert sp.total_dim == 32
 
-    def test_tensor_roundtrip(self):
+    def test_flat_is_c_order_tensor(self):
         sp = TruncatedHardySpace(2, 2, 3)
-        v = np.arange(sp.total_dim, dtype=complex)
-        assert np.array_equal(sp.from_tensor(sp.to_tensor(v)), v)
+        assert sp.shape == (3, 3, 3)
+        v = np.arange(sp.total_dim)
+        t = v.reshape(sp.shape)
+        for k, p in sp.index_pos.items():
+            for c in range(sp.coeff_dim):
+                assert t[k + (c,)] == v[p * sp.coeff_dim + c]
 
     @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
-    def test_tensor_perm_matches_loop(self, n, d, r):
+    def test_index_pos_is_ravel_multi_index(self, n, d, r):
         sp = TruncatedHardySpace(n, d, r)
-        assert np.array_equal(sp._tensor_perm(), oracles.tensor_perm(sp))
+        assert len(sp.index_pos) == sp.num_indices
+        for k, p in sp.index_pos.items():
+            assert p == np.ravel_multi_index(k, (d + 1,) * n)
 
     @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
-    def test_shift_up_map_matches_loop(self, n, d, r):
+    def test_indices_product_order(self, n, d, r):
         sp = TruncatedHardySpace(n, d, r)
+        assert sp.indices == list(itertools.product(range(d + 1), repeat=n))
+
+    @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
+    def test_shifts_match_oracle(self, n, d, r):
+        sp = TruncatedHardySpace(n, d, r)
+        rng = np.random.default_rng(n * 100 + d * 10 + r)
+        V = rng.standard_normal((sp.total_dim, 2)) + 1j * rng.standard_normal((sp.total_dim, 2))
         for i in range(n):
-            assert np.array_equal(sp.shift_up_map(i), oracles.shift_up_map(sp, i))
+            S = shift_matrix(sp, i)
+            assert np.array_equal(apply_shift(sp, V, i), S @ V)
+            assert np.array_equal(apply_coshift(sp, V, i), S.conj().T @ V)
+            assert np.array_equal(apply_shift(sp, V[:, 0], i), S @ V[:, 0])
 
     @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
     def test_margin_mask_matches_loop(self, n, d, r):

@@ -13,10 +13,10 @@ from dcmodel.model import (
     NotProjection,
     ResolventSingular,
     _embedding,
+    _fiber_commutator,
     apply_one_var_factor,
-    apply_one_var_projections,
+    apply_axis_projections,
     charfn_eval,
-    charfn_point_from_taylor,
     charfn_taylor,
     charfns_for_tuple,
     clip_to_projection,
@@ -25,14 +25,13 @@ from dcmodel.model import (
     inner_boundary_check,
     kernel_identity_check,
     model_space,
-    multiplier_matrix,
     one_var_raw_factors,
     one_var_toeplitz,
     product_kernel_identity_check,
     sum_projection,
     taylor_tail_estimate,
 )
-from dcmodel.hardy import TruncatedHardySpace
+from dcmodel.hardy import PointOutsidePolydisc, TruncatedHardySpace
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
 
 import oracles
@@ -82,12 +81,23 @@ class TestCharFn:
         cf = charfn_taylor(M)
         z = 0.3 - 0.4j
         direct = charfn_eval(M, z, cf.pair)
-        horner = charfn_point_from_taylor(cf, z)
+        horner = oracles.charfn_point_from_taylor(cf, z)
         assert operator_norm(direct - horner) <= 1e-10
 
     def test_resolvent_singular(self):
         with pytest.raises(ResolventSingular):
             charfn_eval(np.array([[0.5]]), 2.0)
+
+    def test_stored_norms(self):
+        cf = charfn_taylor(make_random_pure_contraction(3, 0.7, 5))
+        assert cf.norms == tuple(operator_norm(t) for t in cf.taylor)
+
+    def test_tail_estimate_moebius(self):
+        # sum_{m > k} (1 - lam^2) lam^(m-1) = (1 + lam) lam^k
+        lam = 0.7
+        cf = charfn_taylor(np.array([[lam]]))
+        for k in (0, 5, 15):
+            assert taylor_tail_estimate(cf, k) == pytest.approx((1 + lam) * lam ** k, rel=1e-8)
 
     def test_tail_estimate_decreases(self):
         cf = charfn_taylor(np.array([[0.7]]))
@@ -110,34 +120,35 @@ class TestMultipliers:
     def test_full_matrix_oracle_n1(self):
         cf = charfn_taylor(np.array([[0.5]]))
         sp = TruncatedHardySpace(1, 1, 1)
-        mult = multiplier_matrix(cf, sp)
+        mult = oracles.multiplier_matrix(cf, sp)
         assert np.allclose(mult.full_matrix(), [[-0.5, 0], [0.75, -0.5]], atol=1e-13)
 
     def test_full_matrix_identity_in_other_variable(self):
         T = make_tensor_tuple([[[0.5]], [[0.4]]])
         cfs = charfns_for_tuple(T)
         sp = TruncatedHardySpace(2, 2, 1)
-        M = multiplier_matrix(cfs[0], sp).full_matrix()
+        mult = oracles.multiplier_matrix(cfs[0], sp)
+        M = mult.full_matrix()
         # entries only connect indices with equal second component
         for p, k in enumerate(sp.indices):
             for q, l in enumerate(sp.indices):
                 if k[1] != l[1]:
                     assert M[q, p] == 0.0
+        # on the scalar space the multiplier is I (x) Toeplitz in variable 0
+        I = np.eye(sp.total_dim, dtype=complex)
+        assert np.allclose(apply_one_var_factor(sp, mult.one_var, 0, I), M, atol=1e-15)
 
     def test_apply_one_var_factor_matches_dense(self):
-        sp = TruncatedHardySpace(2, 2, 2)
         rng = np.random.default_rng(9)
-        A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        V = rng.standard_normal((sp.total_dim, 4)) + 1j * rng.standard_normal((sp.total_dim, 4))
-        for i in range(2):
-            got = apply_one_var_factor(sp, A, i, V)
-            # reference computed directly on the lexicographic tensor layout
-            Tn = sp.to_tensor(V).reshape(3, 3, 2, V.shape[1])
-            A4 = A.reshape(3, 2, 3, 2)
-            out = np.tensordot(A4, Tn, axes=([2, 3], [i, 2]))
-            out = np.moveaxis(out, [0, 1], [i, 2])
-            want = sp.from_tensor(out.reshape(sp.total_dim, V.shape[1]))
-            assert np.allclose(got, want, atol=1e-12)
+        for n, d, r in [(2, 2, 2), (1, 4, 2), (2, 3, 1), (3, 2, 2)]:
+            sp = TruncatedHardySpace(n, d, r)
+            m = (d + 1) * r
+            A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            V = rng.standard_normal((sp.total_dim, 4)) + 1j * rng.standard_normal((sp.total_dim, 4))
+            for i in range(n):
+                want = oracles.one_var_factor_matrix(sp, A, i) @ V
+                assert np.allclose(apply_one_var_factor(sp, A, i, V), want, atol=1e-12)
+                assert np.allclose(apply_one_var_factor(sp, A, i, V[:, 0]), want[:, 0], atol=1e-12)
 
     def test_apply_one_var_projections_matches_factors(self):
         sp = TruncatedHardySpace(3, 2, 2)
@@ -148,8 +159,8 @@ class TestMultipliers:
         want = V
         for i, B in enumerate(bases):
             want = apply_one_var_factor(sp, B @ B.conj().T, i, want)
-        assert np.allclose(apply_one_var_projections(sp, bases, V), want, atol=1e-13)
-        assert np.allclose(apply_one_var_projections(sp, bases, V[:, 0]), want[:, 0], atol=1e-13)
+        assert np.allclose(apply_axis_projections(sp, bases, V), want, atol=1e-13)
+        assert np.allclose(apply_axis_projections(sp, bases, V[:, 0]), want[:, 0], atol=1e-13)
 
 
 class TestLoopOracles:
@@ -238,6 +249,19 @@ def tensor_model():
     return T, L, cfs
 
 
+def test_checks_reject_points_outside_polydisc(tensor_model):
+    T, L, cfs = tensor_model
+    pairs = [(np.array([0.2, 1.0]), np.array([0.1, 0.3j]))]
+    with pytest.raises(PointOutsidePolydisc):
+        kernel_identity_check(T.matrices[0], [(0.2, -1.0)], pair=L.defects.per_op[0])
+    with pytest.raises(PointOutsidePolydisc):
+        defect_invariance_check(T, pairs, defects=L.defects)
+    with pytest.raises(PointOutsidePolydisc):
+        product_kernel_identity_check(T, pairs, defects=L.defects)
+    with pytest.raises(PointOutsidePolydisc):
+        gramian_identity_check(L, cfs, mode="kernel", samples=pairs)
+
+
 class TestGramian:
     def test_kernel_mode(self, tensor_model):
         T, L, cfs = tensor_model
@@ -290,6 +314,26 @@ class TestProjections:
             P, drift = clip_to_projection(A)
             assert drift >= operator_norm(P - A)
 
+    @pytest.mark.parametrize("n,d,r,margin", [(2, 2, 2, 0), (2, 3, 2, 1), (3, 2, 2, 1)])
+    def test_fiber_commutator_matches_dense(self, n, d, r, margin):
+        # random one-variable fibers sharing a coefficient axis of size
+        # r > 1: the projections do not commute
+        sp = TruncatedHardySpace(n, d, r)
+        rng = np.random.default_rng(n + d + r)
+        m = (d + 1) * r
+        fibers = [np.linalg.qr(rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2)))[0]
+                  for _ in range(n)]
+        P = [oracles.one_var_factor_matrix(sp, np.eye(m) - K @ K.conj().T, i)
+             for i, K in enumerate(fibers)]
+        mask = sp.margin_mask(margin)
+        sel = np.nonzero(mask)[0]
+        for a in range(n):
+            for b in range(a + 1, n):
+                want = operator_norm((P[a] @ P[b] - P[b] @ P[a])[np.ix_(sel, sel)])
+                got = _fiber_commutator(sp, fibers, a, b, mask.astype(float))
+                assert want > 0.05
+                assert got == pytest.approx(want, rel=1e-8)
+
     def test_sum_projection_oracle(self):
         # simultaneously diagonal 0/1 patterns conjugated by a random unitary
         rng = np.random.default_rng(21)
@@ -323,6 +367,21 @@ class TestModelSpace:
         assert max(ms.commutator_residuals.values(), default=0.0) <= 1e-8
         assert ms.s_residual <= 1e-8
         assert max(ms.compression_residuals) <= 1e-6
+
+    def test_margin_drift_matches_dense(self):
+        # || (P_i - A_i) || on the one-variable layers k_i <= d - margin; at
+        # d = 6 the drift is truncation-sized, so it grows with each layer
+        T = make_tensor_tuple([make_random_pure_contraction(2, 0.6, 11),
+                               make_random_pure_contraction(2, 0.6, 12)])
+        L = build_dilation(T, d=6, adaptive=False)
+        cfs = charfns_for_tuple(T, L.defects)
+        ms = model_space(T, L, cfs)
+        assert min(ms.margin_drifts) > 1e-6
+        d, r = L.degree, L.space.coeff_dim
+        rows = np.repeat(np.arange(d + 1) <= d - ms.margin, r)
+        for K, A, md in zip(ms.fibers, ms.one_var_raw, ms.margin_drifts):
+            P = np.eye(A.shape[0]) - K @ K.conj().T
+            assert md == pytest.approx(operator_norm((P - A)[np.ix_(rows, rows)]), rel=1e-9)
 
     def test_zero_tuple_exact(self):
         T = make_tensor_tuple([np.zeros((1, 1)), np.zeros((1, 1))])
