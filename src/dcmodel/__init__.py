@@ -51,7 +51,6 @@ from .dilation import (
 from .model import (
     CharFn,
     ModelSpaces,
-    NotCommuting,
     NotProjection,
     ProjectionDriftExceedsTolerance,
     ResolventSingular,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .dilation import build_dilation
 from .hardy import TruncatedHardySpace, apply_coshift, apply_shift
@@ -30,6 +29,7 @@ from .matrixcore import (
 from .model import (
     ModelSpaces,
     _masked_opnorm_hermitian,
+    _toeplitz_gram_eigh,
     apply_axis_projections,
     charfns_for_tuple,
     model_space,
@@ -75,6 +75,12 @@ def _loose_cut(cfg: ToleranceConfig) -> float:
     """Relative singular-value cutoff below which directions of truncated
     objects count as tail noise."""
     return max(cfg.rank_tol, np.sqrt(cfg.tail_tol))
+
+
+def _loose_rank(M: np.ndarray, cfg: ToleranceConfig) -> int:
+    """Number of singular values of ``M`` above the loose cut of the largest."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > _loose_cut(cfg) * s[0]))
 
 
 def wandering_basis(S_tilde: OneVarSubspace, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -167,18 +173,9 @@ def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceCo
     Toeplitz matrix ``T`` of a recovered inner function: the eigenvectors
     of ``T T^H`` whose eigenvalues lie below ``sqrt(tail_tol)^2`` of the
     largest."""
-    size = (degree + 1) * inner.coeff_dim
     if inner.inner_dim == 0:
-        return np.eye(size, dtype=complex)
-    T = one_var_toeplitz(inner.columns, degree)
-    G = (T.conj() @ T.T).T  # T T^H in Fortran order, which LAPACK overwrites in place
-    del T  # one-variable matrices are ~1000-square at d = 256: keep one, not two
-    # T T^H is close to a projection, so its spectrum sits in two tight
-    # clusters, on which the subset eigensolvers (MRRR, bisection) can
-    # fail; heevd is the divide-and-conquer solver
-    lam, V, info = sla.lapack.zheevd(G, overwrite_a=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zheevd failed with info {info}")
+        return np.eye((degree + 1) * inner.coeff_dim, dtype=complex)
+    lam, V = _toeplitz_gram_eigh(inner.columns, degree)
     return V[:, lam <= _loose_cut(cfg) ** 2 * lam[-1]]
 
 
@@ -271,9 +268,9 @@ def rankone_corollary_check(
     D2 = np.eye(q, dtype=complex)
     for C in comps:
         D2 = D2 @ (np.eye(q) - C @ C.conj().T)
-    defect_rank = _numerical_rank(D2, cfg)
+    defect_rank = _loose_rank(D2, cfg)
     q0 = Q[space.index_pos[(0,) * space.n]]
-    const_rank = _numerical_rank(np.outer(q0.conj(), q0), cfg)
+    const_rank = _loose_rank(np.outer(q0.conj(), q0), cfg)
     if not pure:
         return RankOneVerdict(
             doubly_commuting=True,
@@ -304,10 +301,3 @@ def rankone_corollary_check(
         recovered_inners=tuple(inners),
         complement_distance=float(dist),
     )
-
-
-def _numerical_rank(M: np.ndarray, cfg: ToleranceConfig) -> int:
-    s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > np.sqrt(cfg.tail_tol) * s[0]))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .dilation import DegreeCapExceeded, DilationMap, compressed_tuple_residual
+from .dilation import DegreeCapExceeded, DilationMap
 from .hardy import TruncatedHardySpace, _check_polydisc, szego_kernel
 from .matrixcore import (
     DEFAULT_TOL,
@@ -27,14 +27,6 @@ class ResolventSingular(RuntimeError):
 
 class NotProjection(ValueError):
     """A matrix expected to be an orthogonal projection is not."""
-
-
-class NotCommuting(ValueError):
-    """Projections expected to commute do not."""
-
-
-class MarginTooLarge(ValueError):
-    """Margin-restricted comparison was asked to discard every layer."""
 
 
 class ProjectionDriftExceedsTolerance(RuntimeError):
@@ -184,6 +176,21 @@ def one_var_toeplitz(taylor, d: int) -> np.ndarray:
     return M.reshape((d + 1) * r_out, (d + 1) * r_in)
 
 
+def _toeplitz_gram_eigh(blocks, d: int) -> tuple:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of ``F F^H``,
+    ``F = one_var_toeplitz(blocks, d)``."""
+    F = one_var_toeplitz(blocks, d)
+    G = F @ F.conj().T
+    del F  # one-variable matrices are ~1000-square at d = 256: keep one, not two
+    # F F^H is close to a projection, so its spectrum sits in two tight
+    # clusters, on which the subset eigensolvers (MRRR, bisection) can
+    # fail or lose orthogonality; eigh is the divide-and-conquer solver.
+    # It is numpy's, not scipy's in-place zheevd: the two link separate
+    # BLAS builds, and switching between them cost more time than the
+    # copy costs memory
+    return np.linalg.eigh(G)
+
+
 def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair: DefectPair = None) -> float:
     """Closed-form residual of the one-variable kernel identity
 
@@ -288,57 +295,19 @@ def _embedding(defects: DefectData, i: int, cfg: ToleranceConfig) -> np.ndarray:
     return E
 
 
-def one_var_raw_factors(defects: DefectData, charfns, d: int, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
-    """For each variable, the one-variable compression of the truncated
-    multiplier projection to joint-defect coefficients:
-    ``K^H M_theta M_theta^H K`` with ``K = I_{d+1} (x) embedding``."""
-    out = []
-    for i, cf in enumerate(charfns):
-        E = _embedding(defects, i, cfg)
-        # K^H M_theta is the block-Toeplitz matrix of the symbol E^H theta
-        F = one_var_toeplitz([E.conj().T @ theta for theta in cf.taylor[:d + 1]], d)
-        A = F @ F.conj().T
-        out.append(0.5 * (A + A.conj().T))
-    return out
-
-
-def clip_to_projection(A: np.ndarray) -> tuple:
-    """Round a nearly-idempotent matrix to the nearest orthogonal projection
-    (eigenvalues of its Hermitian part snapped to 0/1 at 1/2); returns the
-    projection and a bound on the drift ``||P - A||``, exact for Hermitian A."""
-    K, drift = _clip(A)
-    return np.eye(A.shape[0], dtype=complex) - K @ K.conj().T, drift
-
-
-def _clip(A: np.ndarray) -> tuple:
-    """The clipped projection of :func:`clip_to_projection` as
-    ``I - K K^H``: an orthonormal basis ``K`` of its kernel (the
-    eigenvectors snapped to 0), and the drift bound."""
-    H = 0.5 * (A + A.conj().T)
-    # H is close to a projection, so its spectrum sits in two tight
-    # clusters, on which the subset eigensolvers (MRRR, bisection) can
-    # fail or lose orthogonality; eigh is the divide-and-conquer solver
-    w, V = np.linalg.eigh(H)
-    K = V[:, w < 0.5]
-    # P - H = V diag(snap(w) - w) V^H; the anti-Hermitian part adds at most its norm
-    drift = np.max(np.abs((w >= 0.5) - w), initial=0.0) + np.linalg.norm(A - H)
-    return K, float(drift)
-
-
-def apply_one_var_factor(space: TruncatedHardySpace, A: np.ndarray, i: int, V: np.ndarray) -> np.ndarray:
-    """Apply ``I (x) A (x) I`` (A acting jointly on the k_i index and the
-    coefficient slot) to flat column vectors."""
-    V = np.asarray(V, dtype=complex)
-    d1, r, n = space.degree + 1, space.coeff_dim, space.n
-    res = np.tensordot(A.reshape(d1, r, d1, r), V.reshape(space.shape + V.shape[1:]),
-                       axes=([2, 3], [i, n]))
-    # res axes: (k_i', coeff', other k's..., columns) -> storage order
-    return np.moveaxis(res, [0, 1], [i, n]).reshape(V.shape)
+def _model_symbol(defects: DefectData, cf: CharFn, i: int, d: int, cfg: ToleranceConfig) -> list:
+    """Taylor blocks, up to degree ``d``, of the symbol ``E^H theta`` of
+    variable ``i``.  Its block-Toeplitz matrix ``F`` is ``K^H M_theta``
+    with ``K = I_{d+1} (x) E``, so ``F F^H`` is the one-variable
+    compression of the truncated multiplier projection."""
+    E = _embedding(defects, i, cfg)
+    return [E.conj().T @ theta for theta in cf.taylor[:d + 1]]
 
 
 def _project_axis(space: TruncatedHardySpace, B: np.ndarray, i: int, t: np.ndarray) -> np.ndarray:
     """Apply ``I (x) B B^H (x) I`` to ``t`` of shape ``space.shape + (...)``,
-    ``B`` acting on the axis of variable ``i`` and the coefficient axis."""
+    ``B`` (any ``(d+1) r``-row matrix) acting on the axis of variable
+    ``i`` and the coefficient axis."""
     n = space.n
     B3 = B.reshape(space.degree + 1, space.coeff_dim, B.shape[1])
     coef = np.tensordot(B3.conj(), t, axes=([0, 1], [i, n]))
@@ -359,7 +328,18 @@ def apply_axis_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> 
 
 def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
     """Spectral norm of ``P_mask X P_mask`` for Hermitian ``X`` given as
-    a matvec callable."""
+    a matvec callable.
+
+    What it returns depends on the branch taken:
+
+    - an empty mask: exactly 0;
+    - at most two active rows: the exact norm of the dense mini-block;
+    - ``||X v||`` below 1e-13 for one random unit probe ``v``: that
+      value, an estimate from a single probe and not a bound (it can
+      undershoot ``||X||`` by about ``sqrt(N)``);
+    - otherwise: the largest-magnitude eigenvalue from ``eigsh``
+      (Lanczos, relative tolerance 1e-10), or, if ARPACK fails, the
+      growth factor after 200 power-iteration steps, a lower bound."""
     active = int(mask.sum())
     if active == 0:
         return 0.0
@@ -403,56 +383,34 @@ def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
         return float(lam)
 
 
-def gramian_identity_check(
-    L: DilationMap,
-    charfns,
-    mode: str = "kernel",
-    samples=None,
-    margin: int = None,
-    cfg: ToleranceConfig = DEFAULT_TOL,
-) -> float:
+def gramian_identity_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Residual of the Gramian identity relating the dilation to the
-    one-variable multiplier projections.
-
-    kernel mode: exact closed forms at sample point pairs (no
-    truncation); operator mode: compare the truncated matrices of
-    ``L L^H`` and the product of multiplier complements on the layers
-    with all components at most ``degree - margin``."""
+    one-variable multiplier projections, from exact closed forms at
+    sample point pairs (no truncation).  :func:`model_space` measures
+    its truncated operator form."""
     T = L.tuple
     defects = L.defects
     B = defects.big_defect_basis
-    if mode == "kernel":
-        if samples is None:
-            raise ValueError("kernel mode needs samples of (z, w) pairs")
-        I = np.eye(T.dim, dtype=complex)
-        worst = 0.0
-        for z, w in samples:
-            z = np.atleast_1d(np.asarray(z, dtype=complex))
-            w = np.atleast_1d(np.asarray(w, dtype=complex))
-            _check_polydisc(z, w)
-            Vw = defects.big_defect @ B
-            Vz = defects.big_defect @ B
-            for i in range(T.n):
-                Vw = np.linalg.solve(I - np.conj(w[i]) * T.matrices[i], Vw)
-                Vz = np.linalg.solve(I - np.conj(z[i]) * T.matrices[i], Vz)
-            lhs = Vz.conj().T @ Vw
-            amb = I.copy()
-            for i in range(T.n):
-                amb = (
-                    I - _theta_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i], cfg)
-                ) @ amb
-            rhs = szego_kernel(z, w) * (B.conj().T @ amb @ B)
-            worst = max(worst, operator_norm(lhs - rhs))
-        return worst
-    if mode != "operator":
-        raise ValueError(f"unknown mode {mode!r}")
-    d = L.degree
-    if margin is None:
-        margin = d // 2
-    if margin >= d:
-        raise MarginTooLarge(f"margin {margin} >= degree {d}")
-    factors = one_var_raw_factors(defects, charfns, d, cfg)
-    return _gramian_operator_residual(L, factors, L.space.margin_mask(margin).astype(float))
+    I = np.eye(T.dim, dtype=complex)
+    worst = 0.0
+    for z, w in samples:
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        w = np.atleast_1d(np.asarray(w, dtype=complex))
+        _check_polydisc(z, w)
+        Vw = defects.big_defect @ B
+        Vz = defects.big_defect @ B
+        for i in range(T.n):
+            Vw = np.linalg.solve(I - np.conj(w[i]) * T.matrices[i], Vw)
+            Vz = np.linalg.solve(I - np.conj(z[i]) * T.matrices[i], Vz)
+        lhs = Vz.conj().T @ Vw
+        amb = I.copy()
+        for i in range(T.n):
+            amb = (
+                I - _theta_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i], cfg)
+            ) @ amb
+        rhs = szego_kernel(z, w) * (B.conj().T @ amb @ B)
+        worst = max(worst, operator_norm(lhs - rhs))
+    return worst
 
 
 def _fiber_commutator(space: TruncatedHardySpace, fibers, a: int, b: int, mask: np.ndarray) -> float:
@@ -468,59 +426,34 @@ def _fiber_commutator(space: TruncatedHardySpace, fibers, a: int, b: int, mask: 
     return _masked_opnorm_hermitian(apply_comm, mask, space.total_dim)
 
 
-def _gramian_operator_residual(L: DilationMap, factors, mask: np.ndarray) -> float:
-    """Masked norm of ``L L^H - prod(I - A_i)`` for the raw one-variable
-    factors ``A_i``."""
+def _gramian_operator_residual(L: DilationMap, symbols, mask: np.ndarray) -> float:
+    """Masked norm of ``L L^H - prod(I - F_i F_i^H)``, ``F_i`` the
+    block-Toeplitz matrix of variable ``i``'s symbol (:func:`_model_symbol`)."""
+    space = L.space
+    Fs = [one_var_toeplitz(sym, space.degree) for sym in symbols]
+
     def apply_X(v):
-        rhs = v
-        for i, A in enumerate(factors):
-            rhs = rhs - apply_one_var_factor(L.space, A, i, rhs)
-        return L.matrix @ (L.matrix.conj().T @ v) - rhs
+        rhs = v.reshape(space.shape)
+        for i, F in enumerate(Fs):
+            rhs = rhs - _project_axis(space, F, i, rhs)
+        return L.matrix @ (L.matrix.conj().T @ v) - rhs.reshape(-1)
 
-    return _masked_opnorm_hermitian(apply_X, mask, L.space.total_dim)
-
-
-def sum_projection(projections, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Projection onto the (closed) sum of the ranges of a commuting
-    family of orthogonal projections: ``I - prod(I - P_i)``."""
-    mats = [np.asarray(P, dtype=complex) for P in projections]
-    if not mats:
-        raise ValueError("need at least one projection")
-    N = mats[0].shape[0]
-    for P in mats:
-        if P.shape != (N, N):
-            raise NotProjection("projections must be square and equal-sized")
-        if operator_norm(P - P.conj().T) > cfg.check_tol:
-            raise NotProjection("matrix is not Hermitian")
-        if operator_norm(P @ P - P) > cfg.check_tol:
-            raise NotProjection("matrix is not idempotent")
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            if operator_norm(mats[a] @ mats[b] - mats[b] @ mats[a]) > cfg.check_tol:
-                raise NotCommuting(f"projections {a} and {b} do not commute")
-    acc = np.eye(N, dtype=complex)
-    for P in mats:
-        acc = acc @ (np.eye(N, dtype=complex) - P)
-    return np.eye(N, dtype=complex) - acc
+    return _masked_opnorm_hermitian(apply_X, mask, space.total_dim)
 
 
 @dataclass
 class ModelSpaces:
     """Model-space data: per-variable clipped multiplier projections, held
-    as the orthonormal bases of their complements (the model fibers), the
-    dilation range basis, and the residuals tying them together."""
+    as the orthonormal bases of their complements (the model fibers), and
+    the residuals tying them to the dilation."""
 
     space: TruncatedHardySpace
-    charfns: list
-    one_var_raw: list
     fibers: list
     drifts: list
     margin_drifts: list
     commutator_residuals: dict
-    q_basis: np.ndarray
     s_residual: float
     gramian_residual: float
-    compression_residuals: list
     margin: int
 
     def apply_s_complement(self, V: np.ndarray) -> np.ndarray:
@@ -539,12 +472,12 @@ def model_space(
     """Assemble the model space from the dilation and the per-variable
     characteristic functions (:class:`CharFn`).
 
-    Clips each compressed multiplier projection to a genuine projection,
-    keeping an orthonormal basis of its complement (the model fiber),
-    certifies the drift against the measured symbol tail, and records,
-    on the margin-restricted layers, the residual between the dilation
-    range and the complement of the multiplier sum space and the
-    operator-form Gramian residual of the raw factors."""
+    Clips each compressed multiplier projection ``F_i F_i^H`` to a genuine
+    projection, keeping an orthonormal basis of its complement (the model
+    fiber), certifies the drift against the measured symbol tail, and
+    records, on the margin-restricted layers, the residual between the
+    dilation range and the complement of the multiplier sum space and the
+    operator-form Gramian residual of the unclipped factors."""
     d = L.degree
     if margin is None:
         margin = max(1, d // 2)
@@ -553,16 +486,22 @@ def model_space(
     if d == 0:
         margin = 0
     space = L.space
-    raw = one_var_raw_factors(L.defects, charfns, d, cfg)
+    symbols = [_model_symbol(L.defects, cf, i, d, cfg) for i, cf in enumerate(charfns)]
     fibers, drifts, margin_drifts = [], [], []
     r = space.coeff_dim
     keep = (d - margin + 1) * r  # rows of the layers k_i <= d - margin
-    for i, A in enumerate(raw):
-        K, drift = _clip(A)
+    for i, sym in enumerate(symbols):
+        w, V = _toeplitz_gram_eigh(sym, d)
+        K = V[:, w < 0.5]
+        del V  # hold one eigenvector matrix at a time
         fibers.append(K)
-        drifts.append(drift)
+        # I - K K^H - F F^H = V diag(snap(w) - w) V^H
+        drifts.append(float(np.max(np.abs((w >= 0.5) - w), initial=0.0)))
+        # F is block lower-triangular, so its leading block alone gives
+        # the leading block of F F^H
+        Fk = one_var_toeplitz(sym, d - margin)
         Kk = K[:keep]
-        md = operator_norm(np.eye(keep) - Kk @ Kk.conj().T - A[:keep, :keep])
+        md = operator_norm(np.eye(keep) - Kk @ Kk.conj().T - Fk @ Fk.conj().T)
         margin_drifts.append(md)
         bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(charfns[i], d - margin))
         if md > bound:
@@ -579,19 +518,14 @@ def model_space(
         return q_basis @ (q_basis.conj().T @ v) - apply_axis_projections(space, fibers, v)
 
     s_residual = _masked_opnorm_hermitian(apply_X, mask, N)
-    gramian_residual = _gramian_operator_residual(L, raw, mask)
-    comp = compressed_tuple_residual(L)
+    gramian_residual = _gramian_operator_residual(L, symbols, mask)
     return ModelSpaces(
         space=space,
-        charfns=charfns,
-        one_var_raw=raw,
         fibers=fibers,
         drifts=drifts,
         margin_drifts=margin_drifts,
         commutator_residuals=comms,
-        q_basis=q_basis,
         s_residual=float(s_residual),
         gramian_residual=float(gramian_residual),
-        compression_residuals=comp,
         margin=margin,
     )

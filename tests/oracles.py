@@ -19,7 +19,11 @@ from dcmodel.matrixcore import (
     orthonormal_range_basis,
     phase_normalize_columns,
 )
-from dcmodel.model import CharFn, _embedding, apply_one_var_factor
+from dcmodel.model import CharFn, NotProjection, _embedding, _project_axis
+
+
+class NotCommuting(ValueError):
+    """Projections expected to commute do not."""
 
 
 def shift_matrix(space: TruncatedHardySpace, i: int) -> np.ndarray:
@@ -182,6 +186,42 @@ def one_var_raw_factors(defects, charfns, d: int, cfg=DEFAULT_TOL) -> list:
     return out
 
 
+def clip_to_projection(A: np.ndarray) -> tuple:
+    """Round a nearly-idempotent matrix to the nearest orthogonal projection
+    (eigenvalues of its Hermitian part snapped to 0/1 at 1/2); returns the
+    projection and a bound on the drift ``||P - A||``, exact for Hermitian A."""
+    H = 0.5 * (A + A.conj().T)
+    w, V = np.linalg.eigh(H)
+    P = (V * (w >= 0.5)) @ V.conj().T
+    # P - H = V diag(snap(w) - w) V^H; the anti-Hermitian part adds at most its norm
+    drift = np.max(np.abs((w >= 0.5) - w), initial=0.0) + np.linalg.norm(A - H)
+    return P, float(drift)
+
+
+def sum_projection(projections, cfg=DEFAULT_TOL) -> np.ndarray:
+    """Projection onto the (closed) sum of the ranges of a commuting
+    family of orthogonal projections: ``I - prod(I - P_i)``."""
+    mats = [np.asarray(P, dtype=complex) for P in projections]
+    if not mats:
+        raise ValueError("need at least one projection")
+    N = mats[0].shape[0]
+    for P in mats:
+        if P.shape != (N, N):
+            raise NotProjection("projections must be square and equal-sized")
+        if operator_norm(P - P.conj().T) > cfg.check_tol:
+            raise NotProjection("matrix is not Hermitian")
+        if operator_norm(P @ P - P) > cfg.check_tol:
+            raise NotProjection("matrix is not idempotent")
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            if operator_norm(mats[a] @ mats[b] - mats[b] @ mats[a]) > cfg.check_tol:
+                raise NotCommuting(f"projections {a} and {b} do not commute")
+    acc = np.eye(N, dtype=complex)
+    for P in mats:
+        acc = acc @ (np.eye(N, dtype=complex) - P)
+    return np.eye(N, dtype=complex) - acc
+
+
 def dilation_matrix(T, defects, d: int) -> np.ndarray:
     """Rows ``C0 T^{*k}`` of the truncated dilation in storage order, from
     ``T^{*k} = T_i^* T^{*(k - e_i)}`` memoised over the multi-indices."""
@@ -203,10 +243,10 @@ def dilation_matrix(T, defects, d: int) -> np.ndarray:
 def projection_matrix(model, i: int) -> np.ndarray:
     """Dense ``I (x) P_i (x) I`` for the clipped projection
     ``P_i = I - K_i K_i^H`` of variable i, ``K_i`` its model fiber."""
-    K = model.fibers[i]
-    P = np.eye(K.shape[0], dtype=complex) - K @ K.conj().T
-    I = np.eye(model.space.total_dim, dtype=complex)
-    return apply_one_var_factor(model.space, P, i, I)
+    N = model.space.total_dim
+    I = np.eye(N, dtype=complex)
+    KKh = _project_axis(model.space, model.fibers[i], i, I.reshape(model.space.shape + (N,)))
+    return I - KKh.reshape(N, N)
 
 
 def s_projection(model) -> np.ndarray:

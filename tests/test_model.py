@@ -9,26 +9,24 @@ from hypothesis import strategies as st
 from dcmodel.dilation import build_dilation
 from dcmodel.matrixcore import DEFAULT_TOL, operator_norm, orthonormal_range_basis
 from dcmodel.model import (
-    NotCommuting,
     NotProjection,
     ResolventSingular,
     _embedding,
     _fiber_commutator,
-    apply_one_var_factor,
+    _model_symbol,
+    _project_axis,
+    _toeplitz_gram_eigh,
     apply_axis_projections,
     charfn_eval,
     charfn_taylor,
     charfns_for_tuple,
-    clip_to_projection,
     defect_invariance_check,
     gramian_identity_check,
     inner_boundary_check,
     kernel_identity_check,
     model_space,
-    one_var_raw_factors,
     one_var_toeplitz,
     product_kernel_identity_check,
-    sum_projection,
     taylor_tail_estimate,
 )
 from dcmodel.hardy import PointOutsidePolydisc, TruncatedHardySpace
@@ -135,20 +133,25 @@ class TestMultipliers:
                 if k[1] != l[1]:
                     assert M[q, p] == 0.0
         # on the scalar space the multiplier is I (x) Toeplitz in variable 0
-        I = np.eye(sp.total_dim, dtype=complex)
-        assert np.allclose(apply_one_var_factor(sp, mult.one_var, 0, I), M, atol=1e-15)
+        assert np.array_equal(oracles.one_var_factor_matrix(sp, mult.one_var, 0), M)
 
-    def test_apply_one_var_factor_matches_dense(self):
+    def test_project_axis_matches_dense(self):
+        # B need not be orthonormal or square: the Gramian applies F F^H
+        # for the block-Toeplitz F of a symbol with other column counts
         rng = np.random.default_rng(9)
         for n, d, r in [(2, 2, 2), (1, 4, 2), (2, 3, 1), (3, 2, 2)]:
             sp = TruncatedHardySpace(n, d, r)
             m = (d + 1) * r
-            A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             V = rng.standard_normal((sp.total_dim, 4)) + 1j * rng.standard_normal((sp.total_dim, 4))
+            t = V.reshape(sp.shape + (4,))
             for i in range(n):
-                want = oracles.one_var_factor_matrix(sp, A, i) @ V
-                assert np.allclose(apply_one_var_factor(sp, A, i, V), want, atol=1e-12)
-                assert np.allclose(apply_one_var_factor(sp, A, i, V[:, 0]), want[:, 0], atol=1e-12)
+                for cols in (1, m, m + 3):
+                    B = rng.standard_normal((m, cols)) + 1j * rng.standard_normal((m, cols))
+                    want = oracles.one_var_factor_matrix(sp, B @ B.conj().T, i) @ V
+                    got = _project_axis(sp, B, i, t).reshape(V.shape)
+                    assert np.allclose(got, want, atol=1e-12)
+                    got = _project_axis(sp, B, i, t[..., 0]).reshape(-1)
+                    assert np.allclose(got, want[:, 0], atol=1e-12)
 
     def test_apply_one_var_projections_matches_factors(self):
         sp = TruncatedHardySpace(3, 2, 2)
@@ -158,14 +161,14 @@ class TestMultipliers:
         V = rng.standard_normal((sp.total_dim, 2)) + 1j * rng.standard_normal((sp.total_dim, 2))
         want = V
         for i, B in enumerate(bases):
-            want = apply_one_var_factor(sp, B @ B.conj().T, i, want)
+            want = oracles.one_var_factor_matrix(sp, B @ B.conj().T, i) @ want
         assert np.allclose(apply_axis_projections(sp, bases, V), want, atol=1e-13)
         assert np.allclose(apply_axis_projections(sp, bases, V[:, 0]), want[:, 0], atol=1e-13)
 
 
 class TestLoopOracles:
-    """Block-Toeplitz symbols, raw one-variable factors and the dilation
-    matrix against their one-block-at-a-time versions."""
+    """Block-Toeplitz symbols, the one-variable factors ``F F^H`` and the
+    dilation matrix against their one-block-at-a-time and kron versions."""
 
     CASES = {
         # the Taylor series is longer than d + 1
@@ -197,11 +200,12 @@ class TestLoopOracles:
         if label == "jordan-3x2":
             assert [_embedding(L.defects, i, DEFAULT_TOL).shape for i in range(2)] == [(2, 1), (3, 1)]
             assert all(len(cf.taylor) < L.degree + 1 for cf in cfs)
-        got = one_var_raw_factors(L.defects, cfs, L.degree)
         want = oracles.one_var_raw_factors(L.defects, cfs, L.degree)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, a.conj().T)
-            assert np.max(np.abs(a - b)) <= 1e-14
+        for i, (cf, A) in enumerate(zip(cfs, want)):
+            w, V = _toeplitz_gram_eigh(_model_symbol(L.defects, cf, i, L.degree, DEFAULT_TOL), L.degree)
+            assert np.all(np.diff(w) >= 0.0)
+            assert np.max(np.abs(V.conj().T @ V - np.eye(len(w)))) <= 1e-14
+            assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-14
 
     def test_dilation_matrix(self, case):
         _, T, L, _ = case
@@ -259,7 +263,7 @@ def test_checks_reject_points_outside_polydisc(tensor_model):
     with pytest.raises(PointOutsidePolydisc):
         product_kernel_identity_check(T, pairs, defects=L.defects)
     with pytest.raises(PointOutsidePolydisc):
-        gramian_identity_check(L, cfs, mode="kernel", samples=pairs)
+        gramian_identity_check(L, pairs)
 
 
 class TestGramian:
@@ -271,27 +275,23 @@ class TestGramian:
              0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
             for _ in range(15)
         ]
-        assert gramian_identity_check(L, cfs, mode="kernel", samples=pairs) <= 1e-10
+        assert gramian_identity_check(L, pairs) <= 1e-10
 
     def test_operator_mode(self, tensor_model):
+        # model_space measures the truncated operator form
         T, L, cfs = tensor_model
-        assert gramian_identity_check(L, cfs, mode="operator") <= 1e-8
-
-    def test_kernel_mode_needs_samples(self, tensor_model):
-        _, L, cfs = tensor_model
-        with pytest.raises(ValueError):
-            gramian_identity_check(L, cfs, mode="kernel")
+        assert model_space(T, L, cfs).gramian_residual <= 1e-8
 
 
 class TestProjections:
     def test_clip_exact_projection(self):
         P = np.diag([1.0, 1.0, 0.0])
-        Q, drift = clip_to_projection(P)
+        Q, drift = oracles.clip_to_projection(P)
         assert drift <= 1e-14
         assert np.allclose(P, Q, atol=1e-14)
 
     def test_clip_rounds_near_projection(self):
-        Q, drift = clip_to_projection(np.diag([0.999, 0.001]))
+        Q, drift = oracles.clip_to_projection(np.diag([0.999, 0.001]))
         assert np.allclose(Q, np.diag([1.0, 0.0]), atol=1e-13)
         assert drift == pytest.approx(0.001, abs=1e-12)
 
@@ -302,7 +302,7 @@ class TestProjections:
         U = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
         A = U @ np.diag(eigs) @ U.conj().T
         A = 0.5 * (A + A.conj().T)
-        P, drift = clip_to_projection(A)
+        P, drift = oracles.clip_to_projection(A)
         assert operator_norm(P @ P - P) <= 1e-14
         assert drift == pytest.approx(operator_norm(P - A), abs=1e-14)
 
@@ -311,7 +311,7 @@ class TestProjections:
         for _ in range(10):
             A = np.diag([1.0, 1.0, 0.0, 0.0]) + 1e-3 * (rng.standard_normal((4, 4))
                                                        + 1j * rng.standard_normal((4, 4)))
-            P, drift = clip_to_projection(A)
+            P, drift = oracles.clip_to_projection(A)
             assert drift >= operator_norm(P - A)
 
     @pytest.mark.parametrize("n,d,r,margin", [(2, 2, 2, 0), (2, 3, 2, 1), (3, 2, 2, 1)])
@@ -342,21 +342,21 @@ class TestProjections:
                          + 1j * rng.standard_normal((dim, dim)))[0]
         pats = (rng.random((n, dim)) < 0.5).astype(float)
         projs = [U @ np.diag(p) @ U.conj().T for p in pats]
-        got = sum_projection(projs)
+        got = oracles.sum_projection(projs)
         union = np.concatenate([U[:, p > 0.5] for p in pats], axis=1)
         B = orthonormal_range_basis(union)
         assert operator_norm(got - B @ B.conj().T) <= 1e-12
 
     def test_sum_projection_rejects_non_idempotent(self):
         with pytest.raises(NotProjection):
-            sum_projection([np.diag([0.5, 0.5])])
+            oracles.sum_projection([np.diag([0.5, 0.5])])
 
     def test_sum_projection_rejects_noncommuting(self):
         P1 = np.diag([1.0, 0.0])
         v = np.array([[1.0], [1.0]]) / np.sqrt(2)
         P2 = v @ v.conj().T
-        with pytest.raises(NotCommuting):
-            sum_projection([P1, P2])
+        with pytest.raises(oracles.NotCommuting):
+            oracles.sum_projection([P1, P2])
 
 
 class TestModelSpace:
@@ -366,7 +366,6 @@ class TestModelSpace:
         assert max(ms.margin_drifts) <= 1e-6
         assert max(ms.commutator_residuals.values(), default=0.0) <= 1e-8
         assert ms.s_residual <= 1e-8
-        assert max(ms.compression_residuals) <= 1e-6
 
     def test_margin_drift_matches_dense(self):
         # || (P_i - A_i) || on the one-variable layers k_i <= d - margin; at
@@ -379,9 +378,24 @@ class TestModelSpace:
         assert min(ms.margin_drifts) > 1e-6
         d, r = L.degree, L.space.coeff_dim
         rows = np.repeat(np.arange(d + 1) <= d - ms.margin, r)
-        for K, A, md in zip(ms.fibers, ms.one_var_raw, ms.margin_drifts):
+        raw = oracles.one_var_raw_factors(L.defects, cfs, d)
+        for K, A, md in zip(ms.fibers, raw, ms.margin_drifts):
             P = np.eye(A.shape[0]) - K @ K.conj().T
             assert md == pytest.approx(operator_norm((P - A)[np.ix_(rows, rows)]), rel=1e-9)
+
+    @pytest.mark.parametrize("radius,d", [(0.4, 8), (0.6, 6)])
+    def test_fibers_match_dense_clip(self, radius, d):
+        # the fiber and drift from the eigensolve of F F^H against the dense
+        # clip of the kron-assembled factor K^H M M^H K
+        T = make_tensor_tuple([make_random_pure_contraction(2, radius, 11),
+                               make_random_pure_contraction(2, radius, 12)])
+        L = build_dilation(T, d=d, adaptive=False)
+        cfs = charfns_for_tuple(T, L.defects)
+        ms = model_space(T, L, cfs)
+        for K, drift, A in zip(ms.fibers, ms.drifts, oracles.one_var_raw_factors(L.defects, cfs, d)):
+            P, want = oracles.clip_to_projection(A)
+            assert operator_norm(np.eye(len(K)) - K @ K.conj().T - P) <= 1e-13
+            assert drift == pytest.approx(want, rel=1e-9)
 
     def test_zero_tuple_exact(self):
         T = make_tensor_tuple([np.zeros((1, 1)), np.zeros((1, 1))])
