@@ -33,9 +33,7 @@ from .hardy import (
     TruncatedHardySpace,
     apply_coshift,
     apply_shift,
-    enumerate_multi_indices,
     kernel_vector,
-    point_evaluation,
     szego_kernel,
 )
 from .dilation import (

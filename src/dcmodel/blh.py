@@ -9,7 +9,9 @@ step here works in that space: the fiber of variable ``i`` is
 ``range(P_i)``, held by an orthonormal basis of its complement (the model
 fiber, a few columns), and the wandering subspace is found in a space of
 at most ``2 r`` plus that many dimensions (Halmos, "Shifts on Hilbert
-spaces", J. reine angew. Math. 208, 1961)."""
+spaces", J. reine angew. Math. 208, 1961).  The complement of each
+recovered Toeplitz range comes from randomized subspace iteration on
+``I - T T^H``, certified complete by a probe bound."""
 
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from .matrixcore import (
 from .model import (
     ModelSpaces,
     _masked_opnorm_hermitian,
-    _toeplitz_gram_eigh,
     apply_axis_projections,
     charfns_for_tuple,
     model_space,
@@ -51,10 +52,6 @@ class OneVarSubspace:
     coeff_dim: int
     complement: np.ndarray  # ((degree+1) * coeff_dim, k) orthonormal columns
 
-    @property
-    def dim(self) -> int:
-        return self.complement.shape[0] - self.complement.shape[1]
-
 
 @dataclass(frozen=True)
 class InnerColumnSet:
@@ -66,9 +63,6 @@ class InnerColumnSet:
     columns: tuple        # columns[m]: (coeff_dim, inner_dim) coefficient block
     coeff_dim: int
     isometry_drift: float
-
-    def taylor(self) -> list:
-        return list(self.columns)
 
 
 def _loose_cut(cfg: ToleranceConfig) -> float:
@@ -168,15 +162,64 @@ def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL
     ]
 
 
+# Gaussian probes behind the completeness bound of the recovered-range
+# complement: a missed direction escapes them with probability 10^-10
+_PROBES = 10
+
+
 def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the complement of the range of the truncated
     Toeplitz matrix ``T`` of a recovered inner function: the eigenvectors
-    of ``T T^H`` whose eigenvalues lie below ``sqrt(tail_tol)^2`` of the
-    largest."""
+    of ``T T^H`` with eigenvalues at most ``sqrt(tail_tol)^2 ||T||^2``,
+    that is of ``A = I - T T^H`` with eigenvalues at least ``tau``.
+
+    ``T T^H`` is close to a projection, so a few eigenvalues of ``A`` lie
+    near 1 and the rest near 0.  Blocked randomized subspace iteration
+    finds them (Halko, Martinsson, Tropp, SIAM Rev. 53 (2011), Alg. 4.4):
+    a fixed-seed Gaussian block of 8, two power steps, a Rayleigh-Ritz
+    step.  The block doubles until a Ritz value falls below ``tau`` and
+    the bound of their Sec. 4.3 on ten probes, ``e >= ||(I - Q Q^H) A||``,
+    rules out a missed direction: no eigenvalue of ``A`` past the kept
+    Ritz values exceeds ``max(next Ritz value, e) + e < tau``.  A block as
+    large as the space is the space, and its Rayleigh-Ritz step exact."""
+    size = (degree + 1) * inner.coeff_dim
     if inner.inner_dim == 0:
-        return np.eye((degree + 1) * inner.coeff_dim, dtype=complex)
-    lam, V = _toeplitz_gram_eigh(inner.columns, degree)
-    return V[:, lam <= _loose_cut(cfg) ** 2 * lam[-1]]
+        return np.eye(size, dtype=complex)
+    T = one_var_toeplitz(inner.columns, degree)
+    rng = np.random.default_rng(0)
+
+    def apply_Th(X):  # T^H X, without a conjugated copy of T
+        return (X.conj().T @ T).conj().T
+
+    def apply_A(X):
+        return X - T @ apply_Th(X)
+
+    def gauss(b):
+        return (rng.standard_normal((size, b)) + 1j * rng.standard_normal((size, b))) / np.sqrt(2)
+
+    # ||T||^2 from two power steps: the top cluster of T T^H is tight
+    v = gauss(1)
+    for _ in range(2):
+        v = T @ apply_Th(v)
+        v /= np.linalg.norm(v)
+    tau = 1.0 - _loose_cut(cfg) ** 2 * np.linalg.norm(apply_Th(v)) ** 2
+    b = 8
+    while True:
+        if b < size:
+            Q = gauss(b)
+            for _ in range(3):  # the range finder, then two power steps
+                Q = np.linalg.qr(apply_A(Q))[0]
+        else:
+            Q = np.eye(size, dtype=complex)
+        k = Q.shape[1]
+        Z = apply_A(np.hstack([Q, gauss(_PROBES if b < size else 0)]))
+        R = Z[:, k:] - Q @ (Q.conj().T @ Z[:, k:])
+        e = 10.0 * np.sqrt(2.0 / np.pi) * np.max(np.linalg.norm(R, axis=0), initial=0.0)
+        w, V = np.linalg.eigh(Q.conj().T @ Z[:, :k])
+        keep = w >= tau
+        if b >= size or (not keep.all() and max(w[~keep].max(), e) + e < tau):
+            return Q @ V[:, keep]
+        b *= 2
 
 
 def _recovered_complement_distance(inners, space: TruncatedHardySpace, margin: int, apply_other, cfg) -> float:
@@ -207,12 +250,12 @@ class RankOneVerdict:
 
     doubly_commuting: bool
     max_commutation_residual: float
-    violating_pair: tuple  # () when doubly commuting
-    pure: bool
-    defect_rank: int
-    constants_compression_rank: int
-    recovered_inners: tuple
-    complement_distance: float
+    violating_pair: tuple = ()  # () when doubly commuting
+    pure: bool = False
+    defect_rank: int = -1
+    constants_compression_rank: int = -1
+    recovered_inners: tuple = ()
+    complement_distance: float = float("nan")
 
 
 def rankone_corollary_check(
@@ -251,16 +294,7 @@ def rankone_corollary_check(
                 worst = r
                 violator = (i, j)
     if worst > cfg.check_tol:
-        return RankOneVerdict(
-            doubly_commuting=False,
-            max_commutation_residual=worst,
-            violating_pair=violator,
-            pure=False,
-            defect_rank=-1,
-            constants_compression_rank=-1,
-            recovered_inners=(),
-            complement_distance=float("nan"),
-        )
+        return RankOneVerdict(False, worst, violating_pair=violator)
     tupleC = ContractionTuple(tuple(comps))
     report = validate_tuple(tupleC, cfg)
     pure = all(report.pure)
@@ -269,19 +303,11 @@ def rankone_corollary_check(
     for C in comps:
         D2 = D2 @ (np.eye(q) - C @ C.conj().T)
     defect_rank = _loose_rank(D2, cfg)
-    q0 = Q[space.index_pos[(0,) * space.n]]
+    q0 = Q[0]  # the constants are row 0 in storage order
     const_rank = _loose_rank(np.outer(q0.conj(), q0), cfg)
     if not pure:
-        return RankOneVerdict(
-            doubly_commuting=True,
-            max_commutation_residual=worst,
-            violating_pair=(),
-            pure=False,
-            defect_rank=defect_rank,
-            constants_compression_rank=const_rank,
-            recovered_inners=(),
-            complement_distance=float("nan"),
-        )
+        return RankOneVerdict(True, worst, defect_rank=defect_rank,
+                              constants_compression_rank=const_rank)
     L = build_dilation(tupleC, d=space.degree, cfg=cfg, adaptive=False)
     cfs = charfns_for_tuple(tupleC, L.defects, cfg)
     ms = model_space(tupleC, L, cfs, cfg)
@@ -291,13 +317,6 @@ def rankone_corollary_check(
     # of both: prod(I - Q_i) against the projection onto the subspace
     dist = _recovered_complement_distance(inners, space, ms.margin,
                                           lambda v: Q @ (Q.conj().T @ v), cfg)
-    return RankOneVerdict(
-        doubly_commuting=True,
-        max_commutation_residual=worst,
-        violating_pair=(),
-        pure=True,
-        defect_rank=defect_rank,
-        constants_compression_rank=const_rank,
-        recovered_inners=tuple(inners),
-        complement_distance=float(dist),
-    )
+    return RankOneVerdict(True, worst, pure=True, defect_rank=defect_rank,
+                          constants_compression_rank=const_rank,
+                          recovered_inners=tuple(inners), complement_distance=float(dist))

@@ -4,6 +4,8 @@ text or JSON reports.
 
 Exit codes: 0 every check evaluated and passed, 1 validation failure,
 2 a numerical check failed or was not evaluated, 3 I/O or parse error.
+The verdict is ``fail`` if a check failed, ``incomplete`` if none failed
+but one was skipped, else ``pass``.
 """
 
 from __future__ import annotations
@@ -75,12 +77,16 @@ class VerificationReport:
         self.checks.append(CheckResult(name, "skipped", None, None, ref, note))
 
     @property
-    def verdict(self) -> str:
-        return "pass" if all(c.status != "fail" for c in self.checks) else "fail"
+    def skipped(self) -> int:
+        return sum(c.status == "skipped" for c in self.checks)
 
     @property
-    def any_validation_failure(self) -> bool:
-        return any(c.status == "fail" and c.name.startswith("validate.") for c in self.checks)
+    def verdict(self) -> str:
+        """``fail`` if a check failed, else ``incomplete`` if one was not
+        evaluated, else ``pass``."""
+        if any(c.status == "fail" for c in self.checks):
+            return "fail"
+        return "incomplete" if self.skipped else "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +196,7 @@ def run_validate(path: str, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
     T, _meta = load_tuple_file(path)
     report = VerificationReport()
     _validation_checks(T, cfg, report)
-    if report.verdict == "fail":
-        return report, 1
-    return report, (0 if all(c.status != "skipped" for c in report.checks) else 2)
+    return report, {"pass": 0, "fail": 1, "incomplete": 2}[report.verdict]
 
 
 _SUITE_NUMERICAL = [
@@ -248,8 +252,7 @@ def run_full_suite(
         for name, ref in _SUITE_NUMERICAL:
             if name not in evaluated:
                 report.skip(name, ref, f"not evaluated: {e}")
-    complete = all(c.status != "skipped" for c in report.checks)
-    return report, (0 if report.verdict == "pass" and complete else 2)
+    return report, (0 if report.verdict == "pass" else 2)
 
 
 def _numerical_checks(T, cfg, degree, boundary_samples, rng, report: VerificationReport):
@@ -381,6 +384,7 @@ def emit_report(report: VerificationReport, fmt: str, out=None) -> str:
                 for c in report.checks
             ],
             "verdict": report.verdict,
+            "skipped": report.skipped,
             **({"degree": report.degree} if report.degree is not None else {}),
         }
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
@@ -474,13 +478,7 @@ def main(argv=None) -> int:
             save_tuple_file(args.out, T, meta)
             print(f"wrote {args.out}: n={T.n}, dim={T.dim}")
             return 0
-    except TupleFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # TupleFileError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 3
     return 0

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import TruncatedHardySpace, apply_coshift, apply_shift, kernel_vector
+from .hardy import TruncatedHardySpace, _axis_view, apply_shift, kernel_vector
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -80,6 +80,14 @@ def _top_layer_tail(T: ContractionTuple, big_defect_sq: np.ndarray, d: int) -> f
     return worst
 
 
+def adjoint_powers(M: np.ndarray, d: int) -> np.ndarray:
+    """``M^{*k}`` for ``k = 0..d``, stacked along the first axis."""
+    powers = [np.eye(M.shape[0], dtype=complex)]
+    for _ in range(d):
+        powers.append(powers[-1] @ M.conj().T)
+    return np.array(powers)
+
+
 def _build_matrix(T: ContractionTuple, defects: DefectData, d: int) -> tuple:
     space = TruncatedHardySpace(T.n, d, defects.rank)
     if space.total_dim * T.dim > _MAX_MATRIX_ENTRIES:
@@ -91,10 +99,7 @@ def _build_matrix(T: ContractionTuple, defects: DefectData, d: int) -> tuple:
     X = B.conj().T @ defects.big_defect  # C0, (rank, dim)
     # rows C0 T_1^{*k_1} ... T_n^{*k_n}, one axis at a time
     for M in T.matrices:
-        powers = [np.eye(T.dim, dtype=complex)]
-        for _ in range(d):
-            powers.append(powers[-1] @ M.conj().T)
-        X = np.einsum("...ra,kab->...krb", X, np.array(powers), optimize=True)
+        X = np.einsum("...ra,kab->...krb", X, adjoint_powers(M, d), optimize=True)
     return space, X.reshape(space.total_dim, T.dim)
 
 
@@ -143,10 +148,14 @@ def isometry_defect(L: DilationMap) -> float:
 
 def intertwining_residual(L: DilationMap, i: int) -> float:
     """``||L T_i^H - coshift_i L||``; supported on the top coefficient
-    layer only, hence bounded by the truncation tail."""
-    lhs = L.matrix @ L.tuple.matrices[i].conj().T
-    rhs = apply_coshift(L.space, L.matrix, i)
-    return operator_norm(lhs - rhs)
+    layer only, hence bounded by the truncation tail.
+
+    The difference is formed over every layer (one ``N x dim`` array,
+    the coshift subtracted in place), and its norm is the square root of
+    the largest eigenvalue of its ``dim x dim`` Gram matrix."""
+    X = L.matrix @ L.tuple.matrices[i].conj().T
+    _axis_view(L.space, X, i)[:-1] -= _axis_view(L.space, L.matrix, i)[1:]
+    return float(np.sqrt(max(np.linalg.eigvalsh(X.conj().T @ X)[-1], 0.0)))
 
 
 def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

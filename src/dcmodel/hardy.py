@@ -11,8 +11,7 @@ variable acts on one tensor axis.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -22,16 +21,7 @@ class PointOutsidePolydisc(ValueError):
     """A sample point left the open unit polydisc."""
 
 
-def enumerate_multi_indices(n: int, d: int) -> list:
-    """All multi-indices with components in 0..d, graded order."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    idx = list(itertools.product(range(d + 1), repeat=n))
-    idx.sort(key=lambda k: (sum(k), k))
-    return idx
-
-
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class TruncatedHardySpace:
     """Descriptor of the truncated space: n variables, degree cap d,
     coefficient dimension ``coeff_dim``."""
@@ -39,7 +29,6 @@ class TruncatedHardySpace:
     n: int
     degree: int
     coeff_dim: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.degree < 0 or self.coeff_dim < 0:
@@ -50,19 +39,6 @@ class TruncatedHardySpace:
         """Tensor shape of the flat storage: one axis per variable, then
         the coefficient axis."""
         return (self.degree + 1,) * self.n + (self.coeff_dim,)
-
-    @property
-    def indices(self) -> list:
-        """Multi-indices in storage (lexicographic) order."""
-        if "indices" not in self._cache:
-            self._cache["indices"] = list(itertools.product(range(self.degree + 1), repeat=self.n))
-        return self._cache["indices"]
-
-    @property
-    def index_pos(self) -> dict:
-        if "pos" not in self._cache:
-            self._cache["pos"] = {k: p for p, k in enumerate(self.indices)}
-        return self._cache["pos"]
 
     @property
     def num_indices(self) -> int:
@@ -135,10 +111,3 @@ def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:
     _check_polydisc(w)
     eta = np.asarray(eta, dtype=complex).reshape(space.coeff_dim)
     return np.outer(_monomials(space, np.conj(w)), eta).reshape(-1)
-
-
-def point_evaluation(space: TruncatedHardySpace, flat: np.ndarray, z) -> np.ndarray:
-    """Evaluate the stored polynomial at a point of the polydisc."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    flat = np.asarray(flat, dtype=complex)
-    return _monomials(space, z) @ flat.reshape(space.num_indices, space.coeff_dim)

@@ -1,7 +1,8 @@
 """Characteristic functions of the coordinate contractions, their
 one-variable multipliers on the truncated polydisc Hardy space, the
 closed-form kernel identities, the Gramian identity for the dilation,
-commuting-projection algebra, and the model space construction."""
+commuting-projection algebra, and the model space construction (model
+fibers from a thin SVD of the functional-model factor ``G_i``)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .dilation import DegreeCapExceeded, DilationMap
+from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers
 from .hardy import TruncatedHardySpace, _check_polydisc, szego_kernel
 from .matrixcore import (
     DEFAULT_TOL,
@@ -174,21 +175,6 @@ def one_var_toeplitz(taylor, d: int) -> np.ndarray:
     for m, theta in enumerate(taylor[:d + 1]):
         M[k[m:], :, k[m:] - m, :] = theta  # block diagonal m
     return M.reshape((d + 1) * r_out, (d + 1) * r_in)
-
-
-def _toeplitz_gram_eigh(blocks, d: int) -> tuple:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of ``F F^H``,
-    ``F = one_var_toeplitz(blocks, d)``."""
-    F = one_var_toeplitz(blocks, d)
-    G = F @ F.conj().T
-    del F  # one-variable matrices are ~1000-square at d = 256: keep one, not two
-    # F F^H is close to a projection, so its spectrum sits in two tight
-    # clusters, on which the subset eigensolvers (MRRR, bisection) can
-    # fail or lose orthogonality; eigh is the divide-and-conquer solver.
-    # It is numpy's, not scipy's in-place zheevd: the two link separate
-    # BLAS builds, and switching between them cost more time than the
-    # copy costs memory
-    return np.linalg.eigh(G)
 
 
 def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair: DefectPair = None) -> float:
@@ -441,6 +427,19 @@ def _gramian_operator_residual(L: DilationMap, symbols, mask: np.ndarray) -> flo
     return _masked_opnorm_hermitian(apply_X, mask, space.total_dim)
 
 
+def _functional_model_factor(L: DilationMap, i: int) -> np.ndarray:
+    """The ``(d+1) r x dim`` matrix ``G_i`` with row blocks
+    ``B^H D_{T_i*} T_i^{*k}``, ``k = 0..d``, ``B`` the joint defect basis:
+    the compression ``K^H V_i`` of the Sz.-Nagy-Foias dilation of ``T_i``.
+    As ``V_i V_i^H + M_theta M_theta^H = I`` for a pure contraction, and
+    both sides are exact on the leading ``d+1`` layers (``M_theta`` is
+    lower triangular), ``I - F_i F_i^H = G_i G_i^H`` (:func:`_model_symbol`)."""
+    B = L.defects.big_defect_basis
+    C = B.conj().T @ L.defects.per_op[i].defect_star
+    G = np.einsum("ra,kab->krb", C, adjoint_powers(L.tuple.matrices[i], L.degree))
+    return G.reshape(-1, L.tuple.dim)
+
+
 @dataclass
 class ModelSpaces:
     """Model-space data: per-variable clipped multiplier projections, held
@@ -449,7 +448,6 @@ class ModelSpaces:
 
     space: TruncatedHardySpace
     fibers: list
-    drifts: list
     margin_drifts: list
     commutator_residuals: dict
     s_residual: float
@@ -472,12 +470,14 @@ def model_space(
     """Assemble the model space from the dilation and the per-variable
     characteristic functions (:class:`CharFn`).
 
-    Clips each compressed multiplier projection ``F_i F_i^H`` to a genuine
-    projection, keeping an orthonormal basis of its complement (the model
-    fiber), certifies the drift against the measured symbol tail, and
-    records, on the margin-restricted layers, the residual between the
-    dilation range and the complement of the multiplier sum space and the
-    operator-form Gramian residual of the unclipped factors."""
+    The model fiber ``K_i``, an orthonormal basis of the complement of
+    the clipped projection ``P_i``, holds the left singular vectors of
+    ``G_i`` (:func:`_functional_model_factor`) with ``s^2 > 1/2``.  The
+    margin drift ``||I - K_i K_i^H - F_i F_i^H||`` is measured from the
+    symbol ``F_i``, the one check tying the fibers to it, and certified
+    against the symbol tail.  Also records, on the margin-restricted
+    layers, the residual between the dilation range and the complement of
+    the multiplier sum space and the operator-form Gramian residual."""
     d = L.degree
     if margin is None:
         margin = max(1, d // 2)
@@ -487,16 +487,13 @@ def model_space(
         margin = 0
     space = L.space
     symbols = [_model_symbol(L.defects, cf, i, d, cfg) for i, cf in enumerate(charfns)]
-    fibers, drifts, margin_drifts = [], [], []
+    fibers, margin_drifts = [], []
     r = space.coeff_dim
     keep = (d - margin + 1) * r  # rows of the layers k_i <= d - margin
     for i, sym in enumerate(symbols):
-        w, V = _toeplitz_gram_eigh(sym, d)
-        K = V[:, w < 0.5]
-        del V  # hold one eigenvector matrix at a time
+        U, sv, _ = np.linalg.svd(_functional_model_factor(L, i), full_matrices=False)
+        K = U[:, sv ** 2 > 0.5]
         fibers.append(K)
-        # I - K K^H - F F^H = V diag(snap(w) - w) V^H
-        drifts.append(float(np.max(np.abs((w >= 0.5) - w), initial=0.0)))
         # F is block lower-triangular, so its leading block alone gives
         # the leading block of F F^H
         Fk = one_var_toeplitz(sym, d - margin)
@@ -522,7 +519,6 @@ def model_space(
     return ModelSpaces(
         space=space,
         fibers=fibers,
-        drifts=drifts,
         margin_drifts=margin_drifts,
         commutator_residuals=comms,
         s_residual=float(s_residual),

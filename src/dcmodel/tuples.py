@@ -114,9 +114,14 @@ class ValidationReport:
 
 
 def validate_tuple(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
-    """Check contractivity, commutation, double commutation and purity."""
-    mats = T.matrices
-    contr = tuple(max(0.0, operator_norm(M) - 1.0) for M in mats)
+    """Check contractivity, commutation, double commutation and purity
+    on the copies ``T_i / s_i``, ``s_i`` the largest of 1 and every
+    ``|Re|``, ``|Im|`` of an entry of ``T_i`` (norms and radii scaled
+    back): huge finite entries do not overflow, contractions are as given."""
+    scales = [max(1.0, float(np.max(np.abs(M.real))), float(np.max(np.abs(M.imag))))
+              for M in T.matrices]
+    mats = [M / s for M, s in zip(T.matrices, scales)]
+    contr = tuple(max(0.0, s * operator_norm(M) - 1.0) for M, s in zip(mats, scales))
     comm = {}
     dcomm = {}
     for i in range(T.n):
@@ -124,7 +129,7 @@ def validate_tuple(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT_TOL) -> V
             A, B = mats[i], mats[j]
             comm[(i, j)] = operator_norm(A @ B - B @ A)
             dcomm[(i, j)] = operator_norm(A @ B.conj().T - B.conj().T @ A)
-    radii = tuple(spectral_radius(M) for M in mats)
+    radii = tuple(s * spectral_radius(M) for M, s in zip(mats, scales))
     return ValidationReport(contr, comm, dcomm, radii, cfg)
 
 

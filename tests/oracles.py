@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dcmodel.blh import inner_from_wandering
-from dcmodel.hardy import TruncatedHardySpace, apply_shift
+from dcmodel.hardy import TruncatedHardySpace, _monomials, apply_shift
 from dcmodel.matrixcore import (
     DEFAULT_TOL,
     operator_norm,
@@ -24,6 +24,30 @@ from dcmodel.model import CharFn, NotProjection, _embedding, _project_axis
 
 class NotCommuting(ValueError):
     """Projections expected to commute do not."""
+
+
+def indices(space: TruncatedHardySpace) -> list:
+    """Multi-indices in storage (lexicographic) order."""
+    return list(itertools.product(range(space.degree + 1), repeat=space.n))
+
+
+def index_pos(space: TruncatedHardySpace) -> dict:
+    """Storage position of each multi-index, ``np.ravel_multi_index(k, (d+1,)*n)``."""
+    return {k: p for p, k in enumerate(indices(space))}
+
+
+def enumerate_multi_indices(n: int, d: int) -> list:
+    """All multi-indices with components in 0..d, graded order."""
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0")
+    return sorted(itertools.product(range(d + 1), repeat=n), key=lambda k: (sum(k), k))
+
+
+def point_evaluation(space: TruncatedHardySpace, flat: np.ndarray, z) -> np.ndarray:
+    """Evaluate the stored polynomial at a point of the polydisc."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    flat = np.asarray(flat, dtype=complex)
+    return _monomials(space, z) @ flat.reshape(space.num_indices, space.coeff_dim)
 
 
 def shift_matrix(space: TruncatedHardySpace, i: int) -> np.ndarray:
@@ -63,7 +87,7 @@ def constants_projection_check(space: TruncatedHardySpace) -> float:
             M = M @ shifts[i].conj().T
         acc += ((-1) ** len(chosen)) * M
     P0 = np.zeros((N, N), dtype=complex)
-    p0 = space.index_pos[(0,) * space.n]
+    p0 = index_pos(space)[(0,) * space.n]
     r = space.coeff_dim
     P0[p0 * r:(p0 + 1) * r, p0 * r:(p0 + 1) * r] = np.eye(r)
     return operator_norm(acc - P0)
@@ -73,7 +97,7 @@ def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:
     """Truncated kernel vector ``conj(w)^k eta``, one index at a time."""
     r = space.coeff_dim
     out = np.zeros(space.total_dim, dtype=complex)
-    for p, k in enumerate(space.indices):
+    for p, k in enumerate(indices(space)):
         scale = 1.0 + 0.0j
         for ki, wi in zip(k, np.conj(w)):
             scale *= wi ** ki
@@ -85,11 +109,12 @@ def shift_up_map(space: TruncatedHardySpace, i: int) -> np.ndarray:
     """Position of k + e_i for each index position (or -1 past the cap),
     one index at a time."""
     up = np.full(space.num_indices, -1, dtype=np.intp)
-    for p, k in enumerate(space.indices):
+    pos = index_pos(space)
+    for k, p in pos.items():
         if k[i] < space.degree:
             kk = list(k)
             kk[i] += 1
-            up[p] = space.index_pos[tuple(kk)]
+            up[p] = pos[tuple(kk)]
     return up
 
 
@@ -97,7 +122,7 @@ def margin_mask(space: TruncatedHardySpace, margin: int) -> np.ndarray:
     """Row mask of the indices with every component <= degree - margin,
     one index at a time."""
     cap = space.degree - margin
-    keep = np.array([all(ki <= cap for ki in k) for k in space.indices])
+    keep = np.array([all(ki <= cap for ki in k) for k in indices(space)])
     return np.repeat(keep, space.coeff_dim)
 
 
@@ -106,8 +131,9 @@ def one_var_factor_matrix(space: TruncatedHardySpace, A: np.ndarray, i: int) -> 
     ``(k_i, coefficient)``, one pair of multi-indices at a time."""
     r = space.coeff_dim
     M = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for k, p in space.index_pos.items():
-        for l, q in space.index_pos.items():
+    pos = index_pos(space)
+    for k, p in pos.items():
+        for l, q in pos.items():
             if all(a == b for j, (a, b) in enumerate(zip(k, l)) if j != i):
                 M[p * r:(p + 1) * r, q * r:(q + 1) * r] = \
                     A[k[i] * r:(k[i] + 1) * r, l[i] * r:(l[i] + 1) * r]
@@ -138,14 +164,15 @@ class OneVarMultiplier:
         r_in, r_out = dom.coeff_dim, cod.coeff_dim
         i = self.char_fn.op_index
         M = np.zeros((cod.total_dim, dom.total_dim), dtype=complex)
-        for p, k in enumerate(dom.indices):
+        pos = index_pos(cod)
+        for p, k in enumerate(indices(dom)):
             # input coefficient at k feeds output coefficients at k + m e_i
             for m, theta in enumerate(self.char_fn.taylor):
                 if k[i] + m > dom.degree:
                     break
                 kk = list(k)
                 kk[i] = k[i] + m
-                q = cod.index_pos[tuple(kk)]
+                q = pos[tuple(kk)]
                 M[q * r_out:(q + 1) * r_out, p * r_in:(p + 1) * r_in] = theta
         return M
 
@@ -184,6 +211,14 @@ def one_var_raw_factors(defects, charfns, d: int, cfg=DEFAULT_TOL) -> list:
         A = K.conj().T @ (M1 @ (M1.conj().T @ K))
         out.append(0.5 * (A + A.conj().T))
     return out
+
+
+def toeplitz_gram_eigh(blocks, d: int) -> tuple:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of ``F F^H``,
+    ``F = one_var_toeplitz(blocks, d)``, from the dense divide-and-conquer
+    solver (subset eigensolvers can fail on its two tight clusters)."""
+    F = one_var_toeplitz(blocks, d)
+    return np.linalg.eigh(F @ F.conj().T)
 
 
 def clip_to_projection(A: np.ndarray) -> tuple:
@@ -230,7 +265,7 @@ def dilation_matrix(T, defects, d: int) -> np.ndarray:
     powers = {(0,) * T.n: np.eye(T.dim, dtype=complex)}
     r = defects.rank
     L = np.zeros((space.total_dim, T.dim), dtype=complex)
-    for p, k in enumerate(space.indices):
+    for p, k in enumerate(indices(space)):
         if k not in powers:
             i = next(a for a, ka in enumerate(k) if ka > 0)
             prev = list(k)
@@ -277,10 +312,11 @@ def fiber_basis(model, i: int, cfg=DEFAULT_TOL) -> np.ndarray:
     d, r = space.degree, space.coeff_dim
     basis = orthonormal_range_basis(projection_matrix(model, i), cfg)
     rows = []
+    pos = index_pos(space)
     for m in range(d + 1):
         k = [0] * space.n
         k[i] = m
-        p = space.index_pos[tuple(k)]
+        p = pos[tuple(k)]
         rows.extend(range(p * r, (p + 1) * r))
     return _loose_basis(basis[np.array(rows, dtype=np.intp)], cfg)
 
@@ -318,13 +354,14 @@ def multiplier_columns(inner, space: TruncatedHardySpace) -> np.ndarray:
         return np.zeros((space.total_dim, 0), dtype=complex)
     dom = TruncatedHardySpace(space.n, d, e)
     out = np.zeros((space.total_dim, dom.total_dim), dtype=complex)
-    for p, k in enumerate(dom.indices):
+    pos = index_pos(space)
+    for p, k in enumerate(indices(dom)):
         for m, block in enumerate(inner.columns):
             if k[i] + m > d:
                 break
             kk = list(k)
             kk[i] = k[i] + m
-            q = space.index_pos[tuple(kk)]
+            q = pos[tuple(kk)]
             out[q * r:(q + 1) * r, p * e:(p + 1) * e] = block
     return out
 

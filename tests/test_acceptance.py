@@ -154,7 +154,7 @@ def test_acceptance_4_exact_nilpotent_regime():
                     product_kernel_identity_check(T, pairs, defects=L.defects),
                     gramian_identity_check(L, pairs))
         ms = model_space(T, L, cfs)
-        worst = max(worst, max(ms.drifts), ms.s_residual, ms.gramian_residual,
+        worst = max(worst, max(ms.margin_drifts), ms.s_residual, ms.gramian_residual,
                     max(ms.commutator_residuals.values(), default=0.0))
         inners = model_inner_functions(ms)
         worst = max(worst,
@@ -223,7 +223,7 @@ def test_acceptance_7_moebius_round_trip():
 
 def test_acceptance_8_rank_one_corollary():
     space = TruncatedHardySpace(2, 6, 1)
-    pos = space.index_pos
+    pos = oracles.index_pos(space)
     # positive case: span{1, z1} models symbols z1^2 and z2
     Q = np.zeros((space.total_dim, 2), dtype=complex)
     Q[pos[(0, 0)], 0] = 1.0

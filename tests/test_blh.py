@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from dcmodel.blh import (
+    InnerColumnSet,
     NotCoinvariant,
     OneVarSubspace,
     _inner_range_complement,
+    _loose_cut,
     inner_from_wandering,
     model_inner_functions,
     rankone_corollary_check,
@@ -144,7 +146,8 @@ class TestModelInnerFunctions:
 
 
 class TestDenseOracle:
-    """The one-variable BLH path against the dense ``N x N`` oracle."""
+    """The one-variable BLH path against the dense ``N x N`` oracle, and
+    the recovered-range complements against the dense eigensolver."""
 
     CASES = {
         "tensor-2x2": (lambda: [make_random_pure_contraction(2, 0.4, 11),
@@ -173,6 +176,49 @@ class TestDenseOracle:
         assert (rec <= tol) == (rec_dense <= tol)
         assert rec == pytest.approx(rec_dense, rel=1e-3, abs=1e-12)
 
+    @pytest.mark.parametrize("case", sorted(CASES) + sorted(TestModelInnerFunctions.CLUSTERED))
+    def test_range_complements_match_eigh(self, case):
+        # subspace iteration against the eigenvectors of T T^H below the cut
+        if case in self.CASES:
+            factors, d = self.CASES[case]
+            ms = _model_for(factors(), d=d)
+        else:
+            ms = _model_for(TestModelInnerFunctions.CLUSTERED[case], d=8, adaptive=True)
+        d = ms.space.degree
+        for inner in model_inner_functions(ms):
+            got = _inner_range_complement(inner, d)
+            lam, V = oracles.toeplitz_gram_eigh(inner.columns, d)
+            want = V[:, lam <= _loose_cut(DEFAULT_TOL) ** 2 * lam[-1]]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got.conj().T @ got - np.eye(got.shape[1]))) <= 1e-13
+            assert subspace_distance(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("lams,wanted,blocks", [
+        # ten wanted directions fill the first block
+        (np.linspace(0.0, 0.4, 10), 10, [8, 16]),
+        # six wanted directions, but eight more eigenvalues of I - T T^H
+        # in (0.08, 0.99) leave the probe bound above the cut
+        ([0.0, 0.1, 0.2, 0.3, 0.35, 0.4, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.98, 0.995], 6, [8, 16]),
+        # the complement is empty
+        ([0.9, 0.95], 0, [8]),
+    ])
+    def test_range_complement_block_growth(self, monkeypatch, lams, wanted, blocks):
+        # theta = diag(Moebius factors): I - T T^H has the eigenvalues
+        # 1 - lam^(2 (d + 1)), so exactly the lam <= 0.4 ones are above the cut
+        d, m = 8, len(lams)
+        cols = [np.diag([-lam for lam in lams]).astype(complex)]
+        cols += [np.diag([(1 - lam ** 2) * lam ** (k - 1) for lam in lams]).astype(complex)
+                 for k in range(1, d + 1)]
+        inner = InnerColumnSet(0, m, tuple(cols), m, 0.0)
+        qr, widths = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda Y: widths.append(Y.shape[1]) or qr(Y))
+        got = _inner_range_complement(inner, d)
+        assert sorted(set(widths)) == blocks
+        lam, V = oracles.toeplitz_gram_eigh(cols, d)
+        want = V[:, lam <= _loose_cut(DEFAULT_TOL) ** 2 * lam[-1]]
+        assert got.shape[1] == want.shape[1] == wanted
+        assert subspace_distance(got, want) <= 1e-13
+
 
 @pytest.fixture(scope="module")
 def space():
@@ -183,7 +229,7 @@ class TestRankOne:
     def _basis(self, space, monomials):
         Q = np.zeros((space.total_dim, len(monomials)), dtype=complex)
         for j, k in enumerate(monomials):
-            Q[space.index_pos[k], j] = 1.0
+            Q[oracles.index_pos(space)[k], j] = 1.0
         return Q
 
     def test_constants_subspace(self, space):
@@ -211,9 +257,9 @@ class TestRankOne:
 
     def test_negative_case_residual_half(self, space):
         Q = np.zeros((space.total_dim, 2), dtype=complex)
-        Q[space.index_pos[(0, 0)], 0] = 1.0
-        Q[space.index_pos[(1, 0)], 1] = 1 / np.sqrt(2)
-        Q[space.index_pos[(0, 1)], 1] = 1 / np.sqrt(2)
+        Q[oracles.index_pos(space)[(0, 0)], 0] = 1.0
+        Q[oracles.index_pos(space)[(1, 0)], 1] = 1 / np.sqrt(2)
+        Q[oracles.index_pos(space)[(0, 1)], 1] = 1 / np.sqrt(2)
         v = rankone_corollary_check(Q, space)
         assert not v.doubly_commuting
         assert v.max_commutation_residual == pytest.approx(0.5, abs=1e-12)

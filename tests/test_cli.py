@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,8 @@ class TestPipelines:
         "second-of-two": [[[0.3]], [[2.0]]],
         # finite, but I - T^H T overflows
         "norm-1e200": [[[1e200]]],
+        # finite, but the commutators of the originals overflow
+        "pair-1e200": [[[1e200]], [[1e200]]],
         # norm 1 + 5e-10 passes the contractivity check, spectral radius
         # 1 + 5e-10 fails purity, and I - T^H T is not PSD within rank_tol
         "just-above-1": [[[1.0 + 5e-10]]],
@@ -152,12 +155,14 @@ class TestPipelines:
     def test_non_contractive_exit_1(self, tmp_path, case):
         # the defects sqrt(I - T^H T) are not taken for a non-contraction
         p = _write_tuple(tmp_path / "big.json", self.NON_CONTRACTIVE[case])
-        report, code = run_validate(p)
-        assert code == 1
-        dc = next(c for c in report.checks if c.name == "validate.defect_commutation")
-        assert dc.status == "skipped" and dc.note.startswith("not evaluated:")
-        report, code = run_full_suite(p)
-        assert code == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report, code = run_validate(p)
+            assert code == 1
+            dc = next(c for c in report.checks if c.name == "validate.defect_commutation")
+            assert dc.status == "skipped" and dc.note.startswith("not evaluated:")
+            report, code = run_full_suite(p)
+            assert code == 1
 
     def test_defects_not_psd_exit_2(self, tmp_path):
         # contractive within check_tol and pure, but I - T^H T has an
@@ -166,7 +171,7 @@ class TestPipelines:
         T *= (1.0 + 5e-10) / np.linalg.norm(T, 2)
         p = _write_tuple(tmp_path / "edge.json", [T])
         report, code = run_validate(p)
-        assert code == 2 and report.verdict == "pass"
+        assert code == 2 and report.verdict == "incomplete"
         dc = next(c for c in report.checks if c.name == "validate.defect_commutation")
         assert dc.status == "skipped" and "below -rank_tol" in dc.note
         report, code = run_full_suite(p)
@@ -210,10 +215,10 @@ class TestReports:
         report.add("x", 1e-12, 1e-9, "some identity")
         text = emit_report(report, "json")
         doc = json.loads(text)
-        assert set(doc) == {"checks", "verdict"}
+        assert set(doc) == {"checks", "verdict", "skipped"}
         assert set(doc["checks"][0]) == {"name", "status", "residual",
                                          "tolerance", "paper_ref"}
-        assert doc["verdict"] == "pass"
+        assert doc["verdict"] == "pass" and doc["skipped"] == 0
 
     def test_text_and_json_verdicts_agree(self):
         report = VerificationReport()
@@ -226,10 +231,16 @@ class TestReports:
         assert "verdict: pass" in text
 
     def test_skipped_not_counted_as_failure(self):
+        # nor as a pass: the verdict matches exit code 2
         report = VerificationReport()
         report.add("a", 0.0, 1.0, "ok")
         report.skip("b", "skipped thing", "too large")
-        assert report.verdict == "pass"
+        assert report.verdict == "incomplete"
+        doc = json.loads(emit_report(report, "json"))
+        assert doc["verdict"] == "incomplete" and doc["skipped"] == 1
+        assert "verdict: incomplete" in emit_report(report, "text")
+        report.add("c", 1.0, 1e-9, "failing identity")
+        assert report.verdict == "fail"
 
 
 class TestMain:
@@ -306,6 +317,23 @@ class TestExitCodes:
             else:
                 assert c["status"] != "skipped"
 
+    def test_memory_guard_exits_2(self, tmp_path, capsys):
+        # degree 4000 would need a 64-million-row dilation matrix: the guard
+        # stops the suite before any numerical check
+        demo = str(tmp_path / "demo.json")
+        rep = str(tmp_path / "report.json")
+        main(["demo", "tensor", "--dims", "2,2", "--out", demo])
+        assert main(["--format", "json", "suite", demo, "--degree", "4000", "--report", rep]) == 2
+        capsys.readouterr()
+        doc = json.load(open(rep))
+        numerical = [c for c in doc["checks"] if not c["name"].startswith("validate.")]
+        assert len(numerical) == 16
+        for c in numerical:
+            assert c["status"] == "skipped"
+            assert c["note"] == "not evaluated: dilation matrix at degree 4000 would exceed the memory guard"
+        assert all(c["status"] == "pass" for c in doc["checks"] if c["name"].startswith("validate."))
+        assert doc["verdict"] == "incomplete" and doc["skipped"] == 16
+
     def test_linear_algebra_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # a LAPACK failure is a ValueError; it must not read as a parse error (3)
         def fail(*args, **kwargs):
@@ -343,14 +371,15 @@ _CORRUPTIONS = {
 def _tuple_documents(draw):
     """``(document, expected validate code, allowed suite codes)`` for a
     demo tuple (possibly near-unit spectral radius), a non-commuting or
-    non-contractive tuple, or a corrupted file."""
+    non-contractive tuple, one with entries near the float limit, or a
+    corrupted file."""
     kind = draw(st.sampled_from(["tensor", "random", "jordan"]))
     dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
     radius = draw(st.one_of(st.floats(0.05, 0.9), st.floats(0.99, 0.999)))
     seed = draw(st.integers(0, 2 ** 16))
     T, meta = generate_demo(kind, dims, radius, seed)
     mats = list(T.matrices)
-    flaw = draw(st.sampled_from(["none", "non-commuting", "non-contractive", "corrupt"]))
+    flaw = draw(st.sampled_from(["none", "non-commuting", "non-contractive", "huge", "corrupt"]))
     expect = (0, {0, 2})
     if flaw == "non-commuting":
         rng = np.random.default_rng(seed)
@@ -361,6 +390,11 @@ def _tuple_documents(draw):
     elif flaw == "non-contractive":
         # still commutes with the others; its norm exceeds 2 - radius
         mats[-1] = mats[-1] + draw(st.floats(2.0, 10.0)) * np.eye(T.dim)
+        expect = (1, {1})
+    elif flaw == "huge":
+        # finite entries near the float limit; products of them overflow
+        big = draw(st.floats(1e150, 8e307))
+        mats = [big * (M + np.eye(T.dim)) for M in mats]
         expect = (1, {1})
     doc = {"n": len(mats), "dim": len(mats[0]), "metadata": meta,
            "matrices": [[[_entry(z) for z in row] for row in M] for M in mats]}

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmodel.dilation import build_dilation
-from dcmodel.matrixcore import DEFAULT_TOL, operator_norm, orthonormal_range_basis
+from dcmodel.matrixcore import DEFAULT_TOL, operator_norm, orthonormal_range_basis, subspace_distance
 from dcmodel.model import (
     NotProjection,
+    ProjectionDriftExceedsTolerance,
     ResolventSingular,
     _embedding,
     _fiber_commutator,
+    _functional_model_factor,
     _model_symbol,
     _project_axis,
-    _toeplitz_gram_eigh,
     apply_axis_projections,
     charfn_eval,
     charfn_taylor,
@@ -128,8 +129,8 @@ class TestMultipliers:
         mult = oracles.multiplier_matrix(cfs[0], sp)
         M = mult.full_matrix()
         # entries only connect indices with equal second component
-        for p, k in enumerate(sp.indices):
-            for q, l in enumerate(sp.indices):
+        for p, k in enumerate(oracles.indices(sp)):
+            for q, l in enumerate(oracles.indices(sp)):
                 if k[1] != l[1]:
                     assert M[q, p] == 0.0
         # on the scalar space the multiplier is I (x) Toeplitz in variable 0
@@ -167,8 +168,9 @@ class TestMultipliers:
 
 
 class TestLoopOracles:
-    """Block-Toeplitz symbols, the one-variable factors ``F F^H`` and the
-    dilation matrix against their one-block-at-a-time and kron versions."""
+    """Block-Toeplitz symbols, the one-variable factors ``F F^H``, the
+    model fibers and the dilation matrix against their one-block-at-a-time,
+    kron and dense-eigensolver versions."""
 
     CASES = {
         # the Taylor series is longer than d + 1
@@ -201,11 +203,17 @@ class TestLoopOracles:
             assert [_embedding(L.defects, i, DEFAULT_TOL).shape for i in range(2)] == [(2, 1), (3, 1)]
             assert all(len(cf.taylor) < L.degree + 1 for cf in cfs)
         want = oracles.one_var_raw_factors(L.defects, cfs, L.degree)
-        for i, (cf, A) in enumerate(zip(cfs, want)):
-            w, V = _toeplitz_gram_eigh(_model_symbol(L.defects, cf, i, L.degree, DEFAULT_TOL), L.degree)
-            assert np.all(np.diff(w) >= 0.0)
-            assert np.max(np.abs(V.conj().T @ V - np.eye(len(w)))) <= 1e-14
+        fibers = model_space(L.tuple, L, cfs).fibers
+        for i, (cf, A, K) in enumerate(zip(cfs, want, fibers)):
+            w, V = oracles.toeplitz_gram_eigh(_model_symbol(L.defects, cf, i, L.degree, DEFAULT_TOL),
+                                              L.degree)
             assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-14
+            # the functional-model split I - F F^H = G G^H, and the fiber
+            # from the thin SVD of G against the dense eigensolve of F F^H
+            G = _functional_model_factor(L, i)
+            assert np.max(np.abs(np.eye(len(A)) - G @ G.conj().T - A)) <= 1e-14
+            assert K.shape[1] == np.sum(w < 0.5)
+            assert subspace_distance(K, V[:, w < 0.5]) <= 1e-13
 
     def test_dilation_matrix(self, case):
         _, T, L, _ = case
@@ -385,22 +393,38 @@ class TestModelSpace:
 
     @pytest.mark.parametrize("radius,d", [(0.4, 8), (0.6, 6)])
     def test_fibers_match_dense_clip(self, radius, d):
-        # the fiber and drift from the eigensolve of F F^H against the dense
-        # clip of the kron-assembled factor K^H M M^H K
+        # the fiber from the thin SVD of the functional-model factor against
+        # the dense clip of the kron-assembled factor K^H M M^H K
         T = make_tensor_tuple([make_random_pure_contraction(2, radius, 11),
                                make_random_pure_contraction(2, radius, 12)])
         L = build_dilation(T, d=d, adaptive=False)
         cfs = charfns_for_tuple(T, L.defects)
         ms = model_space(T, L, cfs)
-        for K, drift, A in zip(ms.fibers, ms.drifts, oracles.one_var_raw_factors(L.defects, cfs, d)):
-            P, want = oracles.clip_to_projection(A)
+        for K, A in zip(ms.fibers, oracles.one_var_raw_factors(L.defects, cfs, d)):
+            P, _ = oracles.clip_to_projection(A)
             assert operator_norm(np.eye(len(K)) - K @ K.conj().T - P) <= 1e-13
-            assert drift == pytest.approx(want, rel=1e-9)
+
+    def test_conjugated_symbol_fails_drift(self, monkeypatch):
+        # the margin drift is the one check tying the fibers, which come
+        # from G, to the symbol F: a symbol with conjugated Taylor blocks
+        # (a wrong F with the right fibers) must fail it
+        import dcmodel.model as model_mod
+
+        T = make_tensor_tuple([make_random_pure_contraction(2, 0.5, 11),
+                               make_random_pure_contraction(2, 0.5, 12)])
+        L = build_dilation(T, d=8, adaptive=True)
+        cfs = charfns_for_tuple(T, L.defects)
+        assert max(model_space(T, L, cfs).margin_drifts) <= 1e-6
+        symbol = model_mod._model_symbol
+        monkeypatch.setattr(model_mod, "_model_symbol",
+                            lambda *args: [theta.conj() for theta in symbol(*args)])
+        with pytest.raises(ProjectionDriftExceedsTolerance):
+            model_space(T, L, cfs)
 
     def test_zero_tuple_exact(self):
         T = make_tensor_tuple([np.zeros((1, 1)), np.zeros((1, 1))])
         L = build_dilation(T, d=4, adaptive=False)
         cfs = charfns_for_tuple(T, L.defects)
         ms = model_space(T, L, cfs)
-        assert max(ms.drifts) <= 1e-13
+        assert max(ms.margin_drifts) <= 1e-13
         assert ms.s_residual <= 1e-13
