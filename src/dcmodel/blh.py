@@ -24,6 +24,7 @@ from .hardy import TruncatedHardySpace, apply_coshift, apply_shift
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
+    hermitian_norm,
     operator_norm,
     orthonormal_range_basis,
     phase_normalize_columns,
@@ -35,6 +36,7 @@ from .model import (
     charfns_for_tuple,
     model_space,
     one_var_toeplitz,
+    toeplitz_gram,
 )
 from .tuples import ContractionTuple, validate_tuple
 
@@ -126,8 +128,6 @@ def inner_from_wandering(
     rows, m = W.shape
     d = rows // coeff_dim - 1
     cols = tuple(W[k * coeff_dim:(k + 1) * coeff_dim, :].copy() for k in range(d + 1))
-    toep = one_var_toeplitz(cols, d)
-    gram = toep.conj().T @ toep
     # Only input layers whose shifted columns still fit under the degree
     # cap are meaningful: shifting a column of numerical degree ``deg``
     # by more than d - deg drops genuine coefficients off the top, which
@@ -140,9 +140,8 @@ def inner_from_wandering(
     else:
         deg = 0
     top_layer = max(0, min(d // 2, d - deg))
-    keep = np.repeat(np.arange(d + 1) <= top_layer, m)
-    sel = np.nonzero(keep)[0]
-    drift = operator_norm((gram - np.eye(gram.shape[0]))[np.ix_(sel, sel)])
+    gram = toeplitz_gram(cols, d, top_layer + 1, "in")
+    drift = hermitian_norm(gram - np.eye(len(gram)))
     return InnerColumnSet(variable, m, cols, coeff_dim, float(drift))
 
 

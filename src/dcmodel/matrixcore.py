@@ -70,6 +70,20 @@ def operator_norm(M) -> float:
         raise NumericalFailure("SVD failed") from exc
 
 
+def hermitian_norm(H) -> float:
+    """Spectral norm of a Hermitian matrix: its largest eigenvalue modulus,
+    from ``eigvalsh`` (which reads the lower triangle only), at about half
+    the flops of the bidiagonal SVD behind :func:`operator_norm`."""
+    A = as_matrix(H)
+    if A.size == 0:
+        return 0.0
+    try:
+        w = np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericalFailure("eigvalsh failed") from exc
+    return float(max(-w[0], w[-1]))
+
+
 def spectral_radius(M) -> float:
     """Maximum eigenvalue modulus of a square matrix."""
     A = as_matrix(M)

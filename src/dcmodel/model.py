@@ -16,10 +16,24 @@ from .hardy import TruncatedHardySpace, _check_polydisc, szego_kernel
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
+    hermitian_norm,
     operator_norm,
     orthonormal_range_basis,
 )
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
+
+
+# condition number of ``I - z T^H`` above which charfn_eval refuses the
+# resolvent solve; at 1e13 the solution keeps about three correct digits
+_RESOLVENT_COND_MAX = 1e13
+
+# largest norm of the part of the joint defect basis outside a star-defect
+# space that _embedding accepts as rounding
+_EMBEDDING_LEAK = 1e-6
+
+# squared singular value of G_i splitting the model fiber (near 1) from the
+# multiplier range (near 0): the eigenvalues of I - F F^H cluster at 0 and 1
+_FIBER_SPLIT = 0.5
 
 
 class ResolventSingular(RuntimeError):
@@ -68,7 +82,7 @@ def charfn_eval(Ti, z: complex, pair: DefectPair = None, cfg: ToleranceConfig = 
     I = np.eye(Ti.shape[0], dtype=complex)
     A = I - z * Ti.conj().T
     try:
-        if np.linalg.cond(A) > 1e13:
+        if np.linalg.cond(A) > _RESOLVENT_COND_MAX:
             raise ResolventSingular(f"resolvent ill-conditioned at z={z}")
         mid = np.linalg.solve(A, z * pair.defect)
     except np.linalg.LinAlgError as exc:
@@ -177,6 +191,45 @@ def one_var_toeplitz(taylor, d: int) -> np.ndarray:
     return M.reshape((d + 1) * r_out, (d + 1) * r_in)
 
 
+def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
+    """Leading ``layers``-layer block of ``F^H F`` (``side="in"``) or of
+    ``F F^H`` (``side="out"``), ``F = one_var_toeplitz(taylor, d)``, without
+    forming ``F``.
+
+    With ``c_m`` the Taylor blocks (zero past the series and past ``d``),
+    the blocks at lag ``s >= 0`` are partial sums of lag products:
+
+        (F F^H)_{l+s, l} = sum_{p <= l} c_{p+s} c_p^H
+        (F^H F)_{l+s, l} = sum_{p <= d-l-s} c_p^H c_{p+s}
+
+    so one einsum and one cumulative sum per lag give all of them, in
+    ``O(layers d r^3)`` flops rather than a ``(d+1) r``-cubed product.  The
+    blocks above the diagonal are the conjugate transposes of those below,
+    so the result is exactly Hermitian."""
+    if side not in ("in", "out"):
+        raise ValueError(f"side must be 'in' or 'out', got {side!r}")
+    if not 1 <= layers <= d + 1:
+        raise ValueError(f"layers must lie in 1..{d + 1}, got {layers}")
+    c = np.zeros((d + 1,) + np.shape(taylor[0]), dtype=complex)
+    c[:min(len(taylor), d + 1)] = np.array(taylor[:d + 1])
+    if side == "in":
+        c = c.conj().transpose(0, 2, 1)  # c_p^H c_{p+s}, as a lag product of c^H
+    r = c.shape[1]
+    G = np.zeros((layers, r, layers, r), dtype=complex)
+    for s in range(layers):
+        l = np.arange(layers - s)
+        if side == "out":
+            blocks = np.cumsum(np.einsum("pab,pcb->pac", c[s:layers], c[:layers - s].conj()), axis=0)
+        else:
+            # sum over p <= d - l - s: the cumulative sums at d - s down to d - layers + 1
+            lag = np.cumsum(np.einsum("pab,pcb->pac", c[:d + 1 - s], c[s:].conj()), axis=0)
+            blocks = lag[d - s - l]
+        G[l + s, :, l, :] = blocks
+        if s:
+            G[l, :, l + s, :] = blocks.conj().transpose(0, 2, 1)
+    return G.reshape(layers * r, layers * r)
+
+
 def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair: DefectPair = None) -> float:
     """Closed-form residual of the one-variable kernel identity
 
@@ -274,7 +327,7 @@ def _embedding(defects: DefectData, i: int, cfg: ToleranceConfig) -> np.ndarray:
     B = defects.big_defect_basis
     E = Bout.conj().T @ B
     leak = operator_norm(B - Bout @ E)
-    if leak > 1e-6:
+    if leak > _EMBEDDING_LEAK:
         raise NotProjection(
             f"joint defect space leaks out of star defect {i} by {leak:.2e}"
         )
@@ -288,6 +341,15 @@ def _model_symbol(defects: DefectData, cf: CharFn, i: int, d: int, cfg: Toleranc
     compression of the truncated multiplier projection."""
     E = _embedding(defects, i, cfg)
     return [E.conj().T @ theta for theta in cf.taylor[:d + 1]]
+
+
+def _apply_axis(A: np.ndarray, i: int, t: np.ndarray) -> np.ndarray:
+    """Apply ``I (x) A (x) I`` to the tensor ``t`` of shape
+    ``(k,)*n + (r,)``, the ``k r``-square ``A`` acting on the axis of
+    variable ``i`` and the coefficient axis (the last)."""
+    k, r, n = t.shape[i], t.shape[-1], t.ndim - 1
+    out = np.tensordot(A.reshape(k, r, k, r), t, axes=([2, 3], [i, n]))
+    return np.moveaxis(out, [0, 1], [i, n])
 
 
 def _project_axis(space: TruncatedHardySpace, B: np.ndarray, i: int, t: np.ndarray) -> np.ndarray:
@@ -412,19 +474,39 @@ def _fiber_commutator(space: TruncatedHardySpace, fibers, a: int, b: int, mask: 
     return _masked_opnorm_hermitian(apply_comm, mask, space.total_dim)
 
 
-def _gramian_operator_residual(L: DilationMap, symbols, mask: np.ndarray) -> float:
-    """Masked norm of ``L L^H - prod(I - F_i F_i^H)``, ``F_i`` the
-    block-Toeplitz matrix of variable ``i``'s symbol (:func:`_model_symbol`)."""
+def _gramian_box_operator(L: DilationMap, grams) -> tuple:
+    """Matvec of ``P (L L^H - prod(I - F_i F_i^H)) P`` on the margin box
+    and the box size, ``F_i`` the block-Toeplitz matrix of variable
+    ``i``'s symbol (:func:`_model_symbol`) and ``P`` the projection onto
+    the box, the layers ``k_i < m`` in every variable.
+
+    ``grams[i]`` is the leading ``m``-layer block ``A_i`` of ``F_i F_i^H``.
+    Restricting to the box is exact: ``P`` is the product of per-axis
+    projections ``P_i``, and ``P_j`` commutes with ``I (x) F_i F_i^H (x) I``
+    for ``j != i``, so ``P prod(I - F_i F_i^H) P = prod P_i (I - F_i F_i^H) P_i``,
+    which is ``prod(I - A_i)`` on the box.  The matvec takes and returns
+    flat vectors of the box tensor ``(m,)*n + (r,)`` in C order."""
     space = L.space
-    Fs = [one_var_toeplitz(sym, space.degree) for sym in symbols]
+    r = space.coeff_dim
+    box = (len(grams[0]) // r,) * space.n + (r,)
+    Lb = L.matrix.reshape(space.shape + (-1,))[tuple(slice(m) for m in box[:-1])]
+    Lb = Lb.reshape(-1, L.tuple.dim)
+    Lbh = Lb.conj().T
 
     def apply_X(v):
-        rhs = v.reshape(space.shape)
-        for i, F in enumerate(Fs):
-            rhs = rhs - _project_axis(space, F, i, rhs)
-        return L.matrix @ (L.matrix.conj().T @ v) - rhs.reshape(-1)
+        rhs = v.reshape(box)
+        for i, A in enumerate(grams):
+            rhs = rhs - _apply_axis(A, i, rhs)
+        return Lb @ (Lbh @ v) - rhs.reshape(-1)
 
-    return _masked_opnorm_hermitian(apply_X, mask, space.total_dim)
+    return apply_X, Lb.shape[0]
+
+
+def _gramian_operator_residual(L: DilationMap, grams) -> float:
+    """Norm of the operator-form Gramian residual on the margin box
+    (:func:`_gramian_box_operator`)."""
+    apply_X, size = _gramian_box_operator(L, grams)
+    return _masked_opnorm_hermitian(apply_X, np.ones(size), size)
 
 
 def _functional_model_factor(L: DilationMap, i: int) -> np.ndarray:
@@ -473,11 +555,14 @@ def model_space(
     The model fiber ``K_i``, an orthonormal basis of the complement of
     the clipped projection ``P_i``, holds the left singular vectors of
     ``G_i`` (:func:`_functional_model_factor`) with ``s^2 > 1/2``.  The
-    margin drift ``||I - K_i K_i^H - F_i F_i^H||`` is measured from the
-    symbol ``F_i``, the one check tying the fibers to it, and certified
-    against the symbol tail.  Also records, on the margin-restricted
+    margin drift ``||I - K_i K_i^H - F_i F_i^H||`` on the layers
+    ``k_i <= d - margin`` is measured from the symbol ``F_i``, the one
+    check tying the fibers to it, and certified against the symbol tail.
+    Its ``F_i F_i^H`` block ``A_i`` comes from lag sums
+    (:func:`toeplitz_gram`) and also serves the operator-form Gramian
+    residual on the margin box.  Also records, on the margin-restricted
     layers, the residual between the dilation range and the complement of
-    the multiplier sum space and the operator-form Gramian residual."""
+    the multiplier sum space."""
     d = L.degree
     if margin is None:
         margin = max(1, d // 2)
@@ -486,21 +571,19 @@ def model_space(
     if d == 0:
         margin = 0
     space = L.space
-    symbols = [_model_symbol(L.defects, cf, i, d, cfg) for i, cf in enumerate(charfns)]
-    fibers, margin_drifts = [], []
+    fibers, margin_drifts, grams = [], [], []
     r = space.coeff_dim
-    keep = (d - margin + 1) * r  # rows of the layers k_i <= d - margin
-    for i, sym in enumerate(symbols):
+    layers = d - margin + 1  # the layers k_i <= d - margin
+    for i, cf in enumerate(charfns):
         U, sv, _ = np.linalg.svd(_functional_model_factor(L, i), full_matrices=False)
-        K = U[:, sv ** 2 > 0.5]
+        K = U[:, sv ** 2 > _FIBER_SPLIT]
         fibers.append(K)
-        # F is block lower-triangular, so its leading block alone gives
-        # the leading block of F F^H
-        Fk = one_var_toeplitz(sym, d - margin)
-        Kk = K[:keep]
-        md = operator_norm(np.eye(keep) - Kk @ Kk.conj().T - Fk @ Fk.conj().T)
+        A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, layers, "out")
+        grams.append(A)
+        Kk = K[:layers * r]
+        md = hermitian_norm(np.eye(len(A)) - Kk @ Kk.conj().T - A)
         margin_drifts.append(md)
-        bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(charfns[i], d - margin))
+        bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(cf, d - margin))
         if md > bound:
             raise ProjectionDriftExceedsTolerance(
                 f"variable {i}: clipped-projection drift {md:.3e} exceeds bound {bound:.3e}"
@@ -515,7 +598,7 @@ def model_space(
         return q_basis @ (q_basis.conj().T @ v) - apply_axis_projections(space, fibers, v)
 
     s_residual = _masked_opnorm_hermitian(apply_X, mask, N)
-    gramian_residual = _gramian_operator_residual(L, symbols, mask)
+    gramian_residual = _gramian_operator_residual(L, grams)
     return ModelSpaces(
         space=space,
         fibers=fibers,

@@ -379,7 +379,8 @@ def _tuple_documents(draw):
     seed = draw(st.integers(0, 2 ** 16))
     T, meta = generate_demo(kind, dims, radius, seed)
     mats = list(T.matrices)
-    flaw = draw(st.sampled_from(["none", "non-commuting", "non-contractive", "huge", "corrupt"]))
+    flaw = draw(st.sampled_from(["none", "non-commuting", "non-contractive", "huge",
+                                 "float-limit", "corrupt"]))
     expect = (0, {0, 2})
     if flaw == "non-commuting":
         rng = np.random.default_rng(seed)
@@ -396,6 +397,10 @@ def _tuple_documents(draw):
         big = draw(st.floats(1e150, 8e307))
         mats = [big * (M + np.eye(T.dim)) for M in mats]
         expect = (1, {1})
+    elif flaw == "float-limit":
+        # the norms themselves overflow: the residuals are inf
+        mats = [(1.7e308 + 1.7e308j) * np.eye(T.dim) for _ in mats]
+        expect = (1, {1})
     doc = {"n": len(mats), "dim": len(mats[0]), "metadata": meta,
            "matrices": [[[_entry(z) for z in row] for row in M] for M in mats]}
     if flaw == "corrupt":
@@ -407,12 +412,41 @@ def _tuple_documents(draw):
 @given(_tuple_documents())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_contract(case):
-    # every tuple file maps to an exit code in {0, 1, 2, 3}, never a traceback
+    # every tuple file maps to an exit code in {0, 1, 2, 3}, never a
+    # traceback, and every JSON report is strict JSON
     doc, validate_code, suite_codes = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tuple.json")
         with open(path, "w") as f:
             json.dump(doc, f)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            assert main(["validate", path]) == validate_code
-            assert main(["suite", path, "--degree", "4"]) in suite_codes
+        for argv, codes in ((["validate", path], {validate_code}),
+                            (["suite", path, "--degree", "4"], suite_codes)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["--format", "json", *argv])
+            assert code in codes
+            if code != 3:
+                _strict_json(out.getvalue())
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON number")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_overflowing_residual_is_null(tmp_path, capsys):
+    # the norms of 1.7e308 + 1.7e308j entries overflow: the residual is
+    # written as null with a note, and the check still fails
+    path = _write_tuple(tmp_path / "edge.json", [(1.7e308 + 1.7e308j) * np.eye(2)] * 2)
+    assert main(["--format", "json", "validate", path]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    checks = {c["name"]: c for c in doc["checks"]}
+    for name in ("validate.contractive", "validate.pure"):
+        assert checks[name]["residual"] is None
+        assert checks[name]["status"] == "fail"
+        assert checks[name]["note"] == "residual overflows float64"
+    assert doc["verdict"] == "fail"
+    assert main(["validate", path]) == 1
+    assert "inf" in capsys.readouterr().out

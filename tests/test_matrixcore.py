@@ -12,6 +12,7 @@ from dcmodel.matrixcore import (
     NotPSD,
     ToleranceConfig,
     as_matrix,
+    hermitian_norm,
     hermitian_psd_sqrt,
     operator_norm,
     orthonormal_range_basis,
@@ -62,6 +63,22 @@ class TestOperatorNorm:
         na, nb, nab = operator_norm(A), operator_norm(B), operator_norm(A @ B)
         assert nab <= na * nb * (1 + 1e-12)
         assert na >= 0.0
+
+
+class TestHermitianNorm:
+    @pytest.mark.parametrize("shift", [-3.0, 0.0, 3.0])
+    def test_matches_operator_norm(self, shift):
+        # the largest modulus may sit at either end of the spectrum
+        A = _random_matrix(7, 6)
+        H = A + A.conj().T + shift * np.eye(6)
+        assert hermitian_norm(H) == pytest.approx(operator_norm(H), rel=1e-13)
+
+    def test_empty_is_zero(self):
+        assert hermitian_norm(np.zeros((0, 0))) == 0.0
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            hermitian_norm(np.array([[np.nan]]))
 
 
 class TestSpectralRadius:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmodel.dilation import build_dilation
-from dcmodel.matrixcore import DEFAULT_TOL, operator_norm, orthonormal_range_basis, subspace_distance
+from dcmodel.matrixcore import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    operator_norm,
+    orthonormal_range_basis,
+    subspace_distance,
+)
 from dcmodel.model import (
     NotProjection,
     ProjectionDriftExceedsTolerance,
@@ -15,6 +21,7 @@ from dcmodel.model import (
     _embedding,
     _fiber_commutator,
     _functional_model_factor,
+    _gramian_box_operator,
     _model_symbol,
     _project_axis,
     apply_axis_projections,
@@ -29,6 +36,7 @@ from dcmodel.model import (
     one_var_toeplitz,
     product_kernel_identity_check,
     taylor_tail_estimate,
+    toeplitz_gram,
 )
 from dcmodel.hardy import PointOutsidePolydisc, TruncatedHardySpace
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
@@ -167,6 +175,40 @@ class TestMultipliers:
         assert np.allclose(apply_axis_projections(sp, bases, V[:, 0]), want[:, 0], atol=1e-13)
 
 
+class TestToeplitzGram:
+    """Leading blocks of ``F^H F`` and ``F F^H`` from lag sums against the
+    dense products of the one-block-at-a-time Toeplitz matrix."""
+
+    @pytest.mark.parametrize("r_out,r_in", [(1, 1), (3, 2), (2, 4)])
+    @pytest.mark.parametrize("length", [1, 4, 7, 12])  # d + 1 = 7
+    def test_matches_dense(self, r_out, r_in, length):
+        rng = np.random.default_rng(100 * r_out + 10 * r_in + length)
+        taylor = [rng.standard_normal((r_out, r_in)) + 1j * rng.standard_normal((r_out, r_in))
+                  for _ in range(length)]
+        d = 6
+        F = oracles.one_var_toeplitz(taylor[:d + 1], d)
+        for side, dense, r in (("in", F.conj().T @ F, r_in), ("out", F @ F.conj().T, r_out)):
+            for layers in (1, 3, d + 1):
+                got = toeplitz_gram(taylor, d, layers, side)
+                assert got.shape == (layers * r, layers * r)
+                assert np.array_equal(got, got.conj().T)
+                assert np.max(np.abs(got - dense[:layers * r, :layers * r])) <= 1e-13
+
+    def test_degree_zero(self):
+        theta = np.array([[0.5, 1j]])
+        assert np.allclose(toeplitz_gram([theta], 0, 1, "out"), theta @ theta.conj().T)
+        assert np.allclose(toeplitz_gram([theta], 0, 1, "in"), theta.conj().T @ theta)
+
+    def test_rejects_bad_arguments(self):
+        taylor = [np.eye(2)]
+        with pytest.raises(ValueError):
+            toeplitz_gram(taylor, 3, 5, "out")
+        with pytest.raises(ValueError):
+            toeplitz_gram(taylor, 3, 0, "in")
+        with pytest.raises(ValueError):
+            toeplitz_gram(taylor, 3, 2, "left")
+
+
 class TestLoopOracles:
     """Block-Toeplitz symbols, the one-variable factors ``F F^H``, the
     model fibers and the dilation matrix against their one-block-at-a-time,
@@ -290,6 +332,44 @@ class TestGramian:
         T, L, cfs = tensor_model
         assert model_space(T, L, cfs).gramian_residual <= 1e-8
 
+    @pytest.mark.parametrize("factors,d,margin", [
+        (lambda: [make_random_pure_contraction(2, 0.5, 3), [[0.4]]], 5, 2),
+        (lambda: [make_random_pure_contraction(2, 0.6, 4),
+                  make_random_pure_contraction(2, 0.6, 5)], 4, 1),
+        (lambda: [make_random_pure_contraction(2, 0.3, 7), [[0.2]], [[0.15]]], 3, 1),
+    ])
+    def test_box_operator_matches_dense(self, factors, d, margin):
+        # the box matvec against the dense masked N x N operator
+        # P (L L^H - prod(I - F_i F_i^H)) P, with every F_i built in full.
+        # For the true symbols the operator vanishes on the box, so the
+        # symbols here are random blocks of their shapes, longer than d + 1.
+        # Their factors share the coefficient axis and need not commute: the
+        # product applies variable 0 first
+        T = make_tensor_tuple(factors())
+        L = build_dilation(T, d=d, adaptive=False)
+        cfs = charfns_for_tuple(T, L.defects)
+        sp, N = L.space, L.space.total_dim
+        layers = d - margin + 1
+        rng = np.random.default_rng(d)
+        shapes = [_model_symbol(L.defects, cf, i, d, DEFAULT_TOL)[0].shape
+                  for i, cf in enumerate(cfs)]
+        syms = [[0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 for _ in range(d + 3)] for shape in shapes]
+        dense = L.matrix @ L.matrix.conj().T
+        prod = np.eye(N)
+        for i, sym in enumerate(syms):
+            F = oracles.one_var_toeplitz(sym[:d + 1], d)
+            prod = (np.eye(N) - oracles.one_var_factor_matrix(sp, F @ F.conj().T, i)) @ prod
+        sel = np.nonzero(sp.margin_mask(margin))[0]
+        X = (dense - prod)[np.ix_(sel, sel)]
+        apply_X, size = _gramian_box_operator(
+            L, [toeplitz_gram(sym, d, layers, "out") for sym in syms])
+        assert size == len(sel) == layers ** T.n * sp.coeff_dim
+        V = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
+        for v in V.T:
+            assert np.max(np.abs(apply_X(v) - X @ v)) <= 1e-13
+        assert operator_norm(X) > 0.1
+
 
 class TestProjections:
     def test_clip_exact_projection(self):
@@ -405,21 +485,27 @@ class TestModelSpace:
             assert operator_norm(np.eye(len(K)) - K @ K.conj().T - P) <= 1e-13
 
     def test_conjugated_symbol_fails_drift(self, monkeypatch):
-        # the margin drift is the one check tying the fibers, which come
-        # from G, to the symbol F: a symbol with conjugated Taylor blocks
-        # (a wrong F with the right fibers) must fail it
+        # the margin drift and the operator-form Gramian both read the
+        # symbol F, the fibers come from G: a symbol with conjugated Taylor
+        # blocks (a wrong F with the right fibers) must fail the drift and,
+        # once the drift bound is lifted, move the Gramian off rounding level
         import dcmodel.model as model_mod
 
         T = make_tensor_tuple([make_random_pure_contraction(2, 0.5, 11),
                                make_random_pure_contraction(2, 0.5, 12)])
         L = build_dilation(T, d=8, adaptive=True)
         cfs = charfns_for_tuple(T, L.defects)
-        assert max(model_space(T, L, cfs).margin_drifts) <= 1e-6
+        ms = model_space(T, L, cfs)
+        assert max(ms.margin_drifts) <= 1e-6
+        assert ms.gramian_residual <= 1e-12
         symbol = model_mod._model_symbol
         monkeypatch.setattr(model_mod, "_model_symbol",
                             lambda *args: [theta.conj() for theta in symbol(*args)])
         with pytest.raises(ProjectionDriftExceedsTolerance):
             model_space(T, L, cfs)
+        ms = model_space(T, L, cfs, ToleranceConfig(tail_tol=10.0))
+        assert min(ms.margin_drifts) > 1e-3
+        assert ms.gramian_residual > 1e-3
 
     def test_zero_tuple_exact(self):
         T = make_tensor_tuple([np.zeros((1, 1)), np.zeros((1, 1))])
