@@ -64,26 +64,14 @@ class CheckResult:
     note: str = ""
 
 
-_OVERFLOW_NOTE = "residual overflows float64"
-
-
 @dataclass
 class VerificationReport:
     checks: list = field(default_factory=list)
     degree: int | None = None
 
-    def add(self, name, residual, tolerance, ref, note="", passed=None):
-        """Record an evaluated check, passed if ``residual <= tolerance``
-        unless ``passed`` says otherwise.  A residual that is not finite
-        always fails, with a note: the JSON report writes it as ``null``."""
-        residual = float(residual)
-        if passed is None:
-            passed = residual <= tolerance
-        if not np.isfinite(residual):
-            passed = False
-            note = "; ".join(filter(None, [note, _OVERFLOW_NOTE]))
-        self.checks.append(CheckResult(name, "pass" if passed else "fail", residual,
-                                       float(tolerance), ref, note))
+    def add(self, name, residual, tolerance, ref, note=""):
+        status = "pass" if residual <= tolerance else "fail"
+        self.checks.append(CheckResult(name, status, float(residual), float(tolerance), ref, note))
 
     def skip(self, name, ref, note):
         self.checks.append(CheckResult(name, "skipped", None, None, ref, note))
@@ -185,8 +173,9 @@ def _validation_checks(T: ContractionTuple, cfg: ToleranceConfig, report: Verifi
     report.add("validate.doubly_commuting", dcomm, cfg.check_tol,
                "commutation with the other adjoints")
     rho = max(v.spectral_radii)
-    report.add("validate.pure", rho, 1.0, "spectral radius below one (purity certificate)",
-               passed=rho < 1.0 - cfg.rank_tol)
+    report.checks.append(CheckResult(
+        "validate.pure", "pass" if rho < 1.0 - cfg.rank_tol else "fail",
+        float(rho), 1.0, "spectral radius below one (purity certificate)"))
     ref = "defects of a doubly commuting tuple commute"
     if not all(v.contractive):
         # the defects sqrt(I - T^H T) exist only for contractions
@@ -378,9 +367,28 @@ def generate_demo(kind: str, dims, radius: float, seed: int) -> tuple:
 # rendering
 
 
+_OVERFLOW_NOTE = "residual overflows float64"
+
+
 def _json_number(x):
     """``x``, or ``None`` where strict JSON has no number for it (inf, NaN)."""
     return x if x is not None and np.isfinite(x) else None
+
+
+def _json_check(c: CheckResult) -> dict:
+    # a residual with no JSON number is written as null, with a note; its
+    # status is already "fail", as inf and NaN compare false with any bound
+    note = c.note
+    if c.residual is not None and _json_number(c.residual) is None:
+        note = "; ".join(filter(None, [note, _OVERFLOW_NOTE]))
+    return {
+        "name": c.name,
+        "status": c.status,
+        "residual": _json_number(c.residual),
+        "tolerance": _json_number(c.tolerance),
+        "paper_ref": c.ref,
+        **({"note": note} if note else {}),
+    }
 
 
 def emit_report(report: VerificationReport, fmt: str, out=None) -> str:
@@ -388,17 +396,7 @@ def emit_report(report: VerificationReport, fmt: str, out=None) -> str:
     document; returns the rendered string (and writes it to ``out``)."""
     if fmt == "json":
         doc = {
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "residual": _json_number(c.residual),
-                    "tolerance": _json_number(c.tolerance),
-                    "paper_ref": c.ref,
-                    **({"note": c.note} if c.note else {}),
-                }
-                for c in report.checks
-            ],
+            "checks": [_json_check(c) for c in report.checks],
             "verdict": report.verdict,
             "skipped": report.skipped,
             **({"degree": report.degree} if report.degree is not None else {}),

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import TruncatedHardySpace, _axis_view, _check_polydisc, apply_shift
+from .hardy import TruncatedHardySpace, _axis_view, apply_shift, kernel_vector
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -158,39 +158,19 @@ def intertwining_residual(L: DilationMap, i: int) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(X.conj().T @ X)[-1], 0.0)))
 
 
-def adjoint_on_kernels(L: DilationMap, samples) -> np.ndarray:
-    """Rows ``(L^H k_j)^T`` for the truncated kernel vectors ``k_j`` of the
-    samples ``(w_j, eta_j)`` (the coefficient of ``k_j`` at ``k`` is
-    ``conj(w_j)^k eta_j``), without forming any ``k_j``: ``L.matrix``,
-    viewed as a tensor of shape ``space.shape + (dim,)``, is contracted
-    with the power vectors ``w_{j,i}^k`` of all samples one axis at a
-    time, then with ``conj(eta_j)``."""
-    space = L.space
-    if not len(samples):
-        return np.zeros((0, L.tuple.dim), dtype=complex)
-    W = np.array([np.atleast_1d(np.asarray(w, dtype=complex)) for w, _ in samples])
-    if W.ndim != 2 or W.shape[1] != space.n:
-        raise ValueError("point dimension mismatch")
-    _check_polydisc(W)
-    etas = np.array([np.asarray(eta, dtype=complex).reshape(space.coeff_dim) for _, eta in samples])
-    powers = W[:, :, None] ** np.arange(space.degree + 1)  # (samples, n, d+1)
-    t = np.tensordot(powers[:, 0], L.matrix.reshape(space.shape + (-1,)), axes=(1, 0))
-    for i in range(1, space.n):
-        t = np.einsum("sk,sk...->s...", powers[:, i], t)
-    return np.einsum("sr,srb->sb", etas.conj(), t).conj()
-
-
 def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Compare ``L^H`` applied to truncated kernel vectors
-    (:func:`adjoint_on_kernels`) against the closed-form resolvent
-    product.  ``samples`` is a sequence of pairs ``(w, eta)`` with ``w``
-    in the polydisc and ``eta`` in joint-defect coordinates."""
+    """Compare ``L^H`` applied to truncated kernel vectors against the
+    closed-form resolvent product.  ``samples`` is a sequence of pairs
+    ``(w, eta)`` with ``w`` in the polydisc and ``eta`` in joint-defect
+    coordinates."""
     B = L.defects.big_defect_basis
     D = L.defects.big_defect
     I = np.eye(L.tuple.dim, dtype=complex)
     worst = 0.0
-    for (w, eta), lhs in zip(samples, adjoint_on_kernels(L, samples)):
+    for w, eta in samples:
         w = np.atleast_1d(np.asarray(w, dtype=complex))
+        kv = kernel_vector(L.space, w, eta)
+        lhs = (kv.conj() @ L.matrix).conj()  # L^H kv without copying L
         v = D @ (B @ np.asarray(eta, dtype=complex).reshape(-1))
         for i, M in enumerate(L.tuple.matrices):
             v = np.linalg.solve(I - np.conj(w[i]) * M, v)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dcmodel.dilation as dilation
 from dcmodel.dilation import (
     DegreeCapExceeded,
     _box_gram_defect,
     _top_layer_tail,
-    adjoint_on_kernels,
     adjoint_on_kernels_check,
     build_dilation,
     compressed_tuple_residual,
@@ -133,37 +133,23 @@ class TestChecks:
         assert adjoint_on_kernels_check(L, samples) <= 1e-6
 
     @pytest.mark.parametrize("factors,d", [
-        (lambda: [make_random_pure_contraction(3, 0.6, 1)], 9),
-        (lambda: [[[0.5]], np.array([[0, 0.6], [0, 0]])], 6),
-        (lambda: [make_random_pure_contraction(2, 0.4, 2), [[0.3]], [[-0.2j]]], 4),
+        (lambda: [[[0.5]], np.array([[0, 0.6], [0, 0]])], 3),
+        (lambda: [make_random_pure_contraction(2, 0.7, 2), [[0.6]], [[-0.5j]]], 2),
     ])
-    def test_adjoint_on_kernels_match_kernel_vector(self, factors, d):
-        # L^H k from the per-axis contraction against the N-length kernel
-        # vector built one multi-index at a time
+    def test_adjoint_on_kernels_matches_loop_kernels(self, factors, d, monkeypatch):
+        # at a low degree the truncation residual is far above rounding, so
+        # L^H k with the loop-built kernel vector must give the same value
         T = make_tensor_tuple(factors())
         L = build_dilation(T, d=d, adaptive=False)
         rng = np.random.default_rng(d)
-        samples = [(0.8 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n)),
+        samples = [(0.9 * np.exp(2j * np.pi * rng.random(T.n)),
                     rng.standard_normal(L.defects.rank) + 1j * rng.standard_normal(L.defects.rank))
                    for _ in range(3)]
-        got = adjoint_on_kernels(L, samples)
-        assert got.shape == (3, T.dim)
-        for (w, eta), row in zip(samples, got):
-            want = L.matrix.conj().T @ oracles.kernel_vector(L.space, w, eta)
-            assert np.max(np.abs(row - want)) <= 1e-14
-
-    def test_adjoint_on_kernels_rejects_bad_points(self, pair):
-        _, L = pair
-        eta = [1.0, 0.0]
-        with pytest.raises(ValueError):
-            adjoint_on_kernels(L, [([0.1], eta)])
-        with pytest.raises(ValueError):
-            adjoint_on_kernels(L, [([0.1, 0.2], eta), ([0.1, 1.0], eta)])
-
-    def test_adjoint_on_kernels_no_samples(self, pair):
-        _, L = pair
-        assert adjoint_on_kernels(L, []).shape == (0, L.tuple.dim)
-        assert adjoint_on_kernels_check(L, []) == 0.0
+        got = [adjoint_on_kernels_check(L, [s]) for s in samples]
+        monkeypatch.setattr(dilation, "kernel_vector", oracles.kernel_vector)
+        want = [adjoint_on_kernels_check(L, [s]) for s in samples]
+        assert min(want) > 1e-3
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
 
     def test_adjoint_at_origin_exact(self, pair):
         T, L = pair
