@@ -55,12 +55,10 @@ from .model import (
     charfn_eval,
     charfn_taylor,
     charfns_for_tuple,
-    defect_invariance_check,
-    gramian_identity_check,
     inner_boundary_check,
     kernel_identity_check,
     model_space,
-    product_kernel_identity_check,
+    polydisc_kernel_checks,
     taylor_tail_estimate,
 )
 from .blh import (

@@ -33,12 +33,10 @@ from .model import (
     ProjectionDriftExceedsTolerance,
     ResolventSingular,
     charfns_for_tuple,
-    defect_invariance_check,
-    gramian_identity_check,
     inner_boundary_check,
     kernel_identity_check,
     model_space,
-    product_kernel_identity_check,
+    polydisc_kernel_checks,
 )
 from .tuples import (
     ContractionTuple,
@@ -299,15 +297,8 @@ def _numerical_checks(T, cfg, degree, boundary_samples, rng, report: Verificatio
          0.7 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n)))
         for _ in range(25)
     ]
-    report.add("model.defect_invariance",
-               defect_invariance_check(T, vec_pairs, cfg, L.defects),
-               cfg.check_tol, _SUITE_NUMERICAL[7][1])
-    report.add("model.product_kernel_identity",
-               product_kernel_identity_check(T, vec_pairs, cfg, L.defects),
-               cfg.check_tol, _SUITE_NUMERICAL[8][1])
-    report.add("model.gramian_kernel",
-               gramian_identity_check(L, vec_pairs, cfg),
-               cfg.check_tol, _SUITE_NUMERICAL[9][1])
+    for k, residual in enumerate(polydisc_kernel_checks(T, L.defects, vec_pairs, cfg), start=7):
+        report.add(_SUITE_NUMERICAL[k][0], residual, cfg.check_tol, _SUITE_NUMERICAL[k][1])
 
     # model_space also measures the operator-form Gramian on the factors it builds
     ms = model_space(T, L, charfns, cfg)

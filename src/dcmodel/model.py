@@ -242,7 +242,6 @@ def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair:
     if pair is None:
         pair = _single_defect_pair(Ti, cfg)
     Bout = pair.basis_star
-    I = np.eye(Ti.shape[0], dtype=complex)
     Ir = np.eye(Bout.shape[1], dtype=complex)
     worst = 0.0
     for z, w in samples:
@@ -250,10 +249,7 @@ def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair:
         th_z = charfn_eval(Ti, z, pair, cfg)
         th_w = charfn_eval(Ti, w, pair, cfg)
         lhs = szego_kernel([z], [w]) * (Ir - th_z @ th_w.conj().T)
-        amb = np.linalg.solve(
-            I - z * Ti.conj().T, np.linalg.solve(I - np.conj(w) * Ti, pair.defect_star)
-        )
-        rhs = Bout.conj().T @ pair.defect_star @ amb @ Bout
+        rhs = Bout.conj().T @ _resolvent_product_ambient(Ti, pair, z, w) @ Bout
         worst = max(worst, operator_norm(lhs - rhs))
     return worst
 
@@ -273,51 +269,47 @@ def _theta_product_ambient(Ti, pair: DefectPair, z: complex, w: complex, cfg) ->
     return Bout @ th_z @ th_w.conj().T @ Bout.conj().T
 
 
-def defect_invariance_check(T: ContractionTuple, samples, cfg: ToleranceConfig = DEFAULT_TOL, defects: DefectData = None) -> float:
-    """Max leakage out of the joint defect space under the bracketed
-    kernel operators and under ``Theta(z) Theta(w)^H``, over samples of
-    polydisc point pairs."""
-    if defects is None:
-        defects = defect_operators(T, cfg)
+def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
+                           cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
+    """Residuals of the polydisc kernel factorization on the joint defect
+    space, from exact closed forms (no truncation) at sample pairs
+    ``(z, w)`` of polydisc points, as ``(invariance, product, gramian)``.
+
+    Each pair needs two factors per variable, each evaluated once: the
+    resolvent product ``R_i = D*(I - z_i T_i^H)^{-1} (I - conj(w_i) T_i)^{-1} D*``
+    and ``X_i = Theta_i(z_i) Theta_i(w_i)^H``.  With ``B`` the joint
+    defect basis, ``P = B B^H`` and ``S`` the polydisc kernel:
+
+    - invariance: the largest leakage ``||(I - P) R_i P||`` and
+      ``||(I - P) X_i P||`` out of the joint defect space;
+    - product: ``B^H (prod R_i) B`` against ``S(z, w) B^H prod(I - X_i) B``;
+    - gramian: the dilation Gramian ``B^H D prod(I - z_i T_i^H)^{-1}
+      prod(I - conj(w_i) T_i)^{-1} D B``, ``D`` the joint defect, against
+      the same right-hand side."""
     B = defects.big_defect_basis
-    P = B @ B.conj().T
+    Bh = B.conj().T
+    P = B @ Bh
     I = np.eye(T.dim, dtype=complex)
-    worst = 0.0
+    invariance = product = gramian = 0.0
     for z, w in samples:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         w = np.atleast_1d(np.asarray(w, dtype=complex))
         _check_polydisc(z, w)
-        for i in range(T.n):
-            X1 = _resolvent_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i])
-            X2 = _theta_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i], cfg)
-            for X in (X1, X2):
-                worst = max(worst, operator_norm((I - P) @ X @ P))
-    return worst
-
-
-def product_kernel_identity_check(T: ContractionTuple, samples, cfg: ToleranceConfig = DEFAULT_TOL, defects: DefectData = None) -> float:
-    """Residual of the product kernel identity restricted to the joint
-    defect space: the product of the per-variable resolvent kernels
-    equals the polydisc kernel times the product of
-    ``I - Theta_i(z) Theta_i(w)^H``."""
-    if defects is None:
-        defects = defect_operators(T, cfg)
-    B = defects.big_defect_basis
-    I = np.eye(T.dim, dtype=complex)
-    worst = 0.0
-    for z, w in samples:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        _check_polydisc(z, w)
-        lhs_amb = I.copy()
-        rhs_amb = I.copy()
-        for i in range(T.n):
-            lhs_amb = _resolvent_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i]) @ lhs_amb
-            rhs_amb = (I - _theta_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i], cfg)) @ rhs_amb
-        lhs = B.conj().T @ lhs_amb @ B
-        rhs = szego_kernel(z, w) * (B.conj().T @ rhs_amb @ B)
-        worst = max(worst, operator_norm(lhs - rhs))
-    return worst
+        resolvents = I.copy()
+        complements = I.copy()
+        Vz = Vw = defects.big_defect @ B
+        for i, (Ti, pair) in enumerate(zip(T.matrices, defects.per_op)):
+            R = _resolvent_product_ambient(Ti, pair, z[i], w[i])
+            X = _theta_product_ambient(Ti, pair, z[i], w[i], cfg)
+            invariance = max(invariance, operator_norm((I - P) @ R @ P), operator_norm((I - P) @ X @ P))
+            resolvents = R @ resolvents
+            complements = (I - X) @ complements
+            Vw = np.linalg.solve(I - np.conj(w[i]) * Ti, Vw)
+            Vz = np.linalg.solve(I - np.conj(z[i]) * Ti, Vz)
+        rhs = szego_kernel(z, w) * (Bh @ complements @ B)
+        product = max(product, operator_norm(Bh @ resolvents @ B - rhs))
+        gramian = max(gramian, operator_norm(Vz.conj().T @ Vw - rhs))
+    return invariance, product, gramian
 
 
 def _embedding(defects: DefectData, i: int, cfg: ToleranceConfig) -> np.ndarray:
@@ -429,36 +421,6 @@ def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
             lam = nw
             v = w / nw
         return float(lam)
-
-
-def gramian_identity_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Residual of the Gramian identity relating the dilation to the
-    one-variable multiplier projections, from exact closed forms at
-    sample point pairs (no truncation).  :func:`model_space` measures
-    its truncated operator form."""
-    T = L.tuple
-    defects = L.defects
-    B = defects.big_defect_basis
-    I = np.eye(T.dim, dtype=complex)
-    worst = 0.0
-    for z, w in samples:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        _check_polydisc(z, w)
-        Vw = defects.big_defect @ B
-        Vz = defects.big_defect @ B
-        for i in range(T.n):
-            Vw = np.linalg.solve(I - np.conj(w[i]) * T.matrices[i], Vw)
-            Vz = np.linalg.solve(I - np.conj(z[i]) * T.matrices[i], Vz)
-        lhs = Vz.conj().T @ Vw
-        amb = I.copy()
-        for i in range(T.n):
-            amb = (
-                I - _theta_product_ambient(T.matrices[i], defects.per_op[i], z[i], w[i], cfg)
-            ) @ amb
-        rhs = szego_kernel(z, w) * (B.conj().T @ amb @ B)
-        worst = max(worst, operator_norm(lhs - rhs))
-    return worst
 
 
 def _fiber_commutator(space: TruncatedHardySpace, fibers, a: int, b: int, mask: np.ndarray) -> float:

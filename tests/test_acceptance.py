@@ -26,12 +26,10 @@ from dcmodel.matrixcore import operator_norm, orthonormal_range_basis
 from dcmodel.model import (
     charfn_taylor,
     charfns_for_tuple,
-    defect_invariance_check,
-    gramian_identity_check,
     inner_boundary_check,
     kernel_identity_check,
     model_space,
-    product_kernel_identity_check,
+    polydisc_kernel_checks,
 )
 from dcmodel.tuples import (
     ContractionTuple,
@@ -96,8 +94,8 @@ def test_acceptance_2_product_kernel_identities(suite_tuples, suite_dilations):
     for s, (T, L) in enumerate(zip(suite_tuples, suite_dilations)):
         rng = np.random.default_rng(3000 + s)
         pairs = [(_disc_points(rng, T.n), _disc_points(rng, T.n)) for _ in range(50)]
-        worst = max(worst, product_kernel_identity_check(T, pairs, defects=L.defects))
-        worst = max(worst, gramian_identity_check(L, pairs))
+        _, product, gramian = polydisc_kernel_checks(T, L.defects, pairs)
+        worst = max(worst, product, gramian)
     elapsed = time.time() - t0
     _report(2, worst <= 1e-9 and elapsed <= 10.0,
             f"product kernel + Gramian (kernel form): max residual {worst:.3e} "
@@ -150,9 +148,7 @@ def test_acceptance_4_exact_nilpotent_regime():
                     max(kernel_identity_check(T.matrices[i], scalar_pairs,
                                               pair=L.defects.per_op[i])
                         for i in range(T.n)),
-                    defect_invariance_check(T, pairs, defects=L.defects),
-                    product_kernel_identity_check(T, pairs, defects=L.defects),
-                    gramian_identity_check(L, pairs))
+                    *polydisc_kernel_checks(T, L.defects, pairs))
         ms = model_space(T, L, cfs)
         worst = max(worst, max(ms.margin_drifts), ms.s_residual, ms.gramian_residual,
                     max(ms.commutator_residuals.values(), default=0.0))

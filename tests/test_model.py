@@ -1,6 +1,8 @@
 """Characteristic functions, multipliers, kernel identities, Gramians,
 commuting projections and the model-space split."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,18 +30,21 @@ from dcmodel.model import (
     charfn_eval,
     charfn_taylor,
     charfns_for_tuple,
-    defect_invariance_check,
-    gramian_identity_check,
     inner_boundary_check,
     kernel_identity_check,
     model_space,
     one_var_toeplitz,
-    product_kernel_identity_check,
+    polydisc_kernel_checks,
     taylor_tail_estimate,
     toeplitz_gram,
 )
 from dcmodel.hardy import PointOutsidePolydisc, TruncatedHardySpace
-from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
+from dcmodel.tuples import (
+    ContractionTuple,
+    defect_operators,
+    make_random_pure_contraction,
+    make_tensor_tuple,
+)
 
 import oracles
 
@@ -288,8 +293,9 @@ class TestKernelIdentities:
              0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
             for _ in range(15)
         ]
-        assert defect_invariance_check(T, pairs) <= 1e-10
-        assert product_kernel_identity_check(T, pairs) <= 1e-10
+        invariance, product, _ = polydisc_kernel_checks(T, defect_operators(T), pairs)
+        assert invariance <= 1e-10
+        assert product <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -309,11 +315,39 @@ def test_checks_reject_points_outside_polydisc(tensor_model):
     with pytest.raises(PointOutsidePolydisc):
         kernel_identity_check(T.matrices[0], [(0.2, -1.0)], pair=L.defects.per_op[0])
     with pytest.raises(PointOutsidePolydisc):
-        defect_invariance_check(T, pairs, defects=L.defects)
-    with pytest.raises(PointOutsidePolydisc):
-        product_kernel_identity_check(T, pairs, defects=L.defects)
-    with pytest.raises(PointOutsidePolydisc):
-        gramian_identity_check(L, pairs)
+        polydisc_kernel_checks(T, L.defects, pairs)
+
+
+def test_each_kernel_residual_reads_its_own_identity(tensor_model):
+    # perturb one ingredient at a time: each breaks some identities and not
+    # others, so a residual returned in the wrong place shows
+    T, L, cfs = tensor_model
+    D = L.defects
+    rng = np.random.default_rng(5)
+    pairs = [(0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)),
+              0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
+             for _ in range(5)]
+    B = D.big_defect_basis.copy()
+    B[:, 0] = B[:, 0] + 0.5 * np.roll(B[:, 0], 1)
+    B[:, 0] /= np.linalg.norm(B[:, 0])
+    star = dataclasses.replace(D.per_op[0], defect_star=1.2 * D.per_op[0].defect_star)
+    cases = [
+        (D, ()),
+        # enters the Gramian's left side only
+        (dataclasses.replace(D, big_defect=1.5 * D.big_defect), (2,)),
+        # rescales the resolvent kernels and changes Theta_0, but neither
+        # leaks out of the joint defect space
+        (dataclasses.replace(D, per_op=(star,) + tuple(D.per_op[1:])), (1, 2)),
+        # the identities hold on the whole space here; only P = B B^H breaks
+        (dataclasses.replace(D, big_defect_basis=B), (0,)),
+    ]
+    for defects, moved in cases:
+        res = polydisc_kernel_checks(T, defects, pairs)
+        for k, value in enumerate(res):
+            if k in moved:
+                assert value > 0.05, (moved, res)
+            else:
+                assert value <= 1e-12, (moved, res)
 
 
 class TestGramian:
@@ -325,7 +359,7 @@ class TestGramian:
              0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
             for _ in range(15)
         ]
-        assert gramian_identity_check(L, pairs) <= 1e-10
+        assert polydisc_kernel_checks(T, L.defects, pairs)[2] <= 1e-10
 
     def test_operator_mode(self, tensor_model):
         # model_space measures the truncated operator form
