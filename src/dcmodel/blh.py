@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import build_dilation
-from .hardy import TruncatedHardySpace, apply_coshift, apply_shift
+from .hardy import TruncatedHardySpace, apply_coshift, apply_shift, box_rows
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -31,7 +31,7 @@ from .matrixcore import (
 )
 from .model import (
     ModelSpaces,
-    _masked_opnorm_hermitian,
+    _opnorm_hermitian,
     apply_axis_projections,
     charfns_for_tuple,
     model_space,
@@ -221,25 +221,28 @@ def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceCo
         b *= 2
 
 
-def _recovered_complement_distance(inners, space: TruncatedHardySpace, margin: int, apply_other, cfg) -> float:
-    """Masked norm of ``prod(I - Q_i) - X`` where ``Q_i`` projects onto
-    the multiplier range of ``inners[i]`` (variable ``i``) and
-    ``apply_other`` applies the Hermitian ``X``."""
-    complements = [_inner_range_complement(inner, space.degree, cfg) for inner in inners]
+def _recovered_complement_distance(inners, space: TruncatedHardySpace, box: TruncatedHardySpace,
+                                   apply_other, cfg) -> float:
+    """Norm of ``prod(I - Q_i) - X`` on the margin ``box`` of ``space``,
+    where ``Q_i`` projects onto the multiplier range of ``inners[i]``
+    (variable ``i``) and ``apply_other`` applies the Hermitian ``X`` to
+    flat vectors of the box.  Each complement is cut to its box rows,
+    which is exact (:func:`dcmodel.model._gramian_box_operator`)."""
+    rows = (box.degree + 1) * box.coeff_dim
+    complements = [_inner_range_complement(inner, space.degree, cfg)[:rows] for inner in inners]
 
     def apply_X(v):
-        return apply_axis_projections(space, complements, v) - apply_other(v)
+        return apply_axis_projections(box, complements, v) - apply_other(v)
 
-    mask = space.margin_mask(margin).astype(float)
-    return _masked_opnorm_hermitian(apply_X, mask, space.total_dim)
+    return _opnorm_hermitian(apply_X, box.total_dim)
 
 
 def reconstruct_S_check(inners, model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Distance (on margin-restricted layers) between the sum of the
-    recovered inner-multiplier ranges and the model's sum space, as the
-    norm of the difference of their complements ``prod(I - Q_i)`` and
+    """Distance (on the margin box) between the sum of the recovered
+    inner-multiplier ranges and the model's sum space, as the norm of the
+    difference of their complements ``prod(I - Q_i)`` and
     ``prod(I - P_i)``."""
-    return _recovered_complement_distance(inners, model.space, model.margin,
+    return _recovered_complement_distance(inners, model.space, model.box,
                                           model.apply_s_complement, cfg)
 
 
@@ -314,8 +317,10 @@ def rankone_corollary_check(
     # sum of recovered multiplier ranges against the complement of the
     # input subspace inside the ambient scalar space, via the complements
     # of both: prod(I - Q_i) against the projection onto the subspace
-    dist = _recovered_complement_distance(inners, space, ms.margin,
-                                          lambda v: Q @ (Q.conj().T @ v), cfg)
+    box = space.margin_box(ms.margin)
+    Qb = box_rows(space, Q, box)
+    dist = _recovered_complement_distance(inners, space, box,
+                                          lambda v: Qb @ (Qb.conj().T @ v), cfg)
     return RankOneVerdict(True, worst, pure=True, defect_rank=defect_rank,
                           constants_compression_rank=const_rank,
                           recovered_inners=tuple(inners), complement_distance=float(dist))

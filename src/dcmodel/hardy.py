@@ -48,12 +48,18 @@ class TruncatedHardySpace:
     def total_dim(self) -> int:
         return self.num_indices * self.coeff_dim
 
-    def margin_mask(self, margin: int) -> np.ndarray:
-        """Boolean row mask keeping indices with every component
-        <= degree - margin."""
-        keep = np.zeros(self.shape, dtype=bool)
-        keep[(slice(max(0, self.degree - margin + 1)),) * self.n] = True
-        return keep.reshape(-1)
+    def margin_box(self, margin: int) -> "TruncatedHardySpace":
+        """The indices with every component at most ``degree - margin``, as
+        a space of their own (:func:`box_rows` restricts flat columns to it)."""
+        return TruncatedHardySpace(self.n, self.degree - margin, self.coeff_dim)
+
+
+def box_rows(space: TruncatedHardySpace, M: np.ndarray, box: TruncatedHardySpace) -> np.ndarray:
+    """The rows of flat columns ``M`` of ``space`` at the indices with every
+    component at most ``box.degree``, as flat columns of ``box`` (a space
+    with the same ``n`` and coefficient dimension and a lower degree)."""
+    t = M.reshape(space.shape + M.shape[1:])[(slice(box.degree + 1),) * space.n]
+    return t.reshape((box.total_dim,) + M.shape[1:])
 
 
 def _axis_view(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers
-from .hardy import TruncatedHardySpace, _check_polydisc, szego_kernel
+from .hardy import TruncatedHardySpace, _check_polydisc, box_rows, szego_kernel
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -366,48 +366,35 @@ def apply_axis_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> 
     return t.reshape(V.shape)
 
 
-def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
-    """Spectral norm of ``P_mask X P_mask`` for Hermitian ``X`` given as
-    a matvec callable.
+def _opnorm_hermitian(apply_X, size: int) -> float:
+    """Spectral norm of a Hermitian ``X`` on ``C^size`` given as a matvec
+    callable.
 
     What it returns depends on the branch taken:
 
-    - an empty mask: exactly 0;
-    - at most two active rows: the exact norm of the dense mini-block;
-    - ``||X v||`` below 1e-13 for one random unit probe ``v``: that
-      value, an estimate from a single probe and not a bound (it can
-      undershoot ``||X||`` by about ``sqrt(N)``);
+    - ``size`` at most two: the exact norm of the dense matrix;
+    - ``||X v||`` below 1e-13 for one random unit probe ``v``:
+      that value, an estimate from a single probe and not a bound (it can
+      undershoot ``||X||`` by about ``sqrt(size)``);
     - otherwise: the largest-magnitude eigenvalue from ``eigsh``
-      (Lanczos, relative tolerance 1e-10), or, if ARPACK fails, the
-      growth factor after 200 power-iteration steps, a lower bound."""
-    active = int(mask.sum())
-    if active == 0:
-        return 0.0
-
+      (Lanczos, relative tolerance 1e-10), or, if ARPACK fails,
+      the growth factor after 200 power-iteration steps, a lower bound."""
     def mv(v):
-        v = np.asarray(v, dtype=complex).reshape(N)
-        return mask * apply_X(mask * v)
+        return apply_X(np.asarray(v, dtype=complex).reshape(size))
 
-    if active <= 2:
-        # eigsh needs k < n; fall back to a dense mini-block
-        idx = np.nonzero(mask)[0]
-        cols = []
-        for j in idx:
-            e = np.zeros(N, dtype=complex)
-            e[j] = 1.0
-            cols.append(mv(e)[idx])
-        return operator_norm(np.array(cols).T)
+    if size <= 2:
+        # eigsh needs k < size; the columns of X are its values on the unit vectors
+        cols = [mv(e) for e in np.eye(size, dtype=complex)]
+        return operator_norm(np.array(cols).reshape(size, size).T)
     rng = np.random.default_rng(1234)
-    v0 = mask * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
+    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v0 /= np.linalg.norm(v0)
     probe = float(np.linalg.norm(mv(v0)))
     if probe < 1e-13:
         return probe
-    op = spla.LinearOperator((N, N), matvec=mv, dtype=complex)
+    op = spla.LinearOperator((size, size), matvec=mv, dtype=complex)
     try:
-        vals = spla.eigsh(
-            op, k=1, which="LM", return_eigenvectors=False, tol=1e-10, v0=v0.real + 0.0
-        )
+        vals = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-10, v0=v0.real + 0.0)
         return float(abs(vals[0]))
     except spla.ArpackError:
         # plain power iteration fallback
@@ -423,17 +410,17 @@ def _masked_opnorm_hermitian(apply_X, mask: np.ndarray, N: int) -> float:
         return float(lam)
 
 
-def _fiber_commutator(space: TruncatedHardySpace, fibers, a: int, b: int, mask: np.ndarray) -> float:
-    """Masked norm of the commutator of the clipped projections of
-    variables ``a`` and ``b``, from their model fibers:
-    ``[I - K_a K_a^H, I - K_b K_b^H] = [K_a K_a^H, K_b K_b^H]``."""
+def _fiber_commutator(box: TruncatedHardySpace, fibers, a: int, b: int) -> float:
+    """Norm of the commutator of the clipped projections of variables
+    ``a`` and ``b`` on the margin ``box``, from their model fibers cut to
+    the box rows: ``[I - K_a K_a^H, I - K_b K_b^H] = [K_a K_a^H, K_b K_b^H]``."""
     def apply_comm(v):
-        t = v.reshape(space.shape)
-        Pa = lambda x: _project_axis(space, fibers[a], a, x)
-        Pb = lambda x: _project_axis(space, fibers[b], b, x)
+        t = v.reshape(box.shape)
+        Pa = lambda x: _project_axis(box, fibers[a], a, x)
+        Pb = lambda x: _project_axis(box, fibers[b], b, x)
         return 1j * (Pa(Pb(t)) - Pb(Pa(t))).reshape(-1)
 
-    return _masked_opnorm_hermitian(apply_comm, mask, space.total_dim)
+    return _opnorm_hermitian(apply_comm, box.total_dim)
 
 
 def _gramian_box_operator(L: DilationMap, grams) -> tuple:
@@ -450,25 +437,23 @@ def _gramian_box_operator(L: DilationMap, grams) -> tuple:
     flat vectors of the box tensor ``(m,)*n + (r,)`` in C order."""
     space = L.space
     r = space.coeff_dim
-    box = (len(grams[0]) // r,) * space.n + (r,)
-    Lb = L.matrix.reshape(space.shape + (-1,))[tuple(slice(m) for m in box[:-1])]
-    Lb = Lb.reshape(-1, L.tuple.dim)
+    box = TruncatedHardySpace(space.n, len(grams[0]) // r - 1, r)
+    Lb = box_rows(space, L.matrix, box)
     Lbh = Lb.conj().T
 
     def apply_X(v):
-        rhs = v.reshape(box)
+        rhs = v.reshape(box.shape)
         for i, A in enumerate(grams):
             rhs = rhs - _apply_axis(A, i, rhs)
         return Lb @ (Lbh @ v) - rhs.reshape(-1)
 
-    return apply_X, Lb.shape[0]
+    return apply_X, box.total_dim
 
 
 def _gramian_operator_residual(L: DilationMap, grams) -> float:
     """Norm of the operator-form Gramian residual on the margin box
     (:func:`_gramian_box_operator`)."""
-    apply_X, size = _gramian_box_operator(L, grams)
-    return _masked_opnorm_hermitian(apply_X, np.ones(size), size)
+    return _opnorm_hermitian(*_gramian_box_operator(L, grams))
 
 
 def _functional_model_factor(L: DilationMap, i: int) -> np.ndarray:
@@ -498,10 +483,17 @@ class ModelSpaces:
     gramian_residual: float
     margin: int
 
+    @property
+    def box(self) -> TruncatedHardySpace:
+        """The margin box, the layers ``k_i <= d - margin`` in every variable."""
+        return self.space.margin_box(self.margin)
+
     def apply_s_complement(self, V: np.ndarray) -> np.ndarray:
-        """Apply ``prod(I - P_i)`` (clipped projections) to flat columns;
-        ``I - P_i`` projects onto the model fiber ``fibers[i]``."""
-        return apply_axis_projections(self.space, self.fibers, V)
+        """Apply ``prod(I - P_i)`` (clipped projections) compressed to the
+        margin box to flat columns of the box: ``I - P_i`` projects onto
+        the model fiber ``fibers[i]``, here cut to its box rows."""
+        rows = (self.box.degree + 1) * self.box.coeff_dim
+        return apply_axis_projections(self.box, [K[:rows] for K in self.fibers], V)
 
 
 def model_space(
@@ -522,9 +514,11 @@ def model_space(
     check tying the fibers to it, and certified against the symbol tail.
     Its ``F_i F_i^H`` block ``A_i`` comes from lag sums
     (:func:`toeplitz_gram`) and also serves the operator-form Gramian
-    residual on the margin box.  Also records, on the margin-restricted
-    layers, the residual between the dilation range and the complement of
-    the multiplier sum space."""
+    residual on the margin box.  Also records the residual between the
+    dilation range and the complement of the multiplier sum space.  The
+    commutators, that split and the Gramian are norms on the margin box,
+    with every factor cut to its box rows; this is exact, as
+    :func:`_gramian_box_operator` explains."""
     d = L.degree
     if margin is None:
         margin = max(1, d // 2)
@@ -533,16 +527,18 @@ def model_space(
     if d == 0:
         margin = 0
     space = L.space
-    fibers, margin_drifts, grams = [], [], []
+    box = space.margin_box(margin)
     r = space.coeff_dim
-    layers = d - margin + 1  # the layers k_i <= d - margin
+    layers = box.degree + 1
+    fibers, box_fibers, margin_drifts, grams = [], [], [], []
     for i, cf in enumerate(charfns):
         U, sv, _ = np.linalg.svd(_functional_model_factor(L, i), full_matrices=False)
         K = U[:, sv ** 2 > _FIBER_SPLIT]
         fibers.append(K)
+        Kk = K[:layers * r]
+        box_fibers.append(Kk)
         A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, layers, "out")
         grams.append(A)
-        Kk = K[:layers * r]
         md = hermitian_norm(np.eye(len(A)) - Kk @ Kk.conj().T - A)
         margin_drifts.append(md)
         bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(cf, d - margin))
@@ -550,16 +546,14 @@ def model_space(
             raise ProjectionDriftExceedsTolerance(
                 f"variable {i}: clipped-projection drift {md:.3e} exceeds bound {bound:.3e}"
             )
-    N = space.total_dim
-    mask = space.margin_mask(margin).astype(float)
-    comms = {(a, b): _fiber_commutator(space, fibers, a, b, mask)
+    comms = {(a, b): _fiber_commutator(box, box_fibers, a, b)
              for a in range(T.n) for b in range(a + 1, T.n)}
-    q_basis = orthonormal_range_basis(L.matrix, cfg)
+    q_box = box_rows(space, orthonormal_range_basis(L.matrix, cfg), box)
 
     def apply_X(v):
-        return q_basis @ (q_basis.conj().T @ v) - apply_axis_projections(space, fibers, v)
+        return q_box @ (q_box.conj().T @ v) - apply_axis_projections(box, box_fibers, v)
 
-    s_residual = _masked_opnorm_hermitian(apply_X, mask, N)
+    s_residual = _opnorm_hermitian(apply_X, box.total_dim)
     gramian_residual = _gramian_operator_residual(L, grams)
     return ModelSpaces(
         space=space,

@@ -372,5 +372,5 @@ def reconstruct_distance(inners, model, cfg=DEFAULT_TOL) -> float:
     space = model.space
     blocks = [multiplier_columns(inner, space) for inner in inners]
     U = _loose_basis(np.concatenate([np.zeros((space.total_dim, 0))] + blocks, axis=1), cfg)
-    sel = np.nonzero(space.margin_mask(model.margin))[0]
+    sel = np.nonzero(margin_mask(space, model.margin))[0]
     return operator_norm((s_projection(model) - U @ U.conj().T)[np.ix_(sel, sel)])

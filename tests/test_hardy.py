@@ -13,6 +13,7 @@ from dcmodel.hardy import (
     TruncatedHardySpace,
     apply_coshift,
     apply_shift,
+    box_rows,
     kernel_vector,
     szego_kernel,
 )
@@ -83,15 +84,21 @@ class TestIndexing:
 
     @pytest.mark.parametrize("n,d,r", [(1, 4, 2), (2, 3, 1), (3, 2, 2)])
     def test_margin_mask_matches_loop(self, n, d, r):
+        # the margin box keeps the rows of the loop mask, in storage order
         sp = TruncatedHardySpace(n, d, r)
+        V = np.arange(sp.total_dim * 2).reshape(-1, 2)
         for margin in range(d + 1):
-            assert np.array_equal(sp.margin_mask(margin), oracles.margin_mask(sp, margin))
+            box = sp.margin_box(margin)
+            mask = oracles.margin_mask(sp, margin)
+            assert np.array_equal(box_rows(sp, V, box), V[mask])
+            assert np.array_equal(box_rows(sp, V[:, 0], box), V[mask, 0])
 
     def test_margin_mask(self):
         sp = TruncatedHardySpace(2, 2, 1)
-        mask = sp.margin_mask(1)
-        kept = [k for k, m in zip(indices(sp), mask) if m]
-        assert kept == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        box = sp.margin_box(1)
+        kept = box_rows(sp, np.array(indices(sp)), box)
+        assert box.shape == (2, 2, 1)
+        assert [tuple(k) for k in kept] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestShifts:
