@@ -373,11 +373,11 @@ def _opnorm_hermitian(apply_X, size: int) -> float:
     What it returns depends on the branch taken:
 
     - ``size`` at most two: the exact norm of the dense matrix;
-    - ``||X v||`` below 1e-13 for one random unit probe ``v``:
+    - ``||X v||`` below 1e-13 for one random complex unit probe ``v``:
       that value, an estimate from a single probe and not a bound (it can
       undershoot ``||X||`` by about ``sqrt(size)``);
     - otherwise: the largest-magnitude eigenvalue from ``eigsh``
-      (Lanczos, relative tolerance 1e-10), or, if ARPACK fails,
+      (Lanczos started from ``v``, relative tolerance 1e-10), or, if ARPACK fails,
       the growth factor after 200 power-iteration steps, a lower bound."""
     def mv(v):
         return apply_X(np.asarray(v, dtype=complex).reshape(size))
@@ -394,7 +394,7 @@ def _opnorm_hermitian(apply_X, size: int) -> float:
         return probe
     op = spla.LinearOperator((size, size), matvec=mv, dtype=complex)
     try:
-        vals = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-10, v0=v0.real + 0.0)
+        vals = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-10, v0=v0)
         return float(abs(vals[0]))
     except spla.ArpackError:
         # plain power iteration fallback
