@@ -25,6 +25,7 @@ from dcmodel.model import (
     _functional_model_factor,
     _gramian_box_operator,
     _model_symbol,
+    _opnorm_hermitian,
     _project_axis,
     apply_axis_projections,
     charfn_eval,
@@ -38,7 +39,7 @@ from dcmodel.model import (
     taylor_tail_estimate,
     toeplitz_gram,
 )
-from dcmodel.hardy import PointOutsidePolydisc, TruncatedHardySpace
+from dcmodel.hardy import PointOutsidePolydisc, TruncatedHardySpace, box_rows
 from dcmodel.tuples import (
     ContractionTuple,
     defect_operators,
@@ -456,6 +457,43 @@ class TestProjections:
                 got = _fiber_commutator(box, box_fibers, a, b)
                 assert want > 0.05
                 assert got == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("n,d,r,margin", [(2, 3, 2, 1), (3, 2, 2, 1)])
+    def test_box_restriction_matches_dense(self, n, d, r, margin):
+        # P (prod I (x) K_i K_i^H (x) I - Q Q^H) P, the form of the subspace
+        # split and of the recovered-sum distance, from thin bases cut to
+        # their box rows against the dense masked N x N operator.  The
+        # fibers K_i = U_i (x) w share one coefficient direction w, so their
+        # projections commute and the operator is Hermitian
+        sp = TruncatedHardySpace(n, d, r)
+        rng = np.random.default_rng(10 * n + d)
+        w = rng.standard_normal((r, 1)) + 1j * rng.standard_normal((r, 1))
+        w /= np.linalg.norm(w)
+        fibers = [np.kron(np.linalg.qr(rng.standard_normal((d + 1, 2))
+                                       + 1j * rng.standard_normal((d + 1, 2)))[0], w)
+                  for _ in range(n)]
+        Q = np.linalg.qr(rng.standard_normal((sp.total_dim, 4))
+                         + 1j * rng.standard_normal((sp.total_dim, 4)))[0]
+        dense = -Q @ Q.conj().T
+        prod = np.eye(sp.total_dim)
+        for i, K in enumerate(fibers):
+            prod = oracles.one_var_factor_matrix(sp, K @ K.conj().T, i) @ prod
+        sel = np.nonzero(oracles.margin_mask(sp, margin))[0]
+        X = (prod + dense)[np.ix_(sel, sel)]
+
+        box = sp.margin_box(margin)
+        box_fibers = [K[:(box.degree + 1) * r] for K in fibers]
+        Qb = box_rows(sp, Q, box)
+
+        def apply_X(v):
+            return apply_axis_projections(box, box_fibers, v) - Qb @ (Qb.conj().T @ v)
+
+        V = rng.standard_normal((len(sel), 3)) + 1j * rng.standard_normal((len(sel), 3))
+        for v in V.T:
+            assert np.max(np.abs(apply_X(v) - X @ v)) <= 1e-13
+        want = operator_norm(X)
+        assert want > 0.1
+        assert _opnorm_hermitian(apply_X, box.total_dim) == pytest.approx(want, rel=1e-8)
 
     def test_sum_projection_oracle(self):
         # simultaneously diagonal 0/1 patterns conjugated by a random unitary
