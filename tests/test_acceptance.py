@@ -3,6 +3,7 @@ each, at the stated tolerances."""
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,8 +282,8 @@ def test_acceptance_10_cli_contract(tmp_path, capsys):
         main(["--format", "json", "suite", demo, "--report", r2]),
     ]
     capsys.readouterr()
-    identical = open(r1, "rb").read() == open(r2, "rb").read()
-    doc = json.load(open(r1))
+    identical = Path(r1).read_bytes() == Path(r2).read_bytes()
+    doc = json.loads(Path(r1).read_text())
     verdict = doc["verdict"]
     skipped = [c["name"] for c in doc["checks"] if c["status"] == "skipped"]
     elapsed = time.time() - t0

@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ class TestMain:
         assert main(["--format", "json", "suite", demo, "--report", rep1]) == 0
         assert main(["--format", "json", "suite", demo, "--report", rep2]) == 0
         capsys.readouterr()
-        assert open(rep1, "rb").read() == open(rep2, "rb").read()
+        assert Path(rep1).read_bytes() == Path(rep2).read_bytes()
 
     def test_parse_error_exit_3(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -292,7 +293,7 @@ class TestExitCodes:
         rep = str(tmp_path / "report.json")
         code = main(["--format", "json", "suite", TestExitCodes._slow_tuple(tmp_path),
                      "--report", rep, *extra])
-        checks = json.load(open(rep))["checks"]
+        checks = json.loads(Path(rep).read_text())["checks"]
         return code, {c["name"]: c for c in checks}, [c["name"] for c in checks]
 
     def test_unconverged_adaptive_run_exits_2(self, tmp_path, capsys):
@@ -325,7 +326,7 @@ class TestExitCodes:
         main(["demo", "tensor", "--dims", "2,2", "--out", demo])
         assert main(["--format", "json", "suite", demo, "--degree", "4000", "--report", rep]) == 2
         capsys.readouterr()
-        doc = json.load(open(rep))
+        doc = json.loads(Path(rep).read_text())
         numerical = [c for c in doc["checks"] if not c["name"].startswith("validate.")]
         assert len(numerical) == 16
         for c in numerical:
