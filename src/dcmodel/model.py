@@ -492,8 +492,9 @@ class ModelSpaces:
         """Apply ``prod(I - P_i)`` (clipped projections) compressed to the
         margin box to flat columns of the box: ``I - P_i`` projects onto
         the model fiber ``fibers[i]``, here cut to its box rows."""
-        rows = (self.box.degree + 1) * self.box.coeff_dim
-        return apply_axis_projections(self.box, [K[:rows] for K in self.fibers], V)
+        box = self.box
+        rows = (box.degree + 1) * box.coeff_dim
+        return apply_axis_projections(box, [K[:rows] for K in self.fibers], V)
 
 
 def model_space(
