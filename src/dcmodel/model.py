@@ -376,8 +376,8 @@ def _opnorm_hermitian(apply_X, size: int) -> float:
     - ``||X v||`` below 1e-13 for one random complex unit probe ``v``:
       that value, an estimate from a single probe and not a bound (it can
       undershoot ``||X||`` by about ``sqrt(size)``);
-    - otherwise: the largest-magnitude eigenvalue from ``eigsh``
-      (Lanczos started from ``v``, relative tolerance 1e-10), or, if ARPACK fails,
+    - otherwise: the largest-magnitude eigenvalue from ``eigsh`` (Lanczos
+      started from ``v``, relative tolerance 1e-10), or, if ARPACK fails,
       the growth factor after 200 power-iteration steps, a lower bound."""
     def mv(v):
         return apply_X(np.asarray(v, dtype=complex).reshape(size))
