@@ -85,20 +85,24 @@ def apply_coshift(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.nda
 
 
 def _check_polydisc(*points):
+    """Raise unless every coordinate of every point, or of every row of a
+    stack of points, lies in the open unit disc."""
     for z in points:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if np.any(np.abs(z) >= 1.0):
             raise PointOutsidePolydisc(f"point {z} not in the open polydisc")
 
 
-def szego_kernel(z, w) -> complex:
-    """Product kernel of the polydisc: prod_i 1 / (1 - z_i conj(w_i))."""
+def szego_kernel(z, w):
+    """Product kernel of the polydisc: prod_i 1 / (1 - z_i conj(w_i)); for
+    ``(k, n)`` stacks of points, the ``k`` values as an array."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     if z.shape != w.shape:
         raise ValueError("points must have equal length")
     _check_polydisc(z, w)
-    return complex(reduce(lambda a, b: a * b, 1.0 / (1.0 - z * np.conj(w)), 1.0))
+    value = np.prod(1.0 / (1.0 - z * np.conj(w)), axis=-1)
+    return complex(value) if z.ndim == 1 else value
 
 
 def _monomials(space: TruncatedHardySpace, z: np.ndarray) -> np.ndarray:

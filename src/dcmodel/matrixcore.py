@@ -60,12 +60,17 @@ def as_matrix(M) -> np.ndarray:
 
 
 def operator_norm(M) -> float:
-    """Largest singular value."""
-    A = as_matrix(M)
+    """Largest singular value; of a ``(k, m, n)`` stack of matrices, the
+    largest over the stack, from one stacked SVD."""
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 3:
+        A = as_matrix(A)
+    elif not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains NaN or Inf entries")
     if A.size == 0:
         return 0.0
     try:
-        return float(np.linalg.svd(A, compute_uv=False)[0])
+        return float(np.linalg.svd(A, compute_uv=False)[..., 0].max())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailure("SVD failed") from exc
 

@@ -73,22 +73,27 @@ def _single_defect_pair(Ti: np.ndarray, cfg: ToleranceConfig) -> DefectPair:
     return defect_operators(ContractionTuple((Ti,)), cfg).per_op[0]
 
 
-def charfn_eval(Ti, z: complex, pair: DefectPair = None, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def charfn_eval(Ti, z, pair: DefectPair = None, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Point value of the characteristic function in defect coordinates,
-    via a direct resolvent solve: ``-T + D*(I - z T^H)^{-1} z D``."""
+    via a direct resolvent solve: ``-T + D*(I - z T^H)^{-1} z D``.  For a
+    1-D array ``z`` the values are stacked along a leading axis, from one
+    stacked condition-number gate and one stacked solve."""
     Ti = np.asarray(Ti, dtype=complex)
     if pair is None:
         pair = _single_defect_pair(Ti, cfg)
-    I = np.eye(Ti.shape[0], dtype=complex)
-    A = I - z * Ti.conj().T
+    z = np.asarray(z, dtype=complex)
+    zk = z.reshape(-1, 1, 1)
+    A = np.eye(Ti.shape[0], dtype=complex) - zk * Ti.conj().T
     try:
-        if np.linalg.cond(A) > _RESOLVENT_COND_MAX:
-            raise ResolventSingular(f"resolvent ill-conditioned at z={z}")
-        mid = np.linalg.solve(A, z * pair.defect)
+        bad = np.flatnonzero(np.linalg.cond(A) > _RESOLVENT_COND_MAX)
+        if bad.size:
+            raise ResolventSingular(f"resolvent ill-conditioned at z={z.reshape(-1)[bad[0]]}")
+        mid = np.linalg.solve(A, zk * pair.defect)
     except np.linalg.LinAlgError as exc:
         raise ResolventSingular(f"resolvent singular at z={z}") from exc
     ambient = -Ti + pair.defect_star @ mid
-    return pair.basis_star.conj().T @ ambient @ pair.basis
+    theta = pair.basis_star.conj().T @ ambient @ pair.basis
+    return theta[0] if z.ndim == 0 else theta
 
 
 def charfn_taylor(
@@ -109,18 +114,20 @@ def charfn_taylor(
     coeffs = [-(Bout.conj().T @ Ti @ Bin)]
     core = Bout.conj().T @ pair.defect_star  # (r_out, dim)
     P = pair.defect @ Bin                    # (dim, r_in), running T^{H(m-1)} D B
-    norms = []
-    for _ in range(1, m_max + 1):
-        theta = core @ P
-        coeffs.append(theta)
-        norms.append(operator_norm(theta))
+    capped = True
+    for _ in range(m_max):
+        coeffs.append(core @ P)
         P = Ti.conj().T @ P
         # every later coefficient factors through P, so ||P|| bounds them all
         if operator_norm(P) <= cfg.rank_tol:
+            capped = False
             break
-    else:
-        # estimate the dropped tail from the measured decay
-        if len(norms) >= 2 and norms[-2] > 0 and norms[-1] / norms[-2] < 1.0:
+    # the norm of every coefficient from one stacked SVD (0.0 for an empty one)
+    sv = np.linalg.svd(np.array(coeffs), compute_uv=False)
+    norms = tuple(float(v) for v in sv.max(axis=1, initial=0.0))
+    if capped:
+        # estimate the dropped tail from the measured decay of theta_1, theta_2, ...
+        if len(norms) >= 3 and norms[-2] > 0 and norms[-1] / norms[-2] < 1.0:
             rho = norms[-1] / norms[-2]
             tail = norms[-1] * rho / (1.0 - rho)
         else:
@@ -130,7 +137,7 @@ def charfn_taylor(
                 f"characteristic-function coefficients not decayed at m={m_max}",
                 achieved_defect=tail,
             )
-    positive = [v for v in norms if v > 0]
+    positive = [v for v in norms[1:] if v > 0]
     if len(positive) >= 2:
         rate = (positive[-1] / positive[0]) ** (1.0 / max(1, len(positive) - 1))
     else:
@@ -140,7 +147,7 @@ def charfn_taylor(
         operator=Ti,
         pair=pair,
         taylor=tuple(coeffs),
-        norms=(operator_norm(coeffs[0]), *norms),
+        norms=norms,
         decay_rate=float(rate),
     )
 
@@ -171,13 +178,9 @@ def inner_boundary_check(cf: CharFn, samples: int = 64, cfg: ToleranceConfig = D
     """Max norm of ``theta(z)^H theta(z) - I`` over equispaced boundary
     points; the characteristic function of a pure contraction is inner,
     so this vanishes up to numerical error."""
-    worst = 0.0
-    I = np.eye(cf.dim_in, dtype=complex)
-    for t in range(samples):
-        z = np.exp(2j * np.pi * t / samples)
-        th = charfn_eval(cf.operator, z, cf.pair, cfg)
-        worst = max(worst, operator_norm(th.conj().T @ th - I))
-    return worst
+    z = np.exp(1j * (2 * np.pi * np.arange(samples) / samples))
+    th = charfn_eval(cf.operator, z, cf.pair, cfg)
+    return operator_norm(th.conj().transpose(0, 2, 1) @ th - np.eye(cf.dim_in, dtype=complex))
 
 
 def one_var_toeplitz(taylor, d: int) -> np.ndarray:
@@ -241,32 +244,31 @@ def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair:
     Ti = np.asarray(Ti, dtype=complex)
     if pair is None:
         pair = _single_defect_pair(Ti, cfg)
+    z, w = np.asarray(samples, dtype=complex).reshape(len(samples), 2).T
+    _check_polydisc(z, w)
     Bout = pair.basis_star
-    Ir = np.eye(Bout.shape[1], dtype=complex)
-    worst = 0.0
-    for z, w in samples:
-        _check_polydisc(z, w)
-        th_z = charfn_eval(Ti, z, pair, cfg)
-        th_w = charfn_eval(Ti, w, pair, cfg)
-        lhs = szego_kernel([z], [w]) * (Ir - th_z @ th_w.conj().T)
-        rhs = Bout.conj().T @ _resolvent_product_ambient(Ti, pair, z, w) @ Bout
-        worst = max(worst, operator_norm(lhs - rhs))
-    return worst
+    th_z, th_w = np.split(charfn_eval(Ti, np.concatenate([z, w]), pair, cfg), 2)
+    lhs = szego_kernel(z[:, None], w[:, None])[:, None, None] * (
+        np.eye(Bout.shape[1], dtype=complex) - th_z @ th_w.conj().transpose(0, 2, 1))
+    rhs = Bout.conj().T @ _resolvent_product_ambient(Ti, pair, z, w) @ Bout
+    return operator_norm(lhs - rhs)
 
 
-def _resolvent_product_ambient(Ti, pair: DefectPair, z: complex, w: complex) -> np.ndarray:
-    """``D*(I - z T^H)^{-1} (I - conj(w) T)^{-1} D*`` as an ambient matrix."""
+def _resolvent_product_ambient(Ti, pair: DefectPair, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``D*(I - z T^H)^{-1} (I - conj(w) T)^{-1} D*`` as ambient matrices,
+    one per entry of the 1-D arrays ``z`` and ``w``, stacked."""
     I = np.eye(Ti.shape[0], dtype=complex)
+    z, w = z.reshape(-1, 1, 1), w.reshape(-1, 1, 1)
     mid = np.linalg.solve(I - z * Ti.conj().T, np.linalg.solve(I - np.conj(w) * Ti, pair.defect_star))
     return pair.defect_star @ mid
 
 
-def _theta_product_ambient(Ti, pair: DefectPair, z: complex, w: complex, cfg) -> np.ndarray:
-    """``Theta(z) Theta(w)^H`` embedded back into the ambient space."""
-    th_z = charfn_eval(Ti, z, pair, cfg)
-    th_w = charfn_eval(Ti, w, pair, cfg)
+def _theta_product_ambient(Ti, pair: DefectPair, z: np.ndarray, w: np.ndarray, cfg) -> np.ndarray:
+    """``Theta(z) Theta(w)^H`` embedded back into the ambient space, one
+    per entry of the 1-D arrays ``z`` and ``w``, stacked."""
+    th_z, th_w = np.split(charfn_eval(Ti, np.concatenate([z, w]), pair, cfg), 2)
     Bout = pair.basis_star
-    return Bout @ th_z @ th_w.conj().T @ Bout.conj().T
+    return Bout @ th_z @ th_w.conj().transpose(0, 2, 1) @ Bout.conj().T
 
 
 def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
@@ -275,8 +277,9 @@ def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
     space, from exact closed forms (no truncation) at sample pairs
     ``(z, w)`` of polydisc points, as ``(invariance, product, gramian)``.
 
-    Each pair needs two factors per variable, each evaluated once: the
-    resolvent product ``R_i = D*(I - z_i T_i^H)^{-1} (I - conj(w_i) T_i)^{-1} D*``
+    Each variable needs two factors, evaluated once per pair and stacked
+    over the pairs: the resolvent product
+    ``R_i = D*(I - z_i T_i^H)^{-1} (I - conj(w_i) T_i)^{-1} D*``
     and ``X_i = Theta_i(z_i) Theta_i(w_i)^H``.  With ``B`` the joint
     defect basis, ``P = B B^H`` and ``S`` the polydisc kernel:
 
@@ -290,25 +293,23 @@ def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
     Bh = B.conj().T
     P = B @ Bh
     I = np.eye(T.dim, dtype=complex)
-    invariance = product = gramian = 0.0
-    for z, w in samples:
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        _check_polydisc(z, w)
-        resolvents = I.copy()
-        complements = I.copy()
-        Vz = Vw = defects.big_defect @ B
-        for i, (Ti, pair) in enumerate(zip(T.matrices, defects.per_op)):
-            R = _resolvent_product_ambient(Ti, pair, z[i], w[i])
-            X = _theta_product_ambient(Ti, pair, z[i], w[i], cfg)
-            invariance = max(invariance, operator_norm((I - P) @ R @ P), operator_norm((I - P) @ X @ P))
-            resolvents = R @ resolvents
-            complements = (I - X) @ complements
-            Vw = np.linalg.solve(I - np.conj(w[i]) * Ti, Vw)
-            Vz = np.linalg.solve(I - np.conj(z[i]) * Ti, Vz)
-        rhs = szego_kernel(z, w) * (Bh @ complements @ B)
-        product = max(product, operator_norm(Bh @ resolvents @ B - rhs))
-        gramian = max(gramian, operator_norm(Vz.conj().T @ Vw - rhs))
+    zw = np.asarray(samples, dtype=complex).reshape(len(samples), 2, T.n)
+    z, w = zw[:, 0], zw[:, 1]
+    _check_polydisc(z, w)
+    invariance = 0.0
+    resolvents = complements = I
+    Vz = Vw = defects.big_defect @ B
+    for i, (Ti, pair) in enumerate(zip(T.matrices, defects.per_op)):
+        R = _resolvent_product_ambient(Ti, pair, z[:, i], w[:, i])
+        X = _theta_product_ambient(Ti, pair, z[:, i], w[:, i], cfg)
+        invariance = max(invariance, operator_norm((I - P) @ R @ P), operator_norm((I - P) @ X @ P))
+        resolvents = R @ resolvents
+        complements = (I - X) @ complements
+        Vw = np.linalg.solve(I - np.conj(w[:, i, None, None]) * Ti, Vw)
+        Vz = np.linalg.solve(I - np.conj(z[:, i, None, None]) * Ti, Vz)
+    rhs = szego_kernel(z, w)[:, None, None] * (Bh @ complements @ B)
+    product = operator_norm(Bh @ resolvents @ B - rhs)
+    gramian = operator_norm(Vz.conj().transpose(0, 2, 1) @ Vw - rhs)
     return invariance, product, gramian
 
 

@@ -3,23 +3,30 @@
 Most build explicit ``N x N`` matrices on the truncated polydisc space,
 ``N = (d+1)^n r``, so they are meant for small spaces; the package
 computes the same objects in the one-variable space of each variable.
-The others walk the multi-indices one at a time, where the package
-uses whole-array operations."""
+The others walk the multi-indices, or the sample points, one at a time,
+where the package uses whole-array operations."""
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from dcmodel import hardy
 from dcmodel.blh import inner_from_wandering
-from dcmodel.hardy import TruncatedHardySpace, _monomials, apply_shift
+from dcmodel.hardy import (
+    TruncatedHardySpace,
+    _check_polydisc,
+    _monomials,
+    apply_shift,
+    szego_kernel,
+)
 from dcmodel.matrixcore import (
     DEFAULT_TOL,
     operator_norm,
     orthonormal_range_basis,
     phase_normalize_columns,
 )
-from dcmodel.model import CharFn, NotProjection, _embedding, _project_axis
+from dcmodel.model import CharFn, NotProjection, _embedding, _project_axis, charfn_eval
 
 
 class NotCommuting(ValueError):
@@ -374,3 +381,84 @@ def reconstruct_distance(inners, model, cfg=DEFAULT_TOL) -> float:
     U = _loose_basis(np.concatenate([np.zeros((space.total_dim, 0))] + blocks, axis=1), cfg)
     sel = np.nonzero(margin_mask(space, model.margin))[0]
     return operator_norm((s_projection(model) - U @ U.conj().T)[np.ix_(sel, sel)])
+
+
+def inner_boundary_loop(cf: CharFn, samples: int, cfg=DEFAULT_TOL) -> float:
+    """``inner_boundary_check`` one boundary point at a time."""
+    worst = 0.0
+    I = np.eye(cf.dim_in, dtype=complex)
+    for t in range(samples):
+        z = np.exp(2j * np.pi * t / samples)
+        th = charfn_eval(cf.operator, z, cf.pair, cfg)
+        worst = max(worst, operator_norm(th.conj().T @ th - I))
+    return worst
+
+
+def _resolvent_product(Ti, pair, z: complex, w: complex) -> np.ndarray:
+    """``D*(I - z T^H)^{-1} (I - conj(w) T)^{-1} D*`` at one pair of points."""
+    I = np.eye(Ti.shape[0], dtype=complex)
+    mid = np.linalg.solve(I - z * Ti.conj().T, np.linalg.solve(I - np.conj(w) * Ti, pair.defect_star))
+    return pair.defect_star @ mid
+
+
+def kernel_identity_loop(Ti, samples, pair, cfg=DEFAULT_TOL) -> float:
+    """``kernel_identity_check`` one scalar pair ``(z, w)`` at a time."""
+    Bout = pair.basis_star
+    Ir = np.eye(Bout.shape[1], dtype=complex)
+    worst = 0.0
+    for z, w in samples:
+        _check_polydisc(z, w)
+        th_z = charfn_eval(Ti, z, pair, cfg)
+        th_w = charfn_eval(Ti, w, pair, cfg)
+        lhs = szego_kernel([z], [w]) * (Ir - th_z @ th_w.conj().T)
+        rhs = Bout.conj().T @ _resolvent_product(Ti, pair, z, w) @ Bout
+        worst = max(worst, operator_norm(lhs - rhs))
+    return worst
+
+
+def polydisc_kernel_loop(T, defects, samples, cfg=DEFAULT_TOL) -> tuple:
+    """``polydisc_kernel_checks`` one pair of polydisc points at a time."""
+    B = defects.big_defect_basis
+    Bh = B.conj().T
+    P = B @ Bh
+    I = np.eye(T.dim, dtype=complex)
+    invariance = product = gramian = 0.0
+    for z, w in samples:
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        w = np.atleast_1d(np.asarray(w, dtype=complex))
+        _check_polydisc(z, w)
+        resolvents = I.copy()
+        complements = I.copy()
+        Vz = Vw = defects.big_defect @ B
+        for i, (Ti, pair) in enumerate(zip(T.matrices, defects.per_op)):
+            Bout = pair.basis_star
+            R = _resolvent_product(Ti, pair, z[i], w[i])
+            th_z = charfn_eval(Ti, z[i], pair, cfg)
+            th_w = charfn_eval(Ti, w[i], pair, cfg)
+            X = Bout @ th_z @ th_w.conj().T @ Bout.conj().T
+            invariance = max(invariance, operator_norm((I - P) @ R @ P), operator_norm((I - P) @ X @ P))
+            resolvents = R @ resolvents
+            complements = (I - X) @ complements
+            Vw = np.linalg.solve(I - np.conj(w[i]) * Ti, Vw)
+            Vz = np.linalg.solve(I - np.conj(z[i]) * Ti, Vz)
+        rhs = szego_kernel(z, w) * (Bh @ complements @ B)
+        product = max(product, operator_norm(Bh @ resolvents @ B - rhs))
+        gramian = max(gramian, operator_norm(Vz.conj().T @ Vw - rhs))
+    return invariance, product, gramian
+
+
+def adjoint_on_kernels_loop(L, samples) -> float:
+    """``adjoint_on_kernels_check`` with one resolvent chain per sample (and
+    the package's kernel vectors, so that only the chains differ)."""
+    B = L.defects.big_defect_basis
+    D = L.defects.big_defect
+    I = np.eye(L.tuple.dim, dtype=complex)
+    worst = 0.0
+    for w, eta in samples:
+        w = np.atleast_1d(np.asarray(w, dtype=complex))
+        lhs = (hardy.kernel_vector(L.space, w, eta).conj() @ L.matrix).conj()
+        v = D @ (B @ np.asarray(eta, dtype=complex).reshape(-1))
+        for i, M in enumerate(L.tuple.matrices):
+            v = np.linalg.solve(I - np.conj(w[i]) * M, v)
+        worst = max(worst, float(np.linalg.norm(lhs - v)))
+    return worst

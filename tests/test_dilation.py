@@ -151,6 +151,21 @@ class TestChecks:
         assert min(want) > 1e-3
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
 
+    @pytest.mark.parametrize("factors", [
+        lambda: [[[0.5]], np.array([[0, 0.6], [0, 0]])],
+        lambda: [np.eye(3, k=1), np.eye(2, k=1)],
+    ], ids=["tensor", "jordan"])
+    def test_adjoint_on_kernels_matches_point_loop(self, factors):
+        # one stacked resolvent chain per variable runs the per-sample arithmetic
+        T = make_tensor_tuple(factors())
+        L = build_dilation(T, d=4, adaptive=False)
+        rng = np.random.default_rng(7)
+        samples = [(0.6 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n)),
+                    rng.standard_normal(L.defects.rank) + 1j * rng.standard_normal(L.defects.rank))
+                   for _ in range(6)]
+        assert adjoint_on_kernels_check(L, samples) == oracles.adjoint_on_kernels_loop(L, samples)
+        assert adjoint_on_kernels_check(L, []) == 0.0
+
     def test_adjoint_at_origin_exact(self, pair):
         T, L = pair
         eta = np.array([1.0, 0.0])

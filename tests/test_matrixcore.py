@@ -51,6 +51,19 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm([[np.nan]])
 
+    def test_stack_gives_largest_norm(self):
+        stack = np.array([_random_matrix(seed, 3, 4) for seed in range(5)])
+        assert operator_norm(stack) == max(operator_norm(M) for M in stack)
+
+    def test_stack_rejects_nan(self):
+        stack = np.array([_random_matrix(seed, 3) for seed in range(3)])
+        stack[1, 2, 0] = np.nan
+        with pytest.raises(ValueError):
+            operator_norm(stack)
+
+    def test_empty_stack_is_zero(self):
+        assert operator_norm(np.zeros((0, 3, 3))) == 0.0
+
     def test_rejects_non_2d(self):
         with pytest.raises(DimensionMismatch):
             as_matrix([1.0, 2.0])

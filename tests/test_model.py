@@ -101,6 +101,21 @@ class TestCharFn:
         with pytest.raises(ResolventSingular):
             charfn_eval(np.array([[0.5]]), 2.0)
 
+    def test_stacked_eval_matches_points(self):
+        M = make_random_pure_contraction(3, 0.5, 3)
+        pair = charfn_taylor(M).pair
+        z = np.array([0.3 - 0.4j, 0.0, -0.6j, 0.9])
+        stacked = charfn_eval(M, z, pair)
+        assert stacked.shape == (len(z),) + charfn_eval(M, z[0], pair).shape
+        for k, zk in enumerate(z):
+            assert np.array_equal(stacked[k], charfn_eval(M, zk, pair))
+        assert charfn_eval(M, np.asarray(z[0]), pair).ndim == 2
+
+    def test_stacked_eval_names_singular_point(self):
+        # I - z T^H is singular at z = 2 alone
+        with pytest.raises(ResolventSingular, match=r"z=\(2\+0j\)"):
+            charfn_eval(np.array([[0.5]]), np.array([0.1, -0.3j, 2.0, 0.5]))
+
     def test_stored_norms(self):
         cf = charfn_taylor(make_random_pure_contraction(3, 0.7, 5))
         assert cf.norms == tuple(operator_norm(t) for t in cf.taylor)
@@ -317,6 +332,36 @@ def test_checks_reject_points_outside_polydisc(tensor_model):
         kernel_identity_check(T.matrices[0], [(0.2, -1.0)], pair=L.defects.per_op[0])
     with pytest.raises(PointOutsidePolydisc):
         polydisc_kernel_checks(T, L.defects, pairs)
+
+
+def test_empty_sample_lists_give_zero(tensor_model):
+    T, L, cfs = tensor_model
+    assert inner_boundary_check(cfs[0], samples=0) == 0.0
+    assert kernel_identity_check(T.matrices[0], [], pair=L.defects.per_op[0]) == 0.0
+    assert polydisc_kernel_checks(T, L.defects, []) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: [make_random_pure_contraction(2, 0.5, 1), make_random_pure_contraction(3, 0.5, 2)],
+    lambda: [np.eye(3, k=1), np.eye(2, k=1)],
+], ids=["tensor", "jordan"])
+def test_sample_checks_match_point_loops(factors):
+    # the stacked checks run the per-point arithmetic, so they agree bit for bit
+    T = make_tensor_tuple(factors())
+    defects = defect_operators(T)
+    rng = np.random.default_rng(6)
+
+    def point():
+        return 0.7 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n))
+
+    pairs = [(point(), point()) for _ in range(12)]
+    scalar_pairs = [(z[0], w[0]) for z, w in pairs]
+    for cf in charfns_for_tuple(T, defects):
+        assert inner_boundary_check(cf, 48) == oracles.inner_boundary_loop(cf, 48)
+        Ti, pair = T.matrices[cf.op_index], defects.per_op[cf.op_index]
+        assert (kernel_identity_check(Ti, scalar_pairs, pair=pair)
+                == oracles.kernel_identity_loop(Ti, scalar_pairs, pair))
+    assert polydisc_kernel_checks(T, defects, pairs) == oracles.polydisc_kernel_loop(T, defects, pairs)
 
 
 def test_each_kernel_residual_reads_its_own_identity(tensor_model):
