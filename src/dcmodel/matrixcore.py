@@ -48,6 +48,11 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+# entries of a column below this share of its largest modulus are taken as
+# rounding noise by phase_normalize_columns: it bounds how small an entry
+# may be and still be the pivot whose phase fixes the column's phase
+_PIVOT_FLOOR = 1e-8
+
 
 def as_matrix(M) -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting non-finite entries."""
@@ -135,7 +140,7 @@ def phase_normalize_columns(V: np.ndarray) -> np.ndarray:
         top = mags.max()
         if top == 0.0:
             continue
-        lead = int(np.argmax(mags > 1e-8 * top))
+        lead = int(np.argmax(mags > _PIVOT_FLOOR * top))
         pivot = col[lead]
         V[:, j] = col * (np.conj(pivot) / abs(pivot))
     return V

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmodel.matrixcore import (
+    _PIVOT_FLOOR,
     DEFAULT_TOL,
     DimensionMismatch,
     NotHermitian,
@@ -161,9 +162,18 @@ class TestRangeBasis:
     def test_phase_normalized(self):
         B = orthonormal_range_basis(_random_matrix(11, 5, 5))
         for j in range(B.shape[1]):
-            lead = np.argmax(np.abs(B[:, j]) > 1e-8 * np.abs(B[:, j]).max())
+            lead = np.argmax(np.abs(B[:, j]) > _PIVOT_FLOOR * np.abs(B[:, j]).max())
             assert B[lead, j].imag == pytest.approx(0.0, abs=1e-13)
             assert B[lead, j].real > 0
+
+    def test_pivot_floor(self):
+        # the leading entry below the floor is skipped, the one above it is the pivot
+        V = np.array([[0.5 * _PIVOT_FLOOR * 1j, 2.0 * _PIVOT_FLOOR * 1j],
+                      [2.0j, 2.0j],
+                      [1.0, 1.0]])
+        W = phase_normalize_columns(V)
+        assert W[1, 0] == pytest.approx(2.0, abs=1e-15)
+        assert W[0, 1] == pytest.approx(2.0 * _PIVOT_FLOOR, abs=1e-22)
 
     def test_phase_normalize_preserves_span(self):
         V = _random_matrix(13, 5, 2)
