@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext loads it lazily: load it here, not in a suite call
 import sys
 from dataclasses import dataclass, field
 

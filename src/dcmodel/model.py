@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import numpy.random  # numpy 2.x loads it lazily: load it with the package, not in a suite call
 
 from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers
 from .hardy import TruncatedHardySpace, _check_polydisc, box_rows, szego_kernel
@@ -34,6 +34,13 @@ _EMBEDDING_LEAK = 1e-6
 # squared singular value of G_i splitting the model fiber (near 1) from the
 # multiplier range (near 0): the eigenvalues of I - F F^H cluster at 0 and 1
 _FIBER_SPLIT = 0.5
+
+# ||X v|| of the probe below which _opnorm_hermitian returns it: X is 0 to rounding
+_PROBE_FLOOR = 1e-13
+# relative Ritz residual (or gain of a restart) at which its Lanczos run stops
+_KRYLOV_TOL = 1e-10
+# most vectors its Lanczos basis holds, its memory (ARPACK's default ncv)
+_KRYLOV_BASIS = 20
 
 
 class ResolventSingular(RuntimeError):
@@ -369,46 +376,42 @@ def apply_axis_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> 
 
 def _opnorm_hermitian(apply_X, size: int) -> float:
     """Spectral norm of a Hermitian ``X`` on ``C^size`` given as a matvec
-    callable.
+    callable, from one seeded random complex unit probe ``v``:
 
-    What it returns depends on the branch taken:
-
-    - ``size`` at most two: the exact norm of the dense matrix;
-    - ``||X v||`` below 1e-13 for one random complex unit probe ``v``:
-      that value, an estimate from a single probe and not a bound (it can
-      undershoot ``||X||`` by about ``sqrt(size)``);
-    - otherwise: the largest-magnitude eigenvalue from ``eigsh`` (Lanczos
-      started from ``v``, relative tolerance 1e-10), or, if ARPACK fails,
-      the growth factor after 200 power-iteration steps, a lower bound."""
-    def mv(v):
-        return apply_X(np.asarray(v, dtype=complex).reshape(size))
-
-    if size <= 2:
-        # eigsh needs k < size; the columns of X are its values on the unit vectors
-        cols = [mv(e) for e in np.eye(size, dtype=complex)]
-        return operator_norm(np.array(cols).reshape(size, size).T)
+    - ``||X v||`` below ``_PROBE_FLOOR``: that value, a single-probe
+      estimate and not a bound (it can undershoot by about ``sqrt(size)``);
+    - otherwise: the largest-magnitude Ritz value of a Lanczos run from
+      ``v`` (full reorthogonalisation, restarts from the top Ritz vector),
+      to ``_KRYLOV_TOL``; exact once the basis spans ``C^size``."""
     rng = np.random.default_rng(1234)
-    v0 = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v0 /= np.linalg.norm(v0)
-    probe = float(np.linalg.norm(mv(v0)))
-    if probe < 1e-13:
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    v /= np.linalg.norm(v)
+    probe = float(np.linalg.norm(apply_X(v)))
+    if probe < _PROBE_FLOOR:
         return probe
-    op = spla.LinearOperator((size, size), matvec=mv, dtype=complex)
-    try:
-        vals = spla.eigsh(op, k=1, which="LM", return_eigenvectors=False, tol=1e-10, v0=v0)
-        return float(abs(vals[0]))
-    except spla.ArpackError:
-        # plain power iteration fallback
-        v = v0
-        lam = probe
-        for _ in range(200):
-            w = mv(v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            lam = nw
-            v = w / nw
-        return float(lam)
+    m = min(size, _KRYLOV_BASIS)
+    V = np.empty((m, size), dtype=complex)
+    V[0], theta = v, 0.0
+    while True:
+        T, best = np.zeros((m, m)), theta  # the tridiagonal projection of X
+        for j in range(m):
+            w = apply_X(V[j])
+            for _ in range(2):  # full reorthogonalisation, applied twice
+                h = V[:j + 1].conj() @ w
+                w = w - h @ V[:j + 1]
+                T[j, j] += h[j].real
+            beta = np.linalg.norm(w)
+            ritz, S = np.linalg.eigh(T[:j + 1, :j + 1])  # eigh reads the lower triangle
+            top = np.argmax(np.abs(ritz))
+            theta = float(abs(ritz[top]))
+            # a converged Ritz pair (breakdown, beta = 0, included) or a basis spanning C^size
+            if beta * abs(S[-1, top]) <= _KRYLOV_TOL * theta or j + 1 == size:
+                return theta
+            if j + 1 < m:
+                T[j + 1, j], V[j + 1] = beta, w / beta
+        if theta - best <= _KRYLOV_TOL * theta:  # a restart gained nothing: the rounding floor
+            return theta
+        V[0] = S[:, top] @ V
 
 
 def _fiber_commutator(box: TruncatedHardySpace, fibers, a: int, b: int) -> float:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dcmodel
 from dcmodel.cli import (
     TupleFileError,
     VerificationReport,
@@ -275,6 +278,41 @@ class TestMain:
         assert main(["suite", demo, "--degree", "6"]) == 0
         out = capsys.readouterr().out
         assert "degree used: 6" in out
+
+
+class TestImports:
+    """The package runs on numpy alone, in a fresh interpreter."""
+
+    @staticmethod
+    def _python(code, *args):
+        src = str(Path(dcmodel.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=300)
+
+    def test_import_loads_no_scipy(self):
+        out = self._python("import json, sys, dcmodel\n"
+                           "print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+                           "                  'numpy.random' in sys.modules]))")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == [[], True]
+
+    def test_suite_without_scipy(self, tmp_path, capsys):
+        # scipy cannot be imported, and a suite call imports no module the
+        # package did not already load
+        demo = str(tmp_path / "demo.json")
+        assert main(["demo", "tensor", "--dims", "2,2", "--radius", "0.4",
+                     "--seed", "1", "--out", demo]) == 0
+        capsys.readouterr()
+        out = self._python("import contextlib, io, sys\n"
+                           "sys.modules['scipy'] = None\n"
+                           "from dcmodel.cli import main\n"
+                           "before = set(sys.modules)\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    code = main(['suite', sys.argv[1]])\n"
+                           "print(sorted(set(sys.modules) - before))\n"
+                           "sys.exit(code)", demo)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestExitCodes:

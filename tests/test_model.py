@@ -565,6 +565,62 @@ class TestProjections:
             oracles.sum_projection([P1, P2])
 
 
+def _hermitian(eigs, seed):
+    """``U diag(eigs) U^H`` for a seeded random unitary ``U``."""
+    rng = np.random.default_rng(seed)
+    m = len(eigs)
+    U = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    return (U * np.asarray(eigs)) @ U.conj().T
+
+
+class TestOpnormHermitian:
+    """The Krylov norm estimator against dense norms."""
+
+    @staticmethod
+    def _estimate(X):
+        calls = []
+
+        def apply_X(v):
+            calls.append(1)
+            return X @ v
+
+        return _opnorm_hermitian(apply_X, len(X)), len(calls)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_tiny_sizes(self, size):
+        X = _hermitian(np.linspace(-0.3, 0.8, size), seed=size)
+        got, _ = self._estimate(X)
+        assert got == pytest.approx(operator_norm(X), rel=1e-8)
+
+    def test_negative_extreme(self):
+        # the largest-magnitude eigenvalue is the negative end of the spectrum
+        X = _hermitian(np.concatenate([[-2.0], np.linspace(-1.5, 1.9, 59)]), seed=5)
+        got, _ = self._estimate(X)
+        assert got == pytest.approx(2.0, rel=1e-8)
+
+    def test_clustered_top(self):
+        eigs = np.concatenate([1.0 - 1e-9 * np.arange(5), np.linspace(-0.5, 0.9, 95)])
+        X = _hermitian(eigs, seed=6)
+        got, _ = self._estimate(X)
+        assert got == pytest.approx(operator_norm(X), rel=1e-8)
+
+    def test_rank_one_breakdown(self):
+        # the Krylov space of a rank-one X is spanned after two steps
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        X = 0.7 * np.outer(u, u.conj()) / np.vdot(u, u).real
+        got, calls = self._estimate(X)
+        assert got == pytest.approx(0.7, rel=1e-8)
+        assert calls <= 4
+
+    def test_restarts(self):
+        # a small gap at the top: one basis of 20 vectors does not converge
+        X = _hermitian(np.concatenate([[1.0], np.linspace(-0.99, 0.99, 199)]), seed=8)
+        got, calls = self._estimate(X)
+        assert got == pytest.approx(1.0, rel=1e-8)
+        assert calls > 21
+
+
 class TestModelSpace:
     def test_residuals_small(self, tensor_model):
         T, L, cfs = tensor_model
