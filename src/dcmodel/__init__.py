@@ -64,9 +64,7 @@ from .model import (
 from .blh import (
     InnerColumnSet,
     NotCoinvariant,
-    OneVarSubspace,
     RankOneVerdict,
-    inner_from_fiber,
     model_inner_functions,
     rankone_corollary_check,
     reconstruct_S_check,

@@ -31,8 +31,8 @@ from .matrixcore import (
 )
 from .model import (
     ModelSpaces,
-    _opnorm_hermitian,
     apply_axis_projections,
+    box_distance,
     charfns_for_tuple,
     model_space,
     one_var_toeplitz,
@@ -43,16 +43,6 @@ from .tuples import ContractionTuple, validate_tuple
 
 class NotCoinvariant(ValueError):
     """The given subspace is not invariant under every adjoint shift."""
-
-
-@dataclass(frozen=True)
-class OneVarSubspace:
-    """A shift-invariant subspace of the one-variable truncated space,
-    given by an orthonormal basis of its orthogonal complement."""
-
-    degree: int
-    coeff_dim: int
-    complement: np.ndarray  # ((degree+1) * coeff_dim, k) orthonormal columns
 
 
 @dataclass(frozen=True)
@@ -79,9 +69,13 @@ def _loose_rank(M: np.ndarray, cfg: ToleranceConfig) -> int:
     return int(np.sum(s > _loose_cut(cfg) * s[0]))
 
 
-def wandering_basis(S_tilde: OneVarSubspace, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the wandering part ``M - Z`` of the subspace
-    ``M``, with ``Z = z (M ∩ ker top)``.
+def wandering_basis(K: np.ndarray, degree: int, coeff_dim: int,
+                    cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the wandering part ``M - Z`` of the
+    shift-invariant subspace ``M`` of the one-variable truncated space of
+    the given degree and coefficient dimension, with ``Z = z (M ∩ ker top)``.
+    ``M`` is given by ``K``, an orthonormal basis of its complement (the
+    model fiber).
 
     Only the part of the subspace with vanishing top-degree coefficient
     is shifted: on the truncated space the shift annihilates the top
@@ -95,8 +89,7 @@ def wandering_basis(S_tilde: OneVarSubspace, cfg: ToleranceConfig = DEFAULT_TOL)
     matrix ``I - (Y^H K)(Y^H K)^H``, whose eigenvalues are the squared
     singular values of the projected subspace.  Those below
     ``sqrt(tail_tol)`` (relative) are treated as truncation noise."""
-    K = S_tilde.complement
-    d, r = S_tilde.degree, S_tilde.coeff_dim
+    d, r = degree, coeff_dim
     size = (d + 1) * r
     top = np.eye(size, r, k=-d * r, dtype=complex)
     Q = orthonormal_range_basis(np.hstack([K, top]), cfg)
@@ -145,18 +138,12 @@ def inner_from_wandering(
     return InnerColumnSet(variable, m, cols, coeff_dim, float(drift))
 
 
-def inner_from_fiber(S_tilde: OneVarSubspace, cfg: ToleranceConfig = DEFAULT_TOL, variable: int = 0) -> InnerColumnSet:
-    """Wandering-subspace extraction plus Taylor-column packaging."""
-    W = wandering_basis(S_tilde, cfg)
-    return inner_from_wandering(W, S_tilde.coeff_dim, cfg, variable=variable)
-
-
 def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
     """Full per-variable pipeline: model fiber, wandering subspace,
     inner Taylor columns."""
     d, r = model.space.degree, model.space.coeff_dim
     return [
-        inner_from_fiber(OneVarSubspace(d, r, K), cfg, variable=i)
+        inner_from_wandering(wandering_basis(K, d, r, cfg), r, cfg, variable=i)
         for i, K in enumerate(model.fibers)
     ]
 
@@ -221,20 +208,11 @@ def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceCo
         b *= 2
 
 
-def _recovered_complement_distance(inners, space: TruncatedHardySpace, box: TruncatedHardySpace,
-                                   apply_other, cfg) -> float:
-    """Norm of ``prod(I - Q_i) - X`` on the margin ``box`` of ``space``,
-    where ``Q_i`` projects onto the multiplier range of ``inners[i]``
-    (variable ``i``) and ``apply_other`` applies the Hermitian ``X`` to
-    flat vectors of the box.  Each complement is cut to its box rows,
-    which is exact (:func:`dcmodel.model._gramian_box_operator`)."""
-    rows = (box.degree + 1) * box.coeff_dim
-    complements = [_inner_range_complement(inner, space.degree, cfg)[:rows] for inner in inners]
-
-    def apply_X(v):
-        return apply_axis_projections(box, complements, v) - apply_other(v)
-
-    return _opnorm_hermitian(apply_X, box.total_dim)
+def _box_complements(inners, model: ModelSpaces, cfg: ToleranceConfig) -> list:
+    """The complements of the recovered multiplier ranges of ``inners``
+    (:func:`_inner_range_complement`), cut to the rows of ``model.box``."""
+    rows = (model.box.degree + 1) * model.box.coeff_dim
+    return [_inner_range_complement(inner, model.space.degree, cfg)[:rows] for inner in inners]
 
 
 def reconstruct_S_check(inners, model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -242,8 +220,9 @@ def reconstruct_S_check(inners, model: ModelSpaces, cfg: ToleranceConfig = DEFAU
     inner-multiplier ranges and the model's sum space, as the norm of the
     difference of their complements ``prod(I - Q_i)`` and
     ``prod(I - P_i)``."""
-    return _recovered_complement_distance(inners, model.space, model.box,
-                                          model.apply_s_complement, cfg)
+    box = model.box
+    return box_distance(box, _box_complements(inners, model, cfg),
+                        lambda v: apply_axis_projections(box, model.box_fibers, v))
 
 
 @dataclass(frozen=True)
@@ -283,22 +262,14 @@ def rankone_corollary_check(
         if operator_norm(co - Q @ (Q.conj().T @ co)) > cfg.check_tol:
             raise NotCoinvariant(f"not invariant under adjoint shift {i}")
     comps = [Q.conj().T @ apply_shift(space, Q, i) for i in range(space.n)]
-    worst = 0.0
-    violator = ()
-    for i in range(space.n):
-        for j in range(space.n):
-            if i == j:
-                continue
-            r1 = operator_norm(comps[i] @ comps[j] - comps[j] @ comps[i])
-            r2 = operator_norm(comps[i] @ comps[j].conj().T - comps[j].conj().T @ comps[i])
-            r = max(r1, r2)
-            if r > worst:
-                worst = r
-                violator = (i, j)
-    if worst > cfg.check_tol:
-        return RankOneVerdict(False, worst, violating_pair=violator)
     tupleC = ContractionTuple(tuple(comps))
     report = validate_tuple(tupleC, cfg)
+    # the largest commutation residual of each pair i < j, plain or with an adjoint
+    pairs = {p: max(r, report.doubly_commuting_residual[p]) for p, r in report.commuting_residual.items()}
+    violator = max(pairs, key=pairs.get, default=())
+    worst = pairs.get(violator, 0.0)
+    if worst > cfg.check_tol:
+        return RankOneVerdict(False, worst, violating_pair=violator)
     pure = all(report.pure)
     # rank of the joint defect square and of the constants compression
     D2 = np.eye(q, dtype=complex)
@@ -317,10 +288,8 @@ def rankone_corollary_check(
     # sum of recovered multiplier ranges against the complement of the
     # input subspace inside the ambient scalar space, via the complements
     # of both: prod(I - Q_i) against the projection onto the subspace
-    box = space.margin_box(ms.margin)
-    Qb = box_rows(space, Q, box)
-    dist = _recovered_complement_distance(inners, space, box,
-                                          lambda v: Qb @ (Qb.conj().T @ v), cfg)
+    Qb = box_rows(space, Q, ms.box)
+    dist = box_distance(ms.box, _box_complements(inners, ms, cfg), lambda v: Qb @ (Qb.conj().T @ v))
     return RankOneVerdict(True, worst, pure=True, defect_rank=defect_rank,
                           constants_compression_rank=const_rank,
                           recovered_inners=tuple(inners), complement_distance=float(dist))

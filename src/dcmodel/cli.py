@@ -63,17 +63,46 @@ class CheckResult:
     note: str = ""
 
 
+# every check in roster order, with the identity it certifies
+_PAPER_REFS = {
+    "validate.contractive": "operator norms at most one",
+    "validate.commuting": "pairwise commutation",
+    "validate.doubly_commuting": "commutation with the other adjoints",
+    "validate.pure": "spectral radius below one (purity certificate)",
+    "validate.defect_commutation": "defects of a doubly commuting tuple commute",
+    "dilation.isometry": "the truncated dilation map is an isometry",
+    "dilation.intertwining": "dilation intertwines adjoints with coordinate coshifts",
+    "dilation.adjoint_on_kernels": "dilation adjoint acts on kernel vectors by resolvents",
+    "dilation.minimality": "degree-zero block spans the joint defect space",
+    "dilation.compression": "compressing the shifts to the dilation range recovers the tuple",
+    "model.boundary_inner": "one-variable symbols are inner on the boundary",
+    "model.kernel_identity": "one-variable kernel factorization through the symbol",
+    "model.defect_invariance": "kernel operators leave the joint defect space invariant",
+    "model.product_kernel_identity": "product kernel factorization on the joint defect space",
+    "model.gramian_kernel": "dilation Gramian equals the multiplier-complement product (kernels)",
+    "model.gramian_operator": "dilation Gramian equals the multiplier-complement product (operators)",
+    "model.projection_drift": "truncated multiplier Gramians are projections up to tails",
+    "model.projection_commutators": "multiplier range projections commute",
+    "model.subspace_split": "dilation range complements the multiplier sum space",
+    "blh.inner_recovery": "wandering-subspace columns are inner Taylor columns",
+    "blh.reconstruct_sum": "recovered inner multipliers regenerate the sum space",
+}
+
+# the checks after validation, which a failed stage leaves unevaluated
+_SUITE_NUMERICAL = [name for name in _PAPER_REFS if not name.startswith("validate.")]
+
+
 @dataclass
 class VerificationReport:
     checks: list = field(default_factory=list)
     degree: int | None = None
 
-    def add(self, name, residual, tolerance, ref, note=""):
+    def add(self, name, residual, tolerance):
         status = "pass" if residual <= tolerance else "fail"
-        self.checks.append(CheckResult(name, status, float(residual), float(tolerance), ref, note))
+        self.checks.append(CheckResult(name, status, float(residual), float(tolerance), _PAPER_REFS[name]))
 
-    def skip(self, name, ref, note):
-        self.checks.append(CheckResult(name, "skipped", None, None, ref, note))
+    def skip(self, name, note):
+        self.checks.append(CheckResult(name, "skipped", None, None, _PAPER_REFS[name], note))
 
     @property
     def skipped(self) -> int:
@@ -164,28 +193,24 @@ def save_tuple_file(path: str, T: ContractionTuple, metadata: dict) -> None:
 
 def _validation_checks(T: ContractionTuple, cfg: ToleranceConfig, report: VerificationReport):
     v = validate_tuple(T, cfg)
-    report.add("validate.contractive", max(v.contractive_residual), cfg.check_tol,
-               "operator norms at most one")
-    comm = max(v.commuting_residual.values(), default=0.0)
-    report.add("validate.commuting", comm, cfg.check_tol, "pairwise commutation")
-    dcomm = max(v.doubly_commuting_residual.values(), default=0.0)
-    report.add("validate.doubly_commuting", dcomm, cfg.check_tol,
-               "commutation with the other adjoints")
+    report.add("validate.contractive", max(v.contractive_residual), cfg.check_tol)
+    report.add("validate.commuting", max(v.commuting_residual.values(), default=0.0), cfg.check_tol)
+    report.add("validate.doubly_commuting", max(v.doubly_commuting_residual.values(), default=0.0),
+               cfg.check_tol)
     rho = max(v.spectral_radii)
     report.checks.append(CheckResult(
         "validate.pure", "pass" if rho < 1.0 - cfg.rank_tol else "fail",
-        float(rho), 1.0, "spectral radius below one (purity certificate)"))
-    ref = "defects of a doubly commuting tuple commute"
+        float(rho), 1.0, _PAPER_REFS["validate.pure"]))
     if not all(v.contractive):
         # the defects sqrt(I - T^H T) exist only for contractions
-        report.skip("validate.defect_commutation", ref, "not evaluated: the tuple is not contractive")
+        report.skip("validate.defect_commutation", "not evaluated: the tuple is not contractive")
         return v
     try:
         dc = defect_commutation_check(T, cfg)
     except NumericalFailure as e:
-        report.skip("validate.defect_commutation", ref, f"not evaluated: {e}")
+        report.skip("validate.defect_commutation", f"not evaluated: {e}")
     else:
-        report.add("validate.defect_commutation", dc["max"], cfg.check_tol, ref)
+        report.add("validate.defect_commutation", dc["max"], cfg.check_tol)
     return v
 
 
@@ -196,26 +221,6 @@ def run_validate(path: str, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
     report = VerificationReport()
     _validation_checks(T, cfg, report)
     return report, {"pass": 0, "fail": 1, "incomplete": 2}[report.verdict]
-
-
-_SUITE_NUMERICAL = [
-    ("dilation.isometry", "the truncated dilation map is an isometry"),
-    ("dilation.intertwining", "dilation intertwines adjoints with coordinate coshifts"),
-    ("dilation.adjoint_on_kernels", "dilation adjoint acts on kernel vectors by resolvents"),
-    ("dilation.minimality", "degree-zero block spans the joint defect space"),
-    ("dilation.compression", "compressing the shifts to the dilation range recovers the tuple"),
-    ("model.boundary_inner", "one-variable symbols are inner on the boundary"),
-    ("model.kernel_identity", "one-variable kernel factorization through the symbol"),
-    ("model.defect_invariance", "kernel operators leave the joint defect space invariant"),
-    ("model.product_kernel_identity", "product kernel factorization on the joint defect space"),
-    ("model.gramian_kernel", "dilation Gramian equals the multiplier-complement product (kernels)"),
-    ("model.gramian_operator", "dilation Gramian equals the multiplier-complement product (operators)"),
-    ("model.projection_drift", "truncated multiplier Gramians are projections up to tails"),
-    ("model.projection_commutators", "multiplier range projections commute"),
-    ("model.subspace_split", "dilation range complements the multiplier sum space"),
-    ("blh.inner_recovery", "wandering-subspace columns are inner Taylor columns"),
-    ("blh.reconstruct_sum", "recovered inner multipliers regenerate the sum space"),
-]
 
 
 # numerical failures that stop the suite part-way; the checks not yet
@@ -239,8 +244,8 @@ def run_full_suite(
     report = VerificationReport()
     v = _validation_checks(T, cfg, report)
     if not v.passed:
-        for name, ref in _SUITE_NUMERICAL:
-            report.skip(name, ref, "validation gate failed")
+        for name in _SUITE_NUMERICAL:
+            report.skip(name, "validation gate failed")
         return report, 1
 
     rng = np.random.default_rng(meta.get("seed", 0))
@@ -248,9 +253,9 @@ def run_full_suite(
         _numerical_checks(T, cfg, degree, boundary_samples, rng, report)
     except _STAGE_ERRORS as e:
         evaluated = {c.name for c in report.checks}
-        for name, ref in _SUITE_NUMERICAL:
+        for name in _SUITE_NUMERICAL:
             if name not in evaluated:
-                report.skip(name, ref, f"not evaluated: {e}")
+                report.skip(name, f"not evaluated: {e}")
     return report, (0 if report.verdict == "pass" else 2)
 
 
@@ -262,10 +267,9 @@ def _numerical_checks(T, cfg, degree, boundary_samples, rng, report: Verificatio
         L = build_dilation(T, d=degree, cfg=cfg, adaptive=False)
     report.degree = L.degree
 
-    report.add("dilation.isometry", isometry_defect(L), cfg.tail_tol,
-               _SUITE_NUMERICAL[0][1])
+    report.add("dilation.isometry", isometry_defect(L), cfg.tail_tol)
     intw = max(intertwining_residual(L, i) for i in range(T.n))
-    report.add("dilation.intertwining", intw, 10.0 * cfg.tail_tol, _SUITE_NUMERICAL[1][1])
+    report.add("dilation.intertwining", intw, 10.0 * cfg.tail_tol)
 
     r = L.defects.rank
     kern_samples = []
@@ -274,16 +278,14 @@ def _numerical_checks(T, cfg, degree, boundary_samples, rng, report: Verificatio
         eta = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         kern_samples.append((w, eta / np.linalg.norm(eta)))
     report.add("dilation.adjoint_on_kernels", adjoint_on_kernels_check(L, kern_samples, cfg),
-               10.0 * cfg.tail_tol, _SUITE_NUMERICAL[2][1])
-    report.add("dilation.minimality", minimality_check(L, cfg), cfg.check_tol,
-               _SUITE_NUMERICAL[3][1])
-    report.add("dilation.compression", max(compressed_tuple_residual(L)),
-               cfg.tail_tol, _SUITE_NUMERICAL[4][1])
+               10.0 * cfg.tail_tol)
+    report.add("dilation.minimality", minimality_check(L, cfg), cfg.check_tol)
+    report.add("dilation.compression", max(compressed_tuple_residual(L)), cfg.tail_tol)
 
     charfns = charfns_for_tuple(T, L.defects, cfg)
     report.add("model.boundary_inner",
                max(inner_boundary_check(cf, boundary_samples, cfg) for cf in charfns),
-               cfg.check_tol, _SUITE_NUMERICAL[5][1])
+               cfg.check_tol)
     scalar_pairs = [
         (0.7 * rng.random() * np.exp(2j * np.pi * rng.random()),
          0.7 * rng.random() * np.exp(2j * np.pi * rng.random()))
@@ -292,33 +294,29 @@ def _numerical_checks(T, cfg, degree, boundary_samples, rng, report: Verificatio
     report.add("model.kernel_identity",
                max(kernel_identity_check(T.matrices[i], scalar_pairs, cfg, L.defects.per_op[i])
                    for i in range(T.n)),
-               cfg.check_tol, _SUITE_NUMERICAL[6][1])
+               cfg.check_tol)
     vec_pairs = [
         (0.7 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n)),
          0.7 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n)))
         for _ in range(25)
     ]
-    for k, residual in enumerate(polydisc_kernel_checks(T, L.defects, vec_pairs, cfg), start=7):
-        report.add(_SUITE_NUMERICAL[k][0], residual, cfg.check_tol, _SUITE_NUMERICAL[k][1])
+    invariance, product, gramian = polydisc_kernel_checks(T, L.defects, vec_pairs, cfg)
+    report.add("model.defect_invariance", invariance, cfg.check_tol)
+    report.add("model.product_kernel_identity", product, cfg.check_tol)
+    report.add("model.gramian_kernel", gramian, cfg.check_tol)
 
     # model_space also measures the operator-form Gramian on the factors it builds
     ms = model_space(T, L, charfns, cfg)
-    report.add("model.gramian_operator", ms.gramian_residual,
-               10.0 * cfg.tail_tol, _SUITE_NUMERICAL[10][1])
-    report.add("model.projection_drift", max(ms.margin_drifts), np.sqrt(cfg.tail_tol),
-               _SUITE_NUMERICAL[11][1])
+    report.add("model.gramian_operator", ms.gramian_residual, 10.0 * cfg.tail_tol)
+    report.add("model.projection_drift", max(ms.margin_drifts), np.sqrt(cfg.tail_tol))
     comm = max(ms.commutator_residuals.values(), default=0.0)
-    report.add("model.projection_commutators", comm, np.sqrt(cfg.tail_tol),
-               _SUITE_NUMERICAL[12][1])
-    report.add("model.subspace_split", ms.s_residual, np.sqrt(cfg.tail_tol),
-               _SUITE_NUMERICAL[13][1])
+    report.add("model.projection_commutators", comm, np.sqrt(cfg.tail_tol))
+    report.add("model.subspace_split", ms.s_residual, np.sqrt(cfg.tail_tol))
 
     inners = model_inner_functions(ms, cfg)
     drift = max((inner.isometry_drift for inner in inners), default=0.0)
-    report.add("blh.inner_recovery", drift, np.sqrt(cfg.tail_tol),
-               _SUITE_NUMERICAL[14][1])
-    report.add("blh.reconstruct_sum", reconstruct_S_check(inners, ms, cfg),
-               np.sqrt(cfg.tail_tol), _SUITE_NUMERICAL[15][1])
+    report.add("blh.inner_recovery", drift, np.sqrt(cfg.tail_tol))
+    report.add("blh.reconstruct_sum", reconstruct_S_check(inners, ms, cfg), np.sqrt(cfg.tail_tol))
 
 
 # ---------------------------------------------------------------------------

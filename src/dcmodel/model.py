@@ -427,22 +427,19 @@ def _fiber_commutator(box: TruncatedHardySpace, fibers, a: int, b: int) -> float
     return _opnorm_hermitian(apply_comm, box.total_dim)
 
 
-def _gramian_box_operator(L: DilationMap, grams) -> tuple:
-    """Matvec of ``P (L L^H - prod(I - F_i F_i^H)) P`` on the margin box
-    and the box size, ``F_i`` the block-Toeplitz matrix of variable
-    ``i``'s symbol (:func:`_model_symbol`) and ``P`` the projection onto
-    the box, the layers ``k_i < m`` in every variable.
+def _gramian_box_operator(L: DilationMap, box: TruncatedHardySpace, grams):
+    """Matvec of ``P (L L^H - prod(I - F_i F_i^H)) P`` on the margin ``box``,
+    ``F_i`` the block-Toeplitz matrix of variable ``i``'s symbol
+    (:func:`_model_symbol`) and ``P`` the projection onto the box, the
+    layers ``k_i <= box.degree`` in every variable.
 
-    ``grams[i]`` is the leading ``m``-layer block ``A_i`` of ``F_i F_i^H``.
+    ``grams[i]`` is the leading box block ``A_i`` of ``F_i F_i^H``.
     Restricting to the box is exact: ``P`` is the product of per-axis
     projections ``P_i``, and ``P_j`` commutes with ``I (x) F_i F_i^H (x) I``
     for ``j != i``, so ``P prod(I - F_i F_i^H) P = prod P_i (I - F_i F_i^H) P_i``,
     which is ``prod(I - A_i)`` on the box.  The matvec takes and returns
-    flat vectors of the box tensor ``(m,)*n + (r,)`` in C order."""
-    space = L.space
-    r = space.coeff_dim
-    box = TruncatedHardySpace(space.n, len(grams[0]) // r - 1, r)
-    Lb = box_rows(space, L.matrix, box)
+    flat vectors of the box tensor in C order."""
+    Lb = box_rows(L.space, L.matrix, box)
     Lbh = Lb.conj().T
 
     def apply_X(v):
@@ -451,13 +448,19 @@ def _gramian_box_operator(L: DilationMap, grams) -> tuple:
             rhs = rhs - _apply_axis(A, i, rhs)
         return Lb @ (Lbh @ v) - rhs.reshape(-1)
 
-    return apply_X, box.total_dim
+    return apply_X
 
 
-def _gramian_operator_residual(L: DilationMap, grams) -> float:
-    """Norm of the operator-form Gramian residual on the margin box
-    (:func:`_gramian_box_operator`)."""
-    return _opnorm_hermitian(*_gramian_box_operator(L, grams))
+def box_distance(box: TruncatedHardySpace, bases, apply_other) -> float:
+    """Norm of ``prod_i (I (x) B_i B_i^H (x) I) - X`` on the margin ``box``:
+    ``bases[i]`` holds the box rows of an orthonormal basis in the
+    one-variable space of variable ``i``, and ``apply_other`` applies the
+    Hermitian ``X`` to flat vectors of the box.  Cutting each basis to its
+    box rows is exact, as :func:`_gramian_box_operator` explains."""
+    def apply_X(v):
+        return apply_axis_projections(box, bases, v) - apply_other(v)
+
+    return _opnorm_hermitian(apply_X, box.total_dim)
 
 
 def _functional_model_factor(L: DilationMap, i: int) -> np.ndarray:
@@ -476,29 +479,18 @@ def _functional_model_factor(L: DilationMap, i: int) -> np.ndarray:
 @dataclass
 class ModelSpaces:
     """Model-space data: per-variable clipped multiplier projections, held
-    as the orthonormal bases of their complements (the model fibers), and
+    as the orthonormal bases of their complements (the model fibers), the
+    margin box every box norm runs on with the fibers cut to its rows, and
     the residuals tying them to the dilation."""
 
     space: TruncatedHardySpace
     fibers: list
+    box: TruncatedHardySpace
+    box_fibers: list
     margin_drifts: list
     commutator_residuals: dict
     s_residual: float
     gramian_residual: float
-    margin: int
-
-    @property
-    def box(self) -> TruncatedHardySpace:
-        """The margin box, the layers ``k_i <= d - margin`` in every variable."""
-        return self.space.margin_box(self.margin)
-
-    def apply_s_complement(self, V: np.ndarray) -> np.ndarray:
-        """Apply ``prod(I - P_i)`` (clipped projections) compressed to the
-        margin box to flat columns of the box: ``I - P_i`` projects onto
-        the model fiber ``fibers[i]``, here cut to its box rows."""
-        box = self.box
-        rows = (box.degree + 1) * box.coeff_dim
-        return apply_axis_projections(box, [K[:rows] for K in self.fibers], V)
 
 
 def model_space(
@@ -506,7 +498,6 @@ def model_space(
     L: DilationMap,
     charfns,
     cfg: ToleranceConfig = DEFAULT_TOL,
-    margin: int = None,
 ) -> ModelSpaces:
     """Assemble the model space from the dilation and the per-variable
     characteristic functions (:class:`CharFn`).
@@ -514,39 +505,32 @@ def model_space(
     The model fiber ``K_i``, an orthonormal basis of the complement of
     the clipped projection ``P_i``, holds the left singular vectors of
     ``G_i`` (:func:`_functional_model_factor`) with ``s^2 > 1/2``.  The
-    margin drift ``||I - K_i K_i^H - F_i F_i^H||`` on the layers
-    ``k_i <= d - margin`` is measured from the symbol ``F_i``, the one
-    check tying the fibers to it, and certified against the symbol tail.
-    Its ``F_i F_i^H`` block ``A_i`` comes from lag sums
-    (:func:`toeplitz_gram`) and also serves the operator-form Gramian
-    residual on the margin box.  Also records the residual between the
-    dilation range and the complement of the multiplier sum space.  The
-    commutators, that split and the Gramian are norms on the margin box,
-    with every factor cut to its box rows; this is exact, as
+    margin box holds the layers ``k_i <= d - d // 2`` in every variable.
+    The margin drift ``||I - K_i K_i^H - F_i F_i^H||`` on its layers is
+    measured from the symbol ``F_i``, the one check tying the fibers to
+    it, and certified against the symbol tail.  Its ``F_i F_i^H`` block
+    ``A_i`` comes from lag sums (:func:`toeplitz_gram`) and also serves the
+    operator-form Gramian residual on the box.  Also records the residual
+    between the dilation range and the complement of the multiplier sum
+    space.  The commutators, that split and the Gramian are norms on the
+    box, with every factor cut to its box rows; this is exact, as
     :func:`_gramian_box_operator` explains."""
     d = L.degree
-    if margin is None:
-        margin = max(1, d // 2)
-    if margin >= d and d > 0:
-        margin = d - 1
-    if d == 0:
-        margin = 0
     space = L.space
-    box = space.margin_box(margin)
-    r = space.coeff_dim
-    layers = box.degree + 1
+    box = space.margin_box(d // 2)
+    rows = (box.degree + 1) * space.coeff_dim
     fibers, box_fibers, margin_drifts, grams = [], [], [], []
     for i, cf in enumerate(charfns):
         U, sv, _ = np.linalg.svd(_functional_model_factor(L, i), full_matrices=False)
         K = U[:, sv ** 2 > _FIBER_SPLIT]
         fibers.append(K)
-        Kk = K[:layers * r]
+        Kk = K[:rows]
         box_fibers.append(Kk)
-        A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, layers, "out")
+        A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, box.degree + 1, "out")
         grams.append(A)
         md = hermitian_norm(np.eye(len(A)) - Kk @ Kk.conj().T - A)
         margin_drifts.append(md)
-        bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(cf, d - margin))
+        bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(cf, box.degree))
         if md > bound:
             raise ProjectionDriftExceedsTolerance(
                 f"variable {i}: clipped-projection drift {md:.3e} exceeds bound {bound:.3e}"
@@ -554,18 +538,15 @@ def model_space(
     comms = {(a, b): _fiber_commutator(box, box_fibers, a, b)
              for a in range(T.n) for b in range(a + 1, T.n)}
     q_box = box_rows(space, orthonormal_range_basis(L.matrix, cfg), box)
-
-    def apply_X(v):
-        return q_box @ (q_box.conj().T @ v) - apply_axis_projections(box, box_fibers, v)
-
-    s_residual = _opnorm_hermitian(apply_X, box.total_dim)
-    gramian_residual = _gramian_operator_residual(L, grams)
+    s_residual = box_distance(box, box_fibers, lambda v: q_box @ (q_box.conj().T @ v))
+    gramian_residual = _opnorm_hermitian(_gramian_box_operator(L, box, grams), box.total_dim)
     return ModelSpaces(
         space=space,
         fibers=fibers,
+        box=box,
+        box_fibers=box_fibers,
         margin_drifts=margin_drifts,
         commutator_residuals=comms,
         s_residual=float(s_residual),
         gramian_residual=float(gramian_residual),
-        margin=margin,
     )

@@ -7,7 +7,6 @@ import pytest
 from dcmodel.blh import (
     InnerColumnSet,
     NotCoinvariant,
-    OneVarSubspace,
     _inner_range_complement,
     _loose_cut,
     inner_from_wandering,
@@ -56,21 +55,18 @@ class TestWandering:
     def test_monomial_subspace(self):
         # S = span{z, ..., z^d}, complement {1}: wandering part is exactly {z}
         d = 5
-        S = OneVarSubspace(d, 1, np.eye(d + 1, dtype=complex)[:, :1])
-        W = wandering_basis(S)
+        W = wandering_basis(np.eye(d + 1, dtype=complex)[:, :1], d, 1)
         assert W.shape == (d + 1, 1)
         assert abs(W[1, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_space_wanders_at_constants(self):
         d = 4
-        S = OneVarSubspace(d, 1, np.zeros((d + 1, 0), dtype=complex))
-        W = wandering_basis(S)
+        W = wandering_basis(np.zeros((d + 1, 0), dtype=complex), d, 1)
         assert W.shape == (d + 1, 1)
         assert abs(W[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_subspace(self):
-        S = OneVarSubspace(3, 1, np.eye(4, dtype=complex))
-        assert wandering_basis(S).shape == (4, 0)
+        assert wandering_basis(np.eye(4, dtype=complex), 3, 1).shape == (4, 0)
 
     def test_inner_from_wandering_empty(self):
         inn = inner_from_wandering(np.zeros((4, 0)), 1)

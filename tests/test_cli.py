@@ -216,7 +216,7 @@ class TestPipelines:
 class TestReports:
     def test_json_schema(self):
         report = VerificationReport()
-        report.add("x", 1e-12, 1e-9, "some identity")
+        report.add("dilation.isometry", 1e-12, 1e-9)
         text = emit_report(report, "json")
         doc = json.loads(text)
         assert set(doc) == {"checks", "verdict", "skipped"}
@@ -226,7 +226,7 @@ class TestReports:
 
     def test_text_and_json_verdicts_agree(self):
         report = VerificationReport()
-        report.add("x", 1.0, 1e-9, "failing identity")
+        report.add("dilation.isometry", 1.0, 1e-9)
         assert "verdict: fail" in emit_report(report, "text")
         assert json.loads(emit_report(report, "json"))["verdict"] == "fail"
 
@@ -237,13 +237,13 @@ class TestReports:
     def test_skipped_not_counted_as_failure(self):
         # nor as a pass: the verdict matches exit code 2
         report = VerificationReport()
-        report.add("a", 0.0, 1.0, "ok")
-        report.skip("b", "skipped thing", "too large")
+        report.add("dilation.isometry", 0.0, 1.0)
+        report.skip("dilation.intertwining", "too large")
         assert report.verdict == "incomplete"
         doc = json.loads(emit_report(report, "json"))
         assert doc["verdict"] == "incomplete" and doc["skipped"] == 1
         assert "verdict: incomplete" in emit_report(report, "text")
-        report.add("c", 1.0, 1e-9, "failing identity")
+        report.add("dilation.minimality", 1.0, 1e-9)
         assert report.verdict == "fail"
 
 
