@@ -197,10 +197,10 @@ def _validation_checks(T: ContractionTuple, cfg: ToleranceConfig, report: Verifi
     report.add("validate.commuting", max(v.commuting_residual.values(), default=0.0), cfg.check_tol)
     report.add("validate.doubly_commuting", max(v.doubly_commuting_residual.values(), default=0.0),
                cfg.check_tol)
-    rho = max(v.spectral_radii)
+    rho, bound = max(v.spectral_radii), 1.0 - cfg.rank_tol
     report.checks.append(CheckResult(
-        "validate.pure", "pass" if rho < 1.0 - cfg.rank_tol else "fail",
-        float(rho), 1.0, _PAPER_REFS["validate.pure"]))
+        "validate.pure", "pass" if rho < bound else "fail",
+        float(rho), bound, _PAPER_REFS["validate.pure"]))
     if not all(v.contractive):
         # the defects sqrt(I - T^H T) exist only for contractions
         report.skip("validate.defect_commutation", "not evaluated: the tuple is not contractive")

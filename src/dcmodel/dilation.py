@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import TruncatedHardySpace, _axis_view, apply_shift, kernel_vector
+from .hardy import TruncatedHardySpace, kernel_vector, next_layers, row_blocks
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -96,10 +96,21 @@ def _build_matrix(T: ContractionTuple, defects: DefectData, d: int) -> tuple:
             achieved_defect=float("nan"),
         )
     B = defects.big_defect_basis
-    X = B.conj().T @ defects.big_defect  # C0, (rank, dim)
-    # rows C0 T_1^{*k_1} ... T_n^{*k_n}, one axis at a time
-    for M in T.matrices:
-        X = np.einsum("...ra,kab->...krb", X, adjoint_powers(M, d), optimize=True)
+    C0 = B.conj().T @ defects.big_defect  # (rank, dim)
+    # rows C0 T_1^{*k_1} ... T_n^{*k_n}, one axis at a time: the powers of
+    # T_1 directly, then for each later variable one GEMM with all its
+    # powers side by side per row block, written into the output (no
+    # temporary of the output's size)
+    X = np.matmul(C0, adjoint_powers(T.matrices[0], d))
+    for m, M in enumerate(T.matrices[1:], start=2):
+        P = adjoint_powers(M, d).transpose(1, 0, 2).reshape(T.dim, -1)  # [T^{*0} ... T^{*d}]
+        sub = TruncatedHardySpace(m, d, defects.rank)  # the first m variables
+        out = np.empty(sub.shape + (T.dim,), dtype=complex)
+        for a, b in row_blocks(sub, out):
+            Xb = X[a:b]
+            Y = (Xb.reshape(-1, T.dim) @ P).reshape(Xb.shape[:-1] + (d + 1, T.dim))
+            out[a:b] = np.moveaxis(Y, -2, -3)  # the new axis before the coefficient axis
+        X = out
     return space, X.reshape(space.total_dim, T.dim)
 
 
@@ -140,9 +151,49 @@ def build_dilation(
     return DilationMap(tuple=T, defects=defects, space=space, matrix=L, degree=cur)
 
 
+def _tensor(L: DilationMap) -> np.ndarray:
+    """The dilation matrix as a tensor view of shape ``space.shape + (dim,)``."""
+    return L.matrix.reshape(L.space.shape + (L.tuple.dim,))
+
+
+def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A^H B`` for two arrays of flat rows with a trailing column axis."""
+    A, B = A.reshape(-1, A.shape[-1]), B.reshape(-1, B.shape[-1])
+    return A.conj().T @ B
+
+
+def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The ``dim x k`` matrix ``W = V_keep diag(1/s_keep)`` for which
+    ``L W`` is an orthonormal basis of the numerical range of the dilation
+    matrix, without an SVD of the tall matrix.  The triangular factor ``R``
+    of ``L = Q R`` comes from QR factorizations over row blocks
+    (:func:`hardy.row_blocks`; TSQR, Demmel, Grigori, Hoemmen and Langou,
+    SIAM J. Sci. Comput. 34, 2012), so ``R = U diag(s) V^H`` gives the
+    singular values ``s`` and right singular vectors ``V`` of ``L``.  The
+    values ``s > rank_tol s_0`` are kept, the cut of
+    :func:`matrixcore.orthonormal_range_basis`.  The columns of ``L W`` are
+    orthonormal to rounding times ``s_0 / s_min``: to rounding for the
+    near-isometry of an adaptive run, whose ``s`` all lie near 1.
+
+    Cutting the eigenvalues of ``L^H L`` instead would square the singular
+    values: on a rank-deficient ``L`` the Gram's rounding noise (about
+    1e-16) sits above ``rank_tol^2``."""
+    t = _tensor(L)
+    R = np.zeros((0, L.tuple.dim), dtype=complex)
+    for a, b in row_blocks(L.space, L.matrix):
+        R = np.linalg.qr(np.concatenate([R, t[a:b].reshape(-1, L.tuple.dim)]), mode="r")
+    _, s, Vh = np.linalg.svd(R, full_matrices=False)
+    keep = s > cfg.rank_tol * s.max(initial=0.0)
+    return Vh[keep].conj().T / s[keep]
+
+
 def isometry_defect(L: DilationMap) -> float:
-    """``||I - L^H L||`` on the input space."""
-    G = L.matrix.conj().T @ L.matrix
+    """``||I - L^H L||`` on the input space, the Gram summed over row
+    blocks (:func:`hardy.row_blocks`)."""
+    t = _tensor(L)
+    G = np.zeros((L.tuple.dim, L.tuple.dim), dtype=complex)
+    for a, b in row_blocks(L.space, L.matrix):
+        G += _gram(t[a:b], t[a:b])
     return operator_norm(np.eye(L.tuple.dim) - G)
 
 
@@ -150,12 +201,19 @@ def intertwining_residual(L: DilationMap, i: int) -> float:
     """``||L T_i^H - coshift_i L||``; supported on the top coefficient
     layer only, hence bounded by the truncation tail.
 
-    The difference is formed over every layer (one ``N x dim`` array,
-    the coshift subtracted in place), and its norm is the square root of
-    the largest eigenvalue of its ``dim x dim`` Gram matrix."""
-    X = L.matrix @ L.tuple.matrices[i].conj().T
-    _axis_view(L.space, X, i)[:-1] -= _axis_view(L.space, L.matrix, i)[1:]
-    return float(np.sqrt(max(np.linalg.eigvalsh(X.conj().T @ X)[-1], 0.0)))
+    The difference is formed one row block at a time (:func:`hardy.row_blocks`;
+    the coshift in the first variable reads across the seam into the next
+    block), and its norm is the square root of the largest eigenvalue of
+    its ``dim x dim`` Gram matrix, summed over the blocks."""
+    t = _tensor(L)
+    Mh = L.tuple.matrices[i].conj().T
+    G = np.zeros((L.tuple.dim, L.tuple.dim), dtype=complex)
+    for a, b in row_blocks(L.space, L.matrix):
+        X = (t[a:b].reshape(-1, L.tuple.dim) @ Mh).reshape(t[a:b].shape)
+        nxt = next_layers(t, a, b, i)
+        np.moveaxis(X, i, 0)[:len(nxt)] -= nxt
+        G += _gram(X, X)
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
 def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -167,12 +225,16 @@ def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEF
     D = L.defects.big_defect
     I = np.eye(L.tuple.dim, dtype=complex)
     k = len(samples)
-    # L^H kv without copying L, one kernel vector at a time: stacked, the
-    # N-length vectors of all samples would be held at once (about 85 MB at
-    # N = 264,196 and 20 samples), and the benchmark's traced run counts
-    # one kernel_vector call per sample (perfbench/test_perfbench.py)
-    lhs = np.array([(kernel_vector(L.space, w, eta).conj() @ L.matrix).conj()
-                    for w, eta in samples], dtype=complex).reshape(k, L.tuple.dim)
+    # L^H kv = conj(conj(kv) @ L) without copying L, one kernel vector at a
+    # time and conjugated in place: stacked, the N-length vectors of all
+    # samples would be held at once (about 85 MB at N = 264,196 and 20
+    # samples), and the benchmark's traced run counts one kernel_vector call
+    # per sample (perfbench/test_perfbench.py)
+    lhs = np.empty((k, L.tuple.dim), dtype=complex)
+    for j, (w, eta) in enumerate(samples):
+        kv = kernel_vector(L.space, w, eta)
+        lhs[j] = np.conj(np.conj(kv, out=kv) @ L.matrix)
+        del kv  # else it stays live while the next one is built
     w = np.asarray([w for w, _ in samples], dtype=complex).reshape(k, L.tuple.n)
     eta = np.asarray([eta for _, eta in samples], dtype=complex).reshape(k, B.shape[1], 1)
     v = D @ (B @ eta)
@@ -193,9 +255,16 @@ def minimality_check(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
 
 def compressed_tuple_residual(L: DilationMap) -> list:
     """Per-variable residual ``||L^H shift_i L - T_i||`` certifying that
-    compressing the shifts to the dilation range recovers the tuple."""
+    compressing the shifts to the dilation range recovers the tuple.
+    ``L^H shift_i L`` is the sum of ``L[k + e_i]^H L[k]`` over the
+    multi-indices ``k`` below the top layer in variable ``i``, taken one
+    row block at a time (:func:`hardy.next_layers`)."""
+    t = _tensor(L)
     out = []
     for i, M in enumerate(L.tuple.matrices):
-        comp = L.matrix.conj().T @ apply_shift(L.space, L.matrix, i)
+        comp = np.zeros_like(M)
+        for a, b in row_blocks(L.space, L.matrix):
+            nxt = next_layers(t, a, b, i)
+            comp += _gram(nxt, np.moveaxis(t[a:b], i, 0)[:len(nxt)])
         out.append(operator_norm(comp - M))
     return out

@@ -17,6 +17,12 @@ from functools import reduce
 import numpy as np
 
 
+# bytes of one row block: a product over the rows of flat columns, such
+# as the Gram of the N-row dilation matrix, is accumulated block by block
+# (row_blocks), so no second N-row array is formed
+_BLOCK_BYTES = 1 << 20
+
+
 class PointOutsidePolydisc(ValueError):
     """A sample point left the open unit polydisc."""
 
@@ -60,6 +66,31 @@ def box_rows(space: TruncatedHardySpace, M: np.ndarray, box: TruncatedHardySpace
     with the same ``n`` and coefficient dimension and a lower degree)."""
     t = M.reshape(space.shape + M.shape[1:])[(slice(box.degree + 1),) * space.n]
     return t.reshape((box.total_dim,) + M.shape[1:])
+
+
+def row_blocks(space: TruncatedHardySpace, arr: np.ndarray):
+    """Split flat columns ``arr`` of ``space`` into row blocks of whole
+    layers of the first variable, about ``_BLOCK_BYTES`` each and at least
+    one layer: yields ``(a, b)``, the block being the layers
+    ``a <= k_1 < b`` of the tensor view ``arr.reshape(space.shape + ...)``.
+    A shift in any variable but the first stays inside a block; one in the
+    first crosses into the next layer, ``b``."""
+    layers = space.degree + 1
+    step = max(1, _BLOCK_BYTES * layers // max(1, arr.nbytes))
+    for a in range(0, layers, step):
+        yield a, min(a + step, layers)
+
+
+def next_layers(t: np.ndarray, a: int, b: int, i: int) -> np.ndarray:
+    """The coshift in variable ``i`` of the block ``t[a:b]`` of a tensor
+    ``t`` of flat columns (:func:`row_blocks`), as a view with the axis of
+    variable ``i`` first: entry ``k`` is ``t[k + e_i]``, for the block
+    indices ``k`` with ``k_i`` below the top layer, which are the leading
+    ``len`` entries of the block along that axis.  For ``i == 0`` it is the
+    layers ``a + 1 .. b``, across the seam into the next block."""
+    if i == 0:
+        return t[a + 1:b + 1]
+    return np.moveaxis(t[a:b], i, 0)[1:]
 
 
 def _axis_view(space: TruncatedHardySpace, arr: np.ndarray, i: int) -> np.ndarray:

@@ -11,14 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2.x loads it lazily: load it with the package, not in a suite call
 
-from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers
+from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_factor
 from .hardy import TruncatedHardySpace, _check_polydisc, box_rows, szego_kernel
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
     hermitian_norm,
     operator_norm,
-    orthonormal_range_basis,
 )
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
 
@@ -440,13 +439,13 @@ def _gramian_box_operator(L: DilationMap, box: TruncatedHardySpace, grams):
     which is ``prod(I - A_i)`` on the box.  The matvec takes and returns
     flat vectors of the box tensor in C order."""
     Lb = box_rows(L.space, L.matrix, box)
-    Lbh = Lb.conj().T
 
     def apply_X(v):
         rhs = v.reshape(box.shape)
         for i, A in enumerate(grams):
             rhs = rhs - _apply_axis(A, i, rhs)
-        return Lb @ (Lbh @ v) - rhs.reshape(-1)
+        # Lb^H v = conj(conj(v) @ Lb), with no conjugated copy of Lb
+        return Lb @ np.conj(np.conj(v) @ Lb) - rhs.reshape(-1)
 
     return apply_X
 
@@ -537,7 +536,7 @@ def model_space(
             )
     comms = {(a, b): _fiber_commutator(box, box_fibers, a, b)
              for a in range(T.n) for b in range(a + 1, T.n)}
-    q_box = box_rows(space, orthonormal_range_basis(L.matrix, cfg), box)
+    q_box = box_rows(space, L.matrix, box) @ range_factor(L, cfg)
     s_residual = box_distance(box, box_fibers, lambda v: q_box @ (q_box.conj().T @ v))
     gramian_residual = _opnorm_hermitian(_gramian_box_operator(L, box, grams), box.total_dim)
     return ModelSpaces(

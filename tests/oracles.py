@@ -17,7 +17,9 @@ from dcmodel.hardy import (
     TruncatedHardySpace,
     _check_polydisc,
     _monomials,
+    apply_coshift,
     apply_shift,
+    box_rows,
     szego_kernel,
 )
 from dcmodel.matrixcore import (
@@ -462,3 +464,28 @@ def adjoint_on_kernels_loop(L, samples) -> float:
             v = np.linalg.solve(I - np.conj(w[i]) * M, v)
         worst = max(worst, float(np.linalg.norm(lhs - v)))
     return worst
+
+
+def isometry_defect(L) -> float:
+    """``||I - L^H L||`` from the Gram of the whole dilation matrix at once."""
+    return operator_norm(np.eye(L.tuple.dim) - L.matrix.conj().T @ L.matrix)
+
+
+def intertwining_residual(L, i: int) -> float:
+    """``||L T_i^H - coshift_i L||`` from an SVD of the whole ``N x dim``
+    difference."""
+    X = L.matrix @ L.tuple.matrices[i].conj().T - apply_coshift(L.space, L.matrix, i)
+    return operator_norm(X)
+
+
+def compressed_tuple_residual(L) -> list:
+    """``||L^H shift_i L - T_i||`` per variable, the shift applied to the
+    whole dilation matrix."""
+    return [operator_norm(L.matrix.conj().T @ apply_shift(L.space, L.matrix, i) - M)
+            for i, M in enumerate(L.tuple.matrices)]
+
+
+def range_box_basis(L, box, cfg=DEFAULT_TOL) -> np.ndarray:
+    """Box rows of the dilation range basis from a thin SVD of the whole
+    dilation matrix."""
+    return box_rows(L.space, orthonormal_range_basis(L.matrix, cfg), box)

@@ -143,6 +143,17 @@ class TestPipelines:
         assert all(c.status == "skipped" for c in report.checks
                    if not c.name.startswith("validate."))
 
+    def test_pure_reports_the_compared_bound(self, tmp_path):
+        # spectral radius 1 - 1e-11 is not below 1 - rank_tol: the check
+        # fails, and the tolerance it reports is the bound it compared with
+        p = _write_tuple(tmp_path / "edge.json", [[[0.99999999999]]])
+        report, code = run_validate(p)
+        assert code == 1
+        check = next(c for c in report.checks if c.name == "validate.pure")
+        assert check.status == "fail"
+        assert check.tolerance == 1.0 - 1e-10
+        assert check.residual >= check.tolerance
+
     NON_CONTRACTIVE = {
         "norm-2": [[[2.0]]],
         "second-of-two": [[[0.3]], [[2.0]]],

@@ -1,11 +1,14 @@
 """Truncated dilation isometry and its checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dcmodel.dilation as dilation
+import dcmodel.hardy as hardy
 from dcmodel.dilation import (
     DegreeCapExceeded,
     _box_gram_defect,
@@ -16,7 +19,10 @@ from dcmodel.dilation import (
     intertwining_residual,
     isometry_defect,
     minimality_check,
+    range_factor,
 )
+from dcmodel.hardy import box_rows, row_blocks
+from dcmodel.model import box_distance, charfns_for_tuple, model_space
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
 
 import oracles
@@ -192,3 +198,103 @@ class TestChecks:
         assert intertwining_residual(L, 0) <= 1e-14
         assert minimality_check(L) <= 1e-12
         assert max(compressed_tuple_residual(L)) <= 1e-13
+
+
+def _projection_gap(A, B) -> float:
+    return float(np.linalg.norm(A @ A.conj().T - B @ B.conj().T, 2))
+
+
+class TestRowBlocks:
+    """The dilation build, its checks and the range basis run over row
+    blocks of whole first-variable layers; with the block size patched to
+    two layers, several blocks and their seams are exercised."""
+
+    CASES = {
+        "n1": (lambda: [make_random_pure_contraction(3, 0.7, 1)], 9),
+        "n2": (lambda: [make_random_pure_contraction(2, 0.7, 2), np.array([[0, 0.6], [0, 0]])], 5),
+        "n3": (lambda: [make_random_pure_contraction(2, 0.6, 3), [[0.5]], [[-0.4j]]], 3),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def blocked(self, request, monkeypatch):
+        factors, d = self.CASES[request.param]
+        T = make_tensor_tuple(factors())
+        full = build_dilation(T, d=d, adaptive=False)
+        monkeypatch.setattr(hardy, "_BLOCK_BYTES", 2 * full.matrix.nbytes // (d + 1))
+        L = build_dilation(T, d=d, adaptive=False)
+        assert [b - a for a, b in row_blocks(L.space, L.matrix)][:-1] == [2] * (d // 2)
+        return T, L
+
+    def test_build_matches_index_loop(self, blocked):
+        T, L = blocked
+        want = oracles.dilation_matrix(T, L.defects, L.degree)
+        assert np.max(np.abs(L.matrix - want)) <= 1e-14
+
+    def test_checks_match_unblocked(self, blocked):
+        # at these low degrees every residual is far above rounding
+        T, L = blocked
+        assert isometry_defect(L) == pytest.approx(oracles.isometry_defect(L), abs=1e-14)
+        for i in range(T.n):
+            assert intertwining_residual(L, i) == pytest.approx(
+                oracles.intertwining_residual(L, i), rel=1e-12, abs=1e-14)
+        assert np.allclose(compressed_tuple_residual(L), oracles.compressed_tuple_residual(L),
+                           rtol=1e-12, atol=1e-14)
+        assert oracles.isometry_defect(L) > 1e-6
+
+    def test_range_box_basis_matches_svd(self, blocked):
+        _, L = blocked
+        box = L.space.margin_box(L.degree // 2)
+        q_box = box_rows(L.space, L.matrix, box) @ range_factor(L)
+        want = oracles.range_box_basis(L, box)
+        assert q_box.shape == want.shape
+        assert _projection_gap(q_box, want) <= 1e-13
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_rank_deficient_range(self, d):
+        # T = U J U^H, J the 4 x 4 shift: below d = 3 the dilation matrix
+        # is rank-deficient, with singular values near 1e-8 besides those
+        # near 1. The cut on the singular values of the blocked R keeps the
+        # SVD's rank, and the range split matches the SVD basis to about
+        # 1e-8 (rounding over the smallest kept singular value). A cut
+        # on the eigenvalues of L^H L, whose rounding noise is about 1e-16,
+        # read 0.854, 0.775 and 0.314 here against 1.000, 1.000 and 0.757
+        # at d = 0, 1, 2
+        rng = np.random.default_rng(0)
+        U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        T = ContractionTuple((U @ np.eye(4, k=1) @ U.conj().T,))
+        L = build_dilation(T, d=d, adaptive=False)
+        ms = model_space(T, L, charfns_for_tuple(T, L.defects))
+        want = oracles.range_box_basis(L, ms.box)
+        assert range_factor(L).shape[1] == want.shape[1]
+        split = box_distance(ms.box, ms.box_fibers, lambda v: want @ (want.conj().T @ v))
+        assert ms.s_residual == pytest.approx(split, abs=1e-6)
+
+
+def _traced_peak(f) -> int:
+    """Bytes allocated by ``f()`` at its peak, above what was live at the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_tall_products_allocate_blocks_not_copies(monkeypatch):
+    # n = 2, d = 64: with blocks of 1/32 of the dilation matrix, none of the
+    # checks or the range factor allocates a quarter of it; a conjugated
+    # copy, a coshifted copy or a thin SVD would each take all of it
+    T = make_tensor_tuple([make_random_pure_contraction(2, 0.9, 4),
+                           make_random_pure_contraction(2, 0.9, 5)])
+    L = build_dilation(T, d=64, adaptive=False)
+    monkeypatch.setattr(hardy, "_BLOCK_BYTES", L.matrix.nbytes // 32)
+    bound = L.matrix.nbytes // 4
+    assert _traced_peak(lambda: isometry_defect(L)) < bound
+    for i in range(T.n):
+        assert _traced_peak(lambda: intertwining_residual(L, i)) < bound
+    assert _traced_peak(lambda: compressed_tuple_residual(L)) < bound
+    assert _traced_peak(lambda: range_factor(L)) < bound
+    # the build holds its output and, per variable after the first, one block
+    assert _traced_peak(lambda: build_dilation(T, d=64, adaptive=False)) < L.matrix.nbytes + bound
