@@ -163,17 +163,23 @@ def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The ``dim x k`` matrix ``W = V_keep diag(1/s_keep)`` for which
-    ``L W`` is an orthonormal basis of the numerical range of the dilation
-    matrix, without an SVD of the tall matrix.  The triangular factor ``R``
-    of ``L = Q R`` comes from QR factorizations over row blocks
-    (:func:`hardy.row_blocks`; TSQR, Demmel, Grigori, Hoemmen and Langou,
-    SIAM J. Sci. Comput. 34, 2012), so ``R = U diag(s) V^H`` gives the
-    singular values ``s`` and right singular vectors ``V`` of ``L``.  The
-    values ``s > rank_tol s_0`` are kept, the cut of
-    :func:`matrixcore.orthonormal_range_basis`.  The columns of ``L W`` are
-    orthonormal to rounding times ``s_0 / s_min``: to rounding for the
-    near-isometry of an adaptive run, whose ``s`` all lie near 1.
+    """The ``dim x k`` matrix ``W`` for which ``L W`` is an orthonormal
+    basis of the numerical range of the dilation matrix, without an SVD of
+    the tall matrix.  The triangular factor ``R`` of ``L = Q R`` comes from
+    QR factorizations over row blocks (:func:`hardy.row_blocks`; TSQR,
+    Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012), so
+    ``R = U diag(s) V^H`` gives the singular values ``s`` and right singular
+    vectors ``V`` of ``L``.  The values ``s > rank_tol s_0`` are kept, the
+    cut of :func:`matrixcore.orthonormal_range_basis`.
+
+    In ``W_0 = V_keep diag(1/s_keep)`` the small ``s`` carry a relative
+    error of rounding times ``s_0 / s_min``, about 1e-8 on a rank-deficient
+    ``L``; one more pass over the blocks takes the ``k x k`` Gram ``G`` of
+    ``L W_0`` and returns ``W = W_0 G^{-1/2}`` (the second step of
+    CholeskyQR2), which removes that error.  What stays is the rounding of
+    the product ``L W`` itself, rounding times ``||L|| ||W|| = s_0 / s_min``:
+    the columns of ``L W`` are orthonormal to rounding for the near-isometry
+    of an adaptive run, whose ``s`` all lie near 1.
 
     Cutting the eigenvalues of ``L^H L`` instead would square the singular
     values: on a rank-deficient ``L`` the Gram's rounding noise (about
@@ -184,7 +190,28 @@ def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
         R = np.linalg.qr(np.concatenate([R, t[a:b].reshape(-1, L.tuple.dim)]), mode="r")
     _, s, Vh = np.linalg.svd(R, full_matrices=False)
     keep = s > cfg.rank_tol * s.max(initial=0.0)
-    return Vh[keep].conj().T / s[keep]
+    W = Vh[keep].conj().T / s[keep]
+    G = np.zeros((W.shape[1], W.shape[1]), dtype=complex)
+    for a, b in row_blocks(L.space, L.matrix):
+        Q = t[a:b].reshape(-1, L.tuple.dim) @ W
+        G += Q.conj().T @ Q
+    e, V = np.linalg.eigh(G)
+    return W @ ((V / np.sqrt(e)) @ V.conj().T)
+
+
+def range_box_basis(L: DilationMap, box: TruncatedHardySpace,
+                    cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The rows in ``box`` (:func:`hardy.box_rows`) of the orthonormal
+    range basis ``L W`` of :func:`range_factor`, formed one row block of the
+    box at a time: no copy of the box rows of ``L`` is held."""
+    W = range_factor(L, cfg)
+    t = _tensor(L)
+    rest = (slice(box.degree + 1),) * (L.tuple.n - 1)
+    out = np.empty(box.shape + (W.shape[1],), dtype=complex)
+    for a, b in row_blocks(box, out):
+        Lb = t[(slice(a, b),) + rest].reshape(-1, L.tuple.dim)
+        out[a:b] = (Lb @ W).reshape(out[a:b].shape)
+    return out.reshape(box.total_dim, W.shape[1])
 
 
 def isometry_defect(L: DilationMap) -> float:

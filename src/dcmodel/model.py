@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # numpy 2.x loads it lazily: load it with the package, not in a suite call
 
-from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_factor
+from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_box_basis
 from .hardy import TruncatedHardySpace, _check_polydisc, box_rows, szego_kernel
 from .matrixcore import (
     DEFAULT_TOL,
@@ -536,7 +536,7 @@ def model_space(
             )
     comms = {(a, b): _fiber_commutator(box, box_fibers, a, b)
              for a in range(T.n) for b in range(a + 1, T.n)}
-    q_box = box_rows(space, L.matrix, box) @ range_factor(L, cfg)
+    q_box = range_box_basis(L, box, cfg)
     s_residual = box_distance(box, box_fibers, lambda v: q_box @ (q_box.conj().T @ v))
     gramian_residual = _opnorm_hermitian(_gramian_box_operator(L, box, grams), box.total_dim)
     return ModelSpaces(

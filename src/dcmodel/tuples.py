@@ -192,21 +192,20 @@ def defect_commutation_check(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT
     return res
 
 
-def make_tensor_tuple(factors, cfg: ToleranceConfig = DEFAULT_TOL) -> ContractionTuple:
+def make_tensor_tuple(factors) -> ContractionTuple:
     """Tuple ``T_i = I (x) ... (x) A_i (x) ... (x) I`` on the tensor
     product of the factor spaces (factor 1 slowest-varying).
 
     Doubly commuting by construction; each factor must be a contraction
-    (norm at most ``1 + check_tol``) with spectral radius below
-    ``1 - rank_tol``.
+    with spectral radius < 1.
     """
     mats = [as_matrix(A) for A in factors]
     for A in mats:
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch("factors must be square")
-        if operator_norm(A) > 1.0 + cfg.check_tol:
+        if operator_norm(A) > 1.0 + DEFAULT_TOL.check_tol:
             raise FactorNotContractive(f"factor norm {operator_norm(A):.4f} > 1")
-        if spectral_radius(A) >= 1.0 - cfg.rank_tol:
+        if spectral_radius(A) >= 1.0 - DEFAULT_TOL.rank_tol:
             raise FactorNotPure(f"factor spectral radius {spectral_radius(A):.4f} >= 1")
     dims = [A.shape[0] for A in mats]
     ops = []

@@ -19,9 +19,10 @@ from dcmodel.dilation import (
     intertwining_residual,
     isometry_defect,
     minimality_check,
+    range_box_basis,
     range_factor,
 )
-from dcmodel.hardy import box_rows, row_blocks
+from dcmodel.hardy import row_blocks
 from dcmodel.model import box_distance, charfns_for_tuple, model_space
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
 
@@ -244,7 +245,7 @@ class TestRowBlocks:
     def test_range_box_basis_matches_svd(self, blocked):
         _, L = blocked
         box = L.space.margin_box(L.degree // 2)
-        q_box = box_rows(L.space, L.matrix, box) @ range_factor(L)
+        q_box = range_box_basis(L, box)
         want = oracles.range_box_basis(L, box)
         assert q_box.shape == want.shape
         assert _projection_gap(q_box, want) <= 1e-13
@@ -254,8 +255,10 @@ class TestRowBlocks:
         # T = U J U^H, J the 4 x 4 shift: below d = 3 the dilation matrix
         # is rank-deficient, with singular values near 1e-8 besides those
         # near 1. The cut on the singular values of the blocked R keeps the
-        # SVD's rank, and the range split matches the SVD basis to about
-        # 1e-8 (rounding over the smallest kept singular value). A cut
+        # SVD's rank, and the range split matches the SVD basis's to
+        # rounding (at most 9e-16 here); without the Gram pass that rescales
+        # W it was off by 2.5e-8 at d = 1, the rounding of R over the
+        # smallest kept singular value. A cut
         # on the eigenvalues of L^H L, whose rounding noise is about 1e-16,
         # read 0.854, 0.775 and 0.314 here against 1.000, 1.000 and 0.757
         # at d = 0, 1, 2
@@ -267,7 +270,7 @@ class TestRowBlocks:
         want = oracles.range_box_basis(L, ms.box)
         assert range_factor(L).shape[1] == want.shape[1]
         split = box_distance(ms.box, ms.box_fibers, lambda v: want @ (want.conj().T @ v))
-        assert ms.s_residual == pytest.approx(split, abs=1e-6)
+        assert ms.s_residual == pytest.approx(split, abs=1e-10)
 
 
 def _traced_peak(f) -> int:
@@ -298,3 +301,15 @@ def test_tall_products_allocate_blocks_not_copies(monkeypatch):
     assert _traced_peak(lambda: range_factor(L)) < bound
     # the build holds its output and, per variable after the first, one block
     assert _traced_peak(lambda: build_dilation(T, d=64, adaptive=False)) < L.matrix.nbytes + bound
+
+
+def test_range_box_basis_allocates_its_output_only(monkeypatch):
+    # n = 3, d = 32: the margin box holds (17/33)^3 = 0.137 of the rows, so
+    # the box rows of the range basis stay under a quarter of the dilation
+    # matrix; a full N-row basis, or a copy of the box rows of L next to
+    # the product, would not
+    T = make_tensor_tuple([make_random_pure_contraction(2, 0.9, 6), [[0.8]], [[-0.7j]]])
+    L = build_dilation(T, d=32, adaptive=False)
+    box = L.space.margin_box(L.degree // 2)
+    monkeypatch.setattr(hardy, "_BLOCK_BYTES", L.matrix.nbytes // 32)
+    assert _traced_peak(lambda: range_box_basis(L, box)) < L.matrix.nbytes // 4

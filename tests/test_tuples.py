@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmodel.matrixcore import ToleranceConfig, operator_norm
+from dcmodel.matrixcore import operator_norm
 from dcmodel.tuples import (
     ContractionTuple,
     FactorNotPure,
@@ -122,15 +122,6 @@ class TestGenerators:
     def test_impure_factor_rejected(self):
         with pytest.raises(FactorNotPure):
             make_tensor_tuple([np.eye(2)])
-
-    def test_purity_cut_follows_cfg(self):
-        # spectral radius 1 - 1e-11: pure under rank_tol 1e-12, not under
-        # the default rank_tol 1e-10
-        A = np.array([[1.0 - 1e-11]])
-        T = make_tensor_tuple([A, [[0.5]]], cfg=ToleranceConfig(rank_tol=1e-12))
-        assert np.array_equal(T.matrices[0], A)
-        with pytest.raises(FactorNotPure):
-            make_tensor_tuple([A, [[0.5]]])
 
     def test_random_contraction_norm_and_determinism(self):
         M1 = make_random_pure_contraction(4, 0.7, 42)
