@@ -467,10 +467,12 @@ def main(argv=None) -> int:
                     return 3
             report, code = run_full_suite(args.file, cfg, degree,
                                           boundary_samples=args.boundary_samples)
-            emit_report(report, args.format, sys.stdout)
+            text = emit_report(report, args.format, sys.stdout)
             if args.report:
+                if args.format != "json":
+                    text = emit_report(report, "json")
                 with open(args.report, "w") as f:
-                    emit_report(report, "json", f)
+                    f.write(text)
             return code
         if args.command == "demo":
             try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy 2.x loads it lazily: load it with the package, not in a suite call
 
 from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_box_basis
 from .hardy import TruncatedHardySpace, _check_polydisc, box_rows, szego_kernel
@@ -17,7 +16,9 @@ from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
     hermitian_norm,
+    krylov_norm,
     operator_norm,
+    unit_probe,
 )
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
 
@@ -36,10 +37,6 @@ _FIBER_SPLIT = 0.5
 
 # ||X v|| of the probe below which _opnorm_hermitian returns it: X is 0 to rounding
 _PROBE_FLOOR = 1e-13
-# relative Ritz residual (or gain of a restart) at which its Lanczos run stops
-_KRYLOV_TOL = 1e-10
-# most vectors its Lanczos basis holds, its memory (ARPACK's default ncv)
-_KRYLOV_BASIS = 20
 
 
 class ResolventSingular(RuntimeError):
@@ -375,42 +372,19 @@ def apply_axis_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> 
 
 def _opnorm_hermitian(apply_X, size: int) -> float:
     """Spectral norm of a Hermitian ``X`` on ``C^size`` given as a matvec
-    callable, from one seeded random complex unit probe ``v``:
+    callable, from the seeded random complex unit probe ``v``
+    (:func:`~dcmodel.matrixcore.unit_probe`):
 
     - ``||X v||`` below ``_PROBE_FLOOR``: that value, a single-probe
       estimate and not a bound (it can undershoot by about ``sqrt(size)``);
-    - otherwise: the largest-magnitude Ritz value of a Lanczos run from
-      ``v`` (full reorthogonalisation, restarts from the top Ritz vector),
-      to ``_KRYLOV_TOL``; exact once the basis spans ``C^size``."""
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    v /= np.linalg.norm(v)
+    - otherwise: the top Ritz value of a Lanczos run from ``v``
+      (:func:`~dcmodel.matrixcore.krylov_norm`); exact once the basis
+      spans ``C^size``."""
+    v = unit_probe(size)
     probe = float(np.linalg.norm(apply_X(v)))
     if probe < _PROBE_FLOOR:
         return probe
-    m = min(size, _KRYLOV_BASIS)
-    V = np.empty((m, size), dtype=complex)
-    V[0], theta = v, 0.0
-    while True:
-        T, best = np.zeros((m, m)), theta  # the tridiagonal projection of X
-        for j in range(m):
-            w = apply_X(V[j])
-            for _ in range(2):  # full reorthogonalisation, applied twice
-                h = V[:j + 1].conj() @ w
-                w = w - h @ V[:j + 1]
-                T[j, j] += h[j].real
-            beta = np.linalg.norm(w)
-            ritz, S = np.linalg.eigh(T[:j + 1, :j + 1])  # eigh reads the lower triangle
-            top = np.argmax(np.abs(ritz))
-            theta = float(abs(ritz[top]))
-            # a converged Ritz pair (breakdown, beta = 0, included) or a basis spanning C^size
-            if beta * abs(S[-1, top]) <= _KRYLOV_TOL * theta or j + 1 == size:
-                return theta
-            if j + 1 < m:
-                T[j + 1, j], V[j + 1] = beta, w / beta
-        if theta - best <= _KRYLOV_TOL * theta:  # a restart gained nothing: the rounding floor
-            return theta
-        V[0] = S[:, top] @ V
+    return krylov_norm(apply_X, v)
 
 
 def _fiber_commutator(box: TruncatedHardySpace, fibers, a: int, b: int) -> float:

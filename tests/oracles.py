@@ -28,7 +28,15 @@ from dcmodel.matrixcore import (
     orthonormal_range_basis,
     phase_normalize_columns,
 )
-from dcmodel.model import CharFn, NotProjection, _embedding, _project_axis, charfn_eval
+from dcmodel.model import (
+    CharFn,
+    NotProjection,
+    _embedding,
+    _model_symbol,
+    _project_axis,
+    charfn_eval,
+    toeplitz_gram,
+)
 
 
 class NotCommuting(ValueError):
@@ -291,6 +299,17 @@ def projection_matrix(model, i: int) -> np.ndarray:
     I = np.eye(N, dtype=complex)
     KKh = _project_axis(model.space, model.fibers[i], i, I.reshape(model.space.shape + (N,)))
     return I - KKh.reshape(N, N)
+
+
+def margin_drift(model, L, cf, i: int, cfg=DEFAULT_TOL) -> float:
+    """The margin drift ``||I - K_i K_i^H - A_i||`` of variable ``i`` on the
+    box rows, from the same formed difference as ``model_space`` and a
+    dense ``eigvalsh`` at every size."""
+    d = L.degree
+    A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, model.box.degree + 1, "out")
+    K = model.box_fibers[i]
+    w = np.linalg.eigvalsh(np.eye(len(A)) - K @ K.conj().T - A)
+    return float(max(-w[0], w[-1]))
 
 
 def s_projection(model) -> np.ndarray:

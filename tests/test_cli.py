@@ -271,6 +271,27 @@ class TestMain:
         capsys.readouterr()
         assert Path(rep1).read_bytes() == Path(rep2).read_bytes()
 
+    @pytest.mark.parametrize("fmt,renders", [("json", 1), ("text", 2)])
+    def test_report_rendered_once(self, tmp_path, capsys, monkeypatch, fmt, renders):
+        # with --format json, stdout and --report are the same rendering
+        import dcmodel.cli as cli_mod
+
+        demo = str(tmp_path / "demo.json")
+        rep = tmp_path / "report.json"
+        main(["demo", "jordan", "--dims", "2", "--radius", "0.6", "--out", demo])
+        capsys.readouterr()
+        calls = []
+        emit = cli_mod.emit_report
+        monkeypatch.setattr(cli_mod, "emit_report",
+                            lambda *args: calls.append(args[1]) or emit(*args))
+        assert main(["--format", fmt, "suite", demo, "--report", str(rep)]) == 0
+        out = capsys.readouterr().out
+        assert len(calls) == renders
+        doc = rep.read_bytes()
+        assert json.loads(doc)["verdict"] == "pass"
+        if fmt == "json":
+            assert out.encode() == doc
+
     def test_parse_error_exit_3(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("nope")

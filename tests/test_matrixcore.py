@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcmodel.matrixcore import (
+    _EXACT_ROWS,
     _PIVOT_FLOOR,
     DEFAULT_TOL,
     DimensionMismatch,
@@ -93,6 +94,62 @@ class TestHermitianNorm:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             hermitian_norm(np.array([[np.nan]]))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (_EXACT_ROWS + 1, _EXACT_ROWS + 2)])
+    def test_rejects_non_square(self, shape):
+        # on the eigvalsh path and on the Krylov path
+        with pytest.raises(DimensionMismatch):
+            hermitian_norm(np.ones(shape))
+
+    @pytest.mark.parametrize("size", [3, _EXACT_ROWS + 1])
+    def test_zero_is_zero(self, size):
+        assert hermitian_norm(np.zeros((size, size))) == 0.0
+
+    def test_at_cutoff_is_eigvalsh(self):
+        A = _random_matrix(3, _EXACT_ROWS)
+        H = A + A.conj().T
+        w = np.linalg.eigvalsh(H)
+        assert hermitian_norm(H) == float(max(-w[0], w[-1]))
+
+    @pytest.mark.parametrize("size", [_EXACT_ROWS + 1, 516])
+    @pytest.mark.parametrize("spectrum", ["noise", "rank_two", "negative_top", "clustered_top"])
+    def test_krylov_path_matches_eigvalsh(self, size, spectrum):
+        H = _spectrum(spectrum, size)
+        w = np.linalg.eigvalsh(H)
+        assert hermitian_norm(H) == pytest.approx(max(-w[0], w[-1]), rel=1e-10)
+
+    @pytest.mark.parametrize("size", [_EXACT_ROWS + 1, 516])
+    def test_wide_cluster_within_its_width(self, size):
+        # five top eigenvalues 1e-9 apart, wider than the Krylov tolerance: a
+        # restart that gains less than 1e-10 ends the run inside the cluster
+        # (0.9999999974 at 516 rows), a lower bound off by at most its width
+        eigs = np.concatenate([1.0 - 1e-9 * np.arange(5), np.linspace(-0.5, 0.9, size - 5)])
+        got = hermitian_norm(_unitary_conjugate(eigs))
+        assert 1.0 - 4e-9 <= got <= 1.0 + 1e-15
+
+
+def _spectrum(kind, size):
+    """A ``size``-square Hermitian matrix of the named spectral shape."""
+    rng = np.random.default_rng(size)
+    A = _random_matrix(size + 1, size)
+    noise = 1e-15 * (A + A.conj().T) / np.sqrt(size)  # a drift at rounding level
+    if kind == "noise":
+        return noise
+    if kind == "rank_two":
+        # the shape of the recovered isometry drift: a rank-2 part above noise
+        B = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
+        return 1e-8 * (B @ B.conj().T) / size + noise
+    if kind == "negative_top":
+        eigs = np.concatenate([[-2.0], np.linspace(-1.5, 1.9, size - 1)])
+    else:  # clustered_top, five eigenvalues closer than the Krylov tolerance
+        eigs = np.concatenate([1.0 - 1e-12 * np.arange(5), np.linspace(-0.5, 0.9, size - 5)])
+    return _unitary_conjugate(eigs)
+
+
+def _unitary_conjugate(eigs):
+    """``U diag(eigs) U^H`` for a seeded random unitary ``U``."""
+    U = np.linalg.qr(_random_matrix(len(eigs) + 2, len(eigs)))[0]
+    return (U * eigs) @ U.conj().T
 
 
 class TestSpectralRadius:

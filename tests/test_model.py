@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dcmodel.dilation import build_dilation
 from dcmodel.matrixcore import (
+    _EXACT_ROWS,
     DEFAULT_TOL,
     ToleranceConfig,
     operator_norm,
@@ -681,6 +682,17 @@ class TestModelSpace:
         for K, A, md in zip(ms.fibers, raw, ms.margin_drifts):
             P = np.eye(A.shape[0]) - K @ K.conj().T
             assert md == pytest.approx(operator_norm((P - A)[np.ix_(rows, rows)]), rel=1e-9)
+
+    def test_margin_drift_above_exact_rows(self):
+        # a one-variable slow tuple whose box holds 65 layers x r = 4 = 260
+        # rows: the drift takes the Krylov path, a rounding-level difference
+        T = make_tensor_tuple([make_random_pure_contraction(4, 0.95, 3)])
+        L = build_dilation(T, d=128, adaptive=False)
+        cfs = charfns_for_tuple(T, L.defects)
+        ms = model_space(T, L, cfs)
+        assert ms.box.total_dim > _EXACT_ROWS
+        (md,) = ms.margin_drifts
+        assert md == pytest.approx(oracles.margin_drift(ms, L, cfs[0], 0), rel=1e-12)
 
     @pytest.mark.parametrize("radius,d", [(0.4, 8), (0.6, 6)])
     def test_fibers_match_dense_clip(self, radius, d):
