@@ -11,6 +11,7 @@ but one was skipped, else ``pass``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import locale  # noqa: F401  argparse's gettext loads it lazily: load it here, not in a suite call
 import sys
@@ -417,6 +418,7 @@ def emit_report(report: VerificationReport, fmt: str, out=None) -> str:
 # argument parsing / entry point
 
 
+@functools.lru_cache(maxsize=None)  # one parser per process: main() may run many times
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dcmodel",
                                 description="verification toolkit for doubly "

@@ -46,13 +46,16 @@ class DilationMap:
 
 
 def _box_sum(G: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
-    """``sum_{k=0}^{d} M^k G M^{*k}``."""
-    acc = np.zeros_like(G)
-    P = np.eye(M.shape[0], dtype=complex)
-    for _ in range(d + 1):
-        acc = acc + P @ G @ P.conj().T
-        P = M @ P
-    return acc
+    """``sum_{k=0}^{d} M^k G M^{*k}`` by doubling: with ``S_n`` the first ``n``
+    terms, ``S_{2n} = S_n + M^n S_n M^{*n}`` and ``S_{n+1} = G + M S_n M^*``."""
+    S, P = G, M  # S_n and M^n for n = 1
+    for bit in bin(d + 1)[3:]:
+        S = S + P @ S @ P.conj().T
+        P = P @ P
+        if bit == "1":
+            S = G + M @ S @ M.conj().T
+            P = M @ P
+    return S
 
 
 def _box_gram_defect(T: ContractionTuple, big_defect_sq: np.ndarray, d: int) -> float:

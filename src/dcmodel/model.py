@@ -38,6 +38,9 @@ _FIBER_SPLIT = 0.5
 # ||X v|| of the probe below which _opnorm_hermitian returns it: X is 0 to rounding
 _PROBE_FLOOR = 1e-13
 
+# Taylor steps of charfn_taylor whose stop tests share one stacked SVD
+_STOP_CHUNK = 32
+
 
 class ResolventSingular(RuntimeError):
     """The resolvent solve at the requested point is singular."""
@@ -118,13 +121,21 @@ def charfn_taylor(
     core = Bout.conj().T @ pair.defect_star  # (r_out, dim)
     P = pair.defect @ Bin                    # (dim, r_in), running T^{H(m-1)} D B
     capped = True
-    for _ in range(m_max):
-        coeffs.append(core @ P)
-        P = Ti.conj().T @ P
-        # every later coefficient factors through P, so ||P|| bounds them all
-        if operator_norm(P) <= cfg.rank_tol:
+    while capped and len(coeffs) <= m_max:
+        chunk = []
+        for _ in range(min(_STOP_CHUNK, m_max + 1 - len(coeffs))):
+            coeffs.append(core @ P)
+            P = Ti.conj().T @ P
+            chunk.append(P)
+        # every later coefficient factors through P, so ||P|| bounds them all:
+        # the series ends at the first step with ||P|| <= rank_tol, which only
+        # steps with ||P||_F <= 2 sqrt(r) rank_tol can reach; they take the SVD
+        chunk = np.array(chunk)
+        near = np.flatnonzero(np.linalg.norm(chunk, axis=(1, 2)) <= 2 * np.sqrt(chunk.shape[2]) * cfg.rank_tol)
+        passed = near[np.linalg.svd(chunk[near], compute_uv=False).max(axis=1, initial=0.0) <= cfg.rank_tol]
+        if passed.size:
+            del coeffs[len(coeffs) - len(chunk) + passed[0] + 1:]
             capped = False
-            break
     # the norm of every coefficient from one stacked SVD (0.0 for an empty one)
     sv = np.linalg.svd(np.array(coeffs), compute_uv=False)
     norms = tuple(float(v) for v in sv.max(axis=1, initial=0.0))
@@ -203,36 +214,40 @@ def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
     forming ``F``.
 
     With ``c_m`` the Taylor blocks (zero past the series and past ``d``),
-    the blocks at lag ``s >= 0`` are partial sums of lag products:
+    consecutive blocks along a block diagonal differ by one product:
 
-        (F F^H)_{l+s, l} = sum_{p <= l} c_{p+s} c_p^H
-        (F^H F)_{l+s, l} = sum_{p <= d-l-s} c_p^H c_{p+s}
+        (F F^H)_{i, j} = (F F^H)_{i-1, j-1} + c_i c_j^H
+        (F^H F)_{i, j} = (F^H F)_{i-1, j-1} - c_{d+1-i}^H c_{d+1-j}
 
-    so one einsum and one cumulative sum per lag give all of them, in
-    ``O(layers d r^3)`` flops rather than a ``(d+1) r``-cubed product.  The
-    blocks above the diagonal are the conjugate transposes of those below,
-    so the result is exactly Hermitian."""
+    One GEMM ``X X^H`` of the stacked blocks gives every product, and one
+    slice operation per layer sums them down the diagonals from column 0:
+    ``c_i c_0^H`` for ``"out"``, the full lag sums ``sum_p c_p^H c_{p+s}`` for
+    ``"in"``.  No ``(d+1) r``-cubed product is formed.  The blocks above the
+    diagonal are the conjugate transposes of those below and the diagonal
+    blocks are symmetrised, so the result is exactly Hermitian."""
     if side not in ("in", "out"):
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
     if not 1 <= layers <= d + 1:
         raise ValueError(f"layers must lie in 1..{d + 1}, got {layers}")
-    c = np.zeros((d + 1,) + np.shape(taylor[0]), dtype=complex)
+    c = np.zeros((d + 2,) + np.shape(taylor[0]), dtype=complex)  # c_{d+1} = 0 pads the "in" steps
     c[:min(len(taylor), d + 1)] = np.array(taylor[:d + 1])
+    if side == "out":
+        X, op = c[:layers], np.add
+    else:
+        X, op = c.conj().transpose(0, 2, 1)[d + 1:d + 1 - layers:-1], np.subtract
+    r = X.shape[1]
+    X = X.reshape(layers * r, X.shape[2])
+    G = (X @ X.conj().T).reshape(layers, r, layers, r)  # block (i, j) is X_i X_j^H
     if side == "in":
-        c = c.conj().transpose(0, 2, 1)  # c_p^H c_{p+s}, as a lag product of c^H
-    r = c.shape[1]
-    G = np.zeros((layers, r, layers, r), dtype=complex)
-    for s in range(layers):
-        l = np.arange(layers - s)
-        if side == "out":
-            blocks = np.cumsum(np.einsum("pab,pcb->pac", c[s:layers], c[:layers - s].conj()), axis=0)
-        else:
-            # sum over p <= d - l - s: the cumulative sums at d - s down to d - layers + 1
-            lag = np.cumsum(np.einsum("pab,pcb->pac", c[:d + 1 - s], c[s:].conj()), axis=0)
-            blocks = lag[d - s - l]
-        G[l + s, :, l, :] = blocks
-        if s:
-            G[l, :, l + s, :] = blocks.conj().transpose(0, 2, 1)
+        C = c.reshape(-1, r)  # the rows of c_0, ..., c_{d+1}
+        Ch, m = C.conj().T, c.shape[1]
+        G[:, :, 0] = [Ch[:, :(d + 1 - s) * m] @ C[s * m:(d + 1) * m] for s in range(layers)]
+    for i in range(1, layers):  # block row i from row i - 1, then mirrored above the diagonal
+        op(G[i - 1, :, :i], G[i, :, 1:i + 1], out=G[i, :, 1:i + 1])
+        G[:i, :, i] = G[i, :, :i].conj().transpose(1, 2, 0)
+    k = np.arange(layers)
+    D = G[k, :, k]
+    G[k, :, k] = (D + D.conj().transpose(0, 2, 1)) / 2
     return G.reshape(layers * r, layers * r)
 
 
@@ -482,7 +497,7 @@ def model_space(
     The margin drift ``||I - K_i K_i^H - F_i F_i^H||`` on its layers is
     measured from the symbol ``F_i``, the one check tying the fibers to
     it, and certified against the symbol tail.  Its ``F_i F_i^H`` block
-    ``A_i`` comes from lag sums (:func:`toeplitz_gram`) and also serves the
+    ``A_i`` comes from :func:`toeplitz_gram` and also serves the
     operator-form Gramian residual on the box.  Also records the residual
     between the dilation range and the complement of the multiplier sum
     space.  The commutators, that split and the Gramian are norms on the

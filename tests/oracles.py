@@ -3,8 +3,8 @@
 Most build explicit ``N x N`` matrices on the truncated polydisc space,
 ``N = (d+1)^n r``, so they are meant for small spaces; the package
 computes the same objects in the one-variable space of each variable.
-The others walk the multi-indices, or the sample points, one at a time,
-where the package uses whole-array operations."""
+The others walk the multi-indices, the sample points or the Taylor
+terms one at a time, where the package uses whole-array operations."""
 
 import itertools
 from dataclasses import dataclass
@@ -13,6 +13,7 @@ import numpy as np
 
 from dcmodel import hardy
 from dcmodel.blh import inner_from_wandering
+from dcmodel.dilation import DegreeCapExceeded
 from dcmodel.hardy import (
     TruncatedHardySpace,
     _check_polydisc,
@@ -34,6 +35,7 @@ from dcmodel.model import (
     _embedding,
     _model_symbol,
     _project_axis,
+    _single_defect_pair,
     charfn_eval,
     toeplitz_gram,
 )
@@ -163,6 +165,44 @@ def charfn_point_from_taylor(cf: CharFn, z: complex) -> np.ndarray:
     for theta in reversed(cf.taylor):
         acc = z * acc + theta
     return acc
+
+
+def charfn_taylor_loop(Ti, m_max: int = 512, cfg=DEFAULT_TOL, pair=None, op_index: int = 0) -> CharFn:
+    """``model.charfn_taylor`` with the stop test ``||P|| <= rank_tol`` from
+    one ``operator_norm`` SVD per Taylor step."""
+    Ti = np.asarray(Ti, dtype=complex)
+    if pair is None:
+        pair = _single_defect_pair(Ti, cfg)
+    Bin, Bout = pair.basis, pair.basis_star
+    coeffs = [-(Bout.conj().T @ Ti @ Bin)]
+    core = Bout.conj().T @ pair.defect_star
+    P = pair.defect @ Bin
+    capped = True
+    for _ in range(m_max):
+        coeffs.append(core @ P)
+        P = Ti.conj().T @ P
+        if operator_norm(P) <= cfg.rank_tol:
+            capped = False
+            break
+    norms = tuple(operator_norm(c) for c in coeffs)
+    if capped:
+        if len(norms) >= 3 and norms[-2] > 0 and norms[-1] / norms[-2] < 1.0:
+            rho = norms[-1] / norms[-2]
+            tail = norms[-1] * rho / (1.0 - rho)
+        else:
+            tail = float("inf")
+        if tail > cfg.tail_tol:
+            raise DegreeCapExceeded(
+                f"characteristic-function coefficients not decayed at m={m_max}",
+                achieved_defect=tail,
+            )
+    positive = [v for v in norms[1:] if v > 0]
+    if len(positive) >= 2:
+        rate = (positive[-1] / positive[0]) ** (1.0 / max(1, len(positive) - 1))
+    else:
+        rate = 0.0
+    return CharFn(op_index=op_index, operator=Ti, pair=pair, taylor=tuple(coeffs),
+                  norms=norms, decay_rate=float(rate))
 
 
 @dataclass(frozen=True)
@@ -483,6 +523,16 @@ def adjoint_on_kernels_loop(L, samples) -> float:
             v = np.linalg.solve(I - np.conj(w[i]) * M, v)
         worst = max(worst, float(np.linalg.norm(lhs - v)))
     return worst
+
+
+def box_sum_loop(G: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
+    """``sum_{k=0}^{d} M^k G M^{*k}``, term by term."""
+    acc = np.zeros_like(G)
+    P = np.eye(M.shape[0], dtype=complex)
+    for _ in range(d + 1):
+        acc = acc + P @ G @ P.conj().T
+        P = M @ P
+    return acc
 
 
 def isometry_defect(L) -> float:

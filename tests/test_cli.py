@@ -311,6 +311,34 @@ class TestMain:
         out = capsys.readouterr().out
         assert "degree used: 6" in out
 
+    def test_calls_in_one_process_match_separate_processes(self, tmp_path, capsys):
+        # the parser and the Krylov probes are built once per process: no
+        # call may see state that an earlier one left behind
+        demo = str(tmp_path / "demo.json")
+        assert main(["demo", "tensor", "--dims", "2,2", "--radius", "0.4",
+                     "--seed", "1", "--out", demo]) == 0
+        capsys.readouterr()
+        calls = [["--format", "json", "suite", demo], ["validate", demo],
+                 ["suite", demo, "--degree", "many"]]
+        code = ("import contextlib, io, json, sys\n"
+                "from dcmodel.cli import main\n"
+                "runs = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    out, err = io.StringIO(), io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                "        code = main(argv)\n"
+                "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+                "print(json.dumps(runs))")
+
+        def run(argvs):
+            out = TestImports._python(code, json.dumps(argvs))
+            assert out.returncode == 0, out.stderr
+            return json.loads(out.stdout)
+
+        together = run(calls)
+        assert together == [run([argv])[0] for argv in calls]
+        assert [exit_code for exit_code, _, _ in together] == [0, 0, 3]
+
 
 class TestImports:
     """The package runs on numpy alone, in a fresh interpreter."""

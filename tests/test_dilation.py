@@ -12,6 +12,7 @@ import dcmodel.hardy as hardy
 from dcmodel.dilation import (
     DegreeCapExceeded,
     _box_gram_defect,
+    _box_sum,
     _top_layer_tail,
     adjoint_on_kernels_check,
     build_dilation,
@@ -23,6 +24,7 @@ from dcmodel.dilation import (
     range_factor,
 )
 from dcmodel.hardy import row_blocks
+from dcmodel.matrixcore import operator_norm
 from dcmodel.model import box_distance, charfns_for_tuple, model_space
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
 
@@ -120,6 +122,34 @@ class TestAdaptive:
         rng = np.random.default_rng(seed)
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         assert np.linalg.norm(L.matrix @ h) <= np.linalg.norm(h) * (1 + 1e-12)
+
+
+class TestBoxSum:
+    """The doubling sum against the term-by-term loop (``oracles.box_sum_loop``)."""
+
+    @staticmethod
+    def _operands(seed):
+        M = make_random_pure_contraction(3, 0.93, seed)
+        D = make_random_pure_contraction(3, 0.8, seed + 1)
+        return D @ D.conj().T, M
+
+    @pytest.mark.parametrize("d", [*range(41), 256])
+    def test_matches_loop(self, d):
+        G, M = self._operands(d)
+        want = oracles.box_sum_loop(G, M, d)
+        assert operator_norm(_box_sum(G, M, d) - want) <= 1e-14 * operator_norm(want)
+
+    @pytest.mark.parametrize("factors", [
+        ([[0.5]], [[0, 0.6], [0, 0]]),
+        ([[0.93]], [[0.5j]]),
+        (make_random_pure_contraction(2, 0.8, 5), make_random_pure_contraction(2, 0.6, 6)),
+        (make_random_pure_contraction(3, 0.9, 7),),
+    ])
+    def test_adaptive_degree_as_with_the_loop(self, factors, monkeypatch):
+        T = make_tensor_tuple([np.asarray(F, dtype=complex) for F in factors])
+        got = build_dilation(T, d=2, adaptive=True).degree
+        monkeypatch.setattr(dilation, "_box_sum", oracles.box_sum_loop)
+        assert build_dilation(T, d=2, adaptive=True).degree == got
 
 
 @pytest.fixture(scope="module")

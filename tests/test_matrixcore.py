@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dcmodel import matrixcore, model
 from dcmodel.matrixcore import (
     _EXACT_ROWS,
     _PIVOT_FLOOR,
@@ -21,7 +22,9 @@ from dcmodel.matrixcore import (
     phase_normalize_columns,
     spectral_radius,
     subspace_distance,
+    unit_probe,
 )
+from dcmodel.model import _opnorm_hermitian
 
 
 def _random_matrix(seed, n, m=None):
@@ -150,6 +153,41 @@ def _unitary_conjugate(eigs):
     """``U diag(eigs) U^H`` for a seeded random unitary ``U``."""
     U = np.linalg.qr(_random_matrix(len(eigs) + 2, len(eigs)))[0]
     return (U * eigs) @ U.conj().T
+
+
+def _fresh_probe(size):
+    """The Krylov start vector as drawn afresh for every norm."""
+    rng = np.random.default_rng(1234)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return v / np.linalg.norm(v)
+
+
+class TestUnitProbe:
+    def test_drawn_once_per_size(self):
+        v = unit_probe(66)
+        assert unit_probe(66) is v
+        assert np.array_equal(v, _fresh_probe(66))
+
+    def test_read_only(self):
+        v = unit_probe(5)
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+        with pytest.raises(ValueError):
+            v *= 2.0
+        assert np.array_equal(v, _fresh_probe(5))
+
+    def test_norms_read_as_with_a_fresh_draw(self, monkeypatch):
+        H = _spectrum("rank_two", 516)
+        X = _unitary_conjugate(np.linspace(-0.3, 0.8, 300))
+
+        def norms():
+            return hermitian_norm(H), _opnorm_hermitian(lambda v: X @ v, len(X))
+
+        cached = norms()
+        assert norms() == cached
+        monkeypatch.setattr(matrixcore, "unit_probe", _fresh_probe)
+        monkeypatch.setattr(model, "unit_probe", _fresh_probe)
+        assert norms() == cached
 
 
 class TestSpectralRadius:

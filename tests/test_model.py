@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmodel.dilation import build_dilation
+from dcmodel.dilation import DegreeCapExceeded, build_dilation
 from dcmodel.matrixcore import (
     _EXACT_ROWS,
     DEFAULT_TOL,
@@ -18,6 +18,7 @@ from dcmodel.matrixcore import (
     subspace_distance,
 )
 from dcmodel.model import (
+    _STOP_CHUNK,
     NotProjection,
     ProjectionDriftExceedsTolerance,
     ResolventSingular,
@@ -140,6 +141,59 @@ class TestCharFn:
         assert inner_boundary_check(cf, samples=32) <= 1e-9
 
 
+def _stops_at(steps):
+    """A normal 3 x 3 contraction whose running factor ``||T^{H m} D B||``,
+    the largest of ``|lam|^m sqrt(1 - |lam|^2)`` over its eigenvalues,
+    first drops below ``rank_tol`` at Taylor step ``steps``."""
+    lam = 0.5
+    for _ in range(50):  # lam^(steps - 1/2) sqrt(1 - lam^2) = rank_tol
+        lam = (DEFAULT_TOL.rank_tol / np.sqrt(1 - lam ** 2)) ** (1 / (steps - 0.5))
+    U = np.linalg.qr(np.random.default_rng(steps).standard_normal((3, 3)) + 0j)[0]
+    return (U * [lam, 0.5j * lam, -0.3 * lam]) @ U.conj().T
+
+
+class TestCharFnStop:
+    """The stop test from one stacked SVD per chunk of Taylor steps
+    against one ``operator_norm`` per step (``oracles.charfn_taylor_loop``)."""
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got.taylor) == len(want.taylor)
+        assert all(np.array_equal(a, b) for a, b in zip(got.taylor, want.taylor))
+        assert (got.norms, got.decay_rate) == (want.norms, want.decay_rate)
+
+    @pytest.mark.parametrize("steps", [1, _STOP_CHUNK - 1, _STOP_CHUNK, _STOP_CHUNK + 1, 2 * _STOP_CHUNK])
+    def test_stop_step(self, steps):
+        T = _stops_at(steps)
+        want = oracles.charfn_taylor_loop(T)
+        assert len(want.taylor) == steps + 1
+        self._same(charfn_taylor(T), want)
+
+    @pytest.mark.parametrize("m_max", [_STOP_CHUNK + 13, 3 * _STOP_CHUNK + 1])
+    def test_cap_not_a_multiple_of_the_chunk(self, m_max):
+        # a stop inside the last, partial chunk; a cap with a small tail; a stop at the cap
+        for steps in (m_max - 2, m_max + 5, m_max):
+            T = _stops_at(steps)
+            self._same(charfn_taylor(T, m_max=m_max, cfg=ToleranceConfig(tail_tol=1e-3)),
+                       oracles.charfn_taylor_loop(T, m_max=m_max, cfg=ToleranceConfig(tail_tol=1e-3)))
+
+    def test_nilpotent_interior_zeros(self):
+        # the 4 x 4 shift: theta(z) = z^4, so theta_0 .. theta_3 vanish
+        J = np.diag([1.0, 1.0, 1.0], k=-1)
+        got = charfn_taylor(J)
+        self._same(got, oracles.charfn_taylor_loop(J))
+        assert [v > 0 for v in got.norms] == [False, False, False, False, True]
+
+    def test_cap_raises_the_same_defect(self):
+        T = np.diag([0.99, 0.4])
+        with pytest.raises(DegreeCapExceeded) as got:
+            charfn_taylor(T, m_max=50)
+        with pytest.raises(DegreeCapExceeded) as want:
+            oracles.charfn_taylor_loop(T, m_max=50)
+        assert got.value.achieved_defect == want.value.achieved_defect
+        assert str(got.value) == str(want.value)
+
+
 class TestMultipliers:
     def test_one_var_toeplitz_structure(self):
         cf = charfn_taylor(np.array([[0.5]]))
@@ -215,6 +269,21 @@ class TestToeplitzGram:
                 assert got.shape == (layers * r, layers * r)
                 assert np.array_equal(got, got.conj().T)
                 assert np.max(np.abs(got - dense[:layers * r, :layers * r])) <= 1e-13
+
+    @pytest.mark.parametrize("r_out,r_in", [(3, 2), (2, 3)])
+    @pytest.mark.parametrize("d", [64, 200])
+    def test_vanishing_at_zero(self, r_out, r_in, d):
+        # theta_0 = 0, as for an inner function that vanishes at the origin
+        rng = np.random.default_rng(d + 10 * r_out)
+        taylor = [np.zeros((r_out, r_in))] + [
+            rng.standard_normal((r_out, r_in)) + 1j * rng.standard_normal((r_out, r_in)) for _ in range(d)]
+        F = oracles.one_var_toeplitz(taylor, d)
+        for side, dense, r in (("in", F.conj().T @ F, r_in), ("out", F @ F.conj().T, r_out)):
+            scale = np.max(np.abs(dense))
+            for layers in (d // 2 + 1, d + 1):
+                got = toeplitz_gram(taylor, d, layers, side)
+                assert np.array_equal(got, got.conj().T)
+                assert np.max(np.abs(got - dense[:layers * r, :layers * r])) <= 1e-14 * scale
 
     def test_degree_zero(self):
         theta = np.array([[0.5, 1j]])
