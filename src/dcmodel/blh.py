@@ -18,20 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy 2.x loads it lazily: load it with the package, not in a suite call
 
 from .dilation import build_dilation
 from .hardy import TruncatedHardySpace, apply_coshift, apply_shift, box_rows
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
-    hermitian_norm,
     operator_norm,
     orthonormal_range_basis,
     phase_normalize_columns,
+    subspace_distance,
 )
 from .model import (
     ModelSpaces,
-    apply_axis_projections,
+    axis_frames,
     box_distance,
     charfns_for_tuple,
     model_space,
@@ -114,7 +115,8 @@ def inner_from_wandering(
     """Read wandering vectors (columns in the one-variable layout with
     the given coefficient dimension) as the Taylor columns of a
     one-variable inner function, and measure the isometry drift of its
-    truncated Toeplitz matrix on the lower half of the layers."""
+    truncated Toeplitz matrix on the lower half of the layers (the
+    Frobenius norm, an upper bound on the spectral one)."""
     W = np.asarray(W, dtype=complex)
     if W.ndim != 2 or W.shape[1] == 0:
         return InnerColumnSet(variable, 0, (), coeff_dim, 0.0)
@@ -134,7 +136,7 @@ def inner_from_wandering(
         deg = 0
     top_layer = max(0, min(d // 2, d - deg))
     gram = toeplitz_gram(cols, d, top_layer + 1, "in")
-    drift = hermitian_norm(gram - np.eye(len(gram)))
+    drift = np.linalg.norm(gram - np.eye(len(gram)))
     return InnerColumnSet(variable, m, cols, coeff_dim, float(drift))
 
 
@@ -216,13 +218,14 @@ def _box_complements(inners, model: ModelSpaces, cfg: ToleranceConfig) -> list:
 
 
 def reconstruct_S_check(inners, model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Distance (on the margin box) between the sum of the recovered
-    inner-multiplier ranges and the model's sum space, as the norm of the
-    difference of their complements ``prod(I - Q_i)`` and
-    ``prod(I - P_i)``."""
-    box = model.box
-    return box_distance(box, _box_complements(inners, model, cfg),
-                        lambda v: apply_axis_projections(box, model.box_fibers, v))
+    """Upper bound on the distance (on the margin box) between the sum of
+    the recovered inner-multiplier ranges and the model's sum space, the
+    norm of ``prod(I - Q_i) - prod(I - P_i)``: each factor ``C_i C_i^H`` and
+    ``K_i K_i^H`` (``C_i``, ``K_i`` the box rows of bases of the complements)
+    has norm at most one, so telescoping bounds it by
+    ``sum_i ||C_i C_i^H - K_i K_i^H||``."""
+    return sum(subspace_distance(C, K)
+               for C, K in zip(_box_complements(inners, model, cfg), model.box_fibers))
 
 
 @dataclass(frozen=True)
@@ -288,8 +291,8 @@ def rankone_corollary_check(
     # sum of recovered multiplier ranges against the complement of the
     # input subspace inside the ambient scalar space, via the complements
     # of both: prod(I - Q_i) against the projection onto the subspace
-    Qb = box_rows(space, Q, ms.box)
-    dist = box_distance(ms.box, _box_complements(inners, ms, cfg), lambda v: Qb @ (Qb.conj().T @ v))
+    frames = axis_frames(ms.box, _box_complements(inners, ms, cfg))
+    dist = box_distance(ms.box, frames, box_rows(space, Q, ms.box))
     return RankOneVerdict(True, worst, pure=True, defect_rank=defect_rank,
                           constants_compression_rank=const_rank,
                           recovered_inners=tuple(inners), complement_distance=float(dist))

@@ -11,15 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_box_basis
-from .hardy import TruncatedHardySpace, _check_polydisc, box_rows, szego_kernel
-from .matrixcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    hermitian_norm,
-    krylov_norm,
-    operator_norm,
-    unit_probe,
-)
+from .hardy import TruncatedHardySpace, _check_polydisc, row_blocks, szego_kernel
+from .matrixcore import DEFAULT_TOL, NumericalFailure, ToleranceConfig, operator_norm
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
 
 
@@ -35,8 +28,10 @@ _EMBEDDING_LEAK = 1e-6
 # multiplier range (near 0): the eigenvalues of I - F F^H cluster at 0 and 1
 _FIBER_SPLIT = 0.5
 
-# ||X v|| of the probe below which _opnorm_hermitian returns it: X is 0 to rounding
-_PROBE_FLOOR = 1e-13
+# most rows of a frame-coordinate matrix of a box norm (box_distance's m, a
+# commutator's two-axis space); at n >= 3, m grows as c (b+1)^(n-1) once the
+# frames stop shrinking (r c_i >= b + 1), and a larger one skips the checks
+_FRAME_MAX = 2048
 
 # Taylor steps of charfn_taylor whose stop tests share one stacked SVD
 _STOP_CHUNK = 32
@@ -52,6 +47,10 @@ class NotProjection(ValueError):
 
 class ProjectionDriftExceedsTolerance(RuntimeError):
     """Truncated multiplier projection drifts beyond the certified bound."""
+
+
+class FrameTooLarge(NumericalFailure):
+    """A box norm would form a frame-coordinate matrix above ``_FRAME_MAX`` rows."""
 
 
 @dataclass(frozen=True)
@@ -354,101 +353,129 @@ def _model_symbol(defects: DefectData, cf: CharFn, i: int, d: int, cfg: Toleranc
     return [E.conj().T @ theta for theta in cf.taylor[:d + 1]]
 
 
-def _apply_axis(A: np.ndarray, i: int, t: np.ndarray) -> np.ndarray:
-    """Apply ``I (x) A (x) I`` to the tensor ``t`` of shape
-    ``(k,)*n + (r,)``, the ``k r``-square ``A`` acting on the axis of
-    variable ``i`` and the coefficient axis (the last)."""
-    k, r, n = t.shape[i], t.shape[-1], t.ndim - 1
-    out = np.tensordot(A.reshape(k, r, k, r), t, axes=([2, 3], [i, n]))
-    return np.moveaxis(out, [0, 1], [i, n])
+def _along(A: np.ndarray, t: np.ndarray, k: int) -> np.ndarray:
+    """``t`` with the matrix ``A`` applied along its axis ``k``."""
+    return np.moveaxis(np.tensordot(A, t, axes=(1, k)), 0, k)
 
 
-def _project_axis(space: TruncatedHardySpace, B: np.ndarray, i: int, t: np.ndarray) -> np.ndarray:
-    """Apply ``I (x) B B^H (x) I`` to ``t`` of shape ``space.shape + (...)``,
-    ``B`` (any ``(d+1) r``-row matrix) acting on the axis of variable
-    ``i`` and the coefficient axis."""
-    n = space.n
-    B3 = B.reshape(space.degree + 1, space.coeff_dim, B.shape[1])
-    coef = np.tensordot(B3.conj(), t, axes=([0, 1], [i, n]))
-    # axes (k_i', coeff', other k's..., columns) -> storage order
-    return np.moveaxis(np.tensordot(B3, coef, axes=([2], [0])), [0, 1], [i, n])
+def axis_frames(box: TruncatedHardySpace, bases) -> list:
+    """Exact per-axis frames ``(U_i, Q_i, D_i)`` of ``bases[i]``, the box
+    rows ``B_i`` (``c_i`` columns, orthonormal or not) of a family in the
+    one-variable space of variable ``i``: ``U_i`` is a plain QR basis of the
+    ``(b+1) x r c_i`` matrix of its layer slices (``s_i = min(b+1, r c_i)``
+    columns), ``(U_i^H (x) I_r) B_i = Q_i R_i`` with ``Q_i`` held as an
+    ``(s_i, r, k_i)`` tensor, and ``D_i = R_i R_i^H``.  No cut, no tolerance.
+
+    With ``U~ = U_0 (x) ... (x) U_{n-1} (x) I_r`` and ``E_i`` for ``Q_i`` on
+    axis ``i`` and the coefficient axis (orthonormal columns), the projection
+    ``P_i = I (x) B_i B_i^H (x) I`` maps into the range of ``U~`` on axis ``i``
+    and is the identity on the others, so a product containing every ``P_i``
+    is ``U~ (...) U~^H`` with each ``P_i`` replaced by ``E_i D_i E_i^H``."""
+    r = box.coeff_dim
+    frames = []
+    for B in bases:
+        layers = B.reshape(box.degree + 1, r * B.shape[1])
+        U = np.linalg.qr(layers)[0]
+        Q, R = np.linalg.qr((U.conj().T @ layers).reshape(U.shape[1] * r, B.shape[1]))
+        frames.append((U, Q.reshape(U.shape[1], r, Q.shape[1]), R @ R.conj().T))
+    return frames
 
 
-def apply_axis_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> np.ndarray:
-    """Apply ``prod_i (I (x) B_i B_i^H (x) I)`` to flat columns, where
-    ``bases[i]`` has orthonormal columns in the one-variable space of
-    variable ``i`` (usually a few, so nothing ``(d+1) r``-square is formed)."""
-    V = np.asarray(V, dtype=complex)
-    t = V.reshape(space.shape + V.shape[1:])
-    for i, B in enumerate(bases):
-        t = _project_axis(space, B, i, t)
-    return t.reshape(V.shape)
+def _chain(frames) -> np.ndarray:
+    """``C = D_{n-1} E_{n-1}^H E_{n-2} D_{n-2} ... D_1 E_1^H E_0 D_0`` as an
+    ``m_{n-1} x m_0`` matrix, rows ``(s_0, ..., s_{n-2}, k_{n-1})`` and columns
+    ``(k_0, s_1, ..., s_{n-1})``.  ``E_i^H E_{i-1}`` acts on axes ``i-1`` and
+    ``i`` alone, so each step contracts one axis of the running product with
+    ``D_i Z``, ``Z[p, J, j, q] = sum_x conj(Q_i[q, x, J]) Q_{i-1}[p, x, j]``."""
+    C = frames[0][2][None]  # (rows so far, column axis of E_i, columns so far)
+    for (_, Qp, _), (_, Q, D) in zip(frames, frames[1:]):
+        F = np.einsum("JK,pKjq->pJjq", D, np.einsum("qxK,pxj->pKjq", Q.conj(), Qp))
+        C = np.tensordot(C, F, axes=(1, 2)).transpose(0, 2, 3, 1, 4)
+        rows, p, k, cols, q = C.shape
+        C = C.reshape(rows * p, k, cols * q)
+    return C.reshape(C.shape[0] * C.shape[1], C.shape[2])
 
 
-def _opnorm_hermitian(apply_X, size: int) -> float:
-    """Spectral norm of a Hermitian ``X`` on ``C^size`` given as a matvec
-    callable, from the seeded random complex unit probe ``v``
-    (:func:`~dcmodel.matrixcore.unit_probe`):
+def box_distance(box: TruncatedHardySpace, frames, W) -> float:
+    """Exact norm of ``prod_i P_i - W W^H`` on the margin ``box`` (variable 0
+    applied first; ``frames`` from :func:`axis_frames`), for a thin ``W``:
+    flat columns of the box, or a tensor of shape ``box.shape + (w,)`` read
+    one row block at a time, so that a strided view of the box rows of a
+    larger array is not copied.  Cutting one-variable bases to their box
+    rows is exact, as the box projection commutes with every factor acting
+    on another axis.
 
-    - ``||X v||`` below ``_PROBE_FLOOR``: that value, a single-probe
-      estimate and not a bound (it can undershoot by about ``sqrt(size)``);
-    - otherwise: the top Ritz value of a Lanczos run from ``v``
-      (:func:`~dcmodel.matrixcore.krylov_norm`); exact once the basis
-      spans ``C^size``."""
-    v = unit_probe(size)
-    probe = float(np.linalg.norm(apply_X(v)))
-    if probe < _PROBE_FLOOR:
-        return probe
-    return krylov_norm(apply_X, v)
+    The product is ``U~ E_{n-1} C E_0^H U~^H`` (:func:`_chain`).  Split
+    ``W = U~ w + W_perp``; the triangular factor of ``W_perp`` comes from
+    TSQR over the row blocks (:func:`hardy.row_blocks`), and is zero when
+    every ``U_i`` is square.  ``W - U~ E E^H w`` is orthogonal to ``U~ E`` for
+    ``E = E_{n-1}`` and for ``E = E_0``, with triangular factors ``R_L`` and
+    ``R_R`` of ``[(I - E E^H) w; W_perp]``, so in orthonormal frames the
+    operator is ``K = diag(C, 0) - [E_{n-1}^H w; R_L] [E_0^H w; R_R]^H``, of
+    ``m_{n-1} + w`` by ``m_0 + w``, ``m_i = k_i prod_{j != i} s_j``.  Its norm
+    comes from the largest eigenvalue of its Gram matrix, whether or not the
+    ``P_i`` commute.  Raises :class:`FrameTooLarge` above ``_FRAME_MAX``."""
+    n, cols = box.n, W.shape[-1]
+    Us = [U for U, _, _ in frames]
+    s = [U.shape[1] for U in Us]
+    m = max(Q.shape[2] * int(np.prod(s[:i] + s[i + 1:])) for i, (_, Q, _) in enumerate(frames))
+    if m > _FRAME_MAX:
+        raise FrameTooLarge(f"the box norm needs an m = {m} row coordinate matrix, above {_FRAME_MAX}")
+    t = W.reshape(box.shape + (cols,))
+    w = np.zeros(tuple(s) + (box.coeff_dim, cols), dtype=complex)
+    for a, b in row_blocks(box, t):
+        u = t[a:b]
+        for j in range(1, n):
+            u = _along(Us[j].conj().T, u, j)
+        w += _along(Us[0][a:b].conj().T, u, 0)
+    R = np.zeros((0, cols), dtype=complex)
+    if min(s) <= box.degree:  # else U~ is square and W_perp is zero
+        for a, b in row_blocks(box, t):
+            u = _along(Us[0][a:b], w, 0)
+            for j in range(1, n):
+                u = _along(Us[j], u, j)
+            R = np.linalg.qr(np.concatenate([R, (t[a:b] - u).reshape(-1, cols)]), mode="r")
+    sides = []
+    for i in (n - 1, 0):  # E_i^H w (the column axis in place of axis i), then the residual
+        Q = frames[i][1]
+        y = np.moveaxis(np.tensordot(Q.conj(), w, axes=([0, 1], [i, n])), 0, i)
+        rest = w - np.moveaxis(np.tensordot(Q, y, axes=(2, i)), [0, 1], [i, n])
+        sides.append(np.concatenate([y.reshape(-1, cols),
+                                     np.linalg.qr(np.concatenate([rest.reshape(-1, cols), R]), mode="r")]))
+    K = -sides[0] @ sides[1].conj().T
+    C = _chain(frames)
+    K[:C.shape[0], :C.shape[1]] += C
+    G = K.conj().T @ K if K.shape[0] >= K.shape[1] else K @ K.conj().T
+    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
-def _fiber_commutator(box: TruncatedHardySpace, fibers, a: int, b: int) -> float:
-    """Norm of the commutator of the clipped projections of variables
-    ``a`` and ``b`` on the margin ``box``, from their model fibers cut to
-    the box rows: ``[I - K_a K_a^H, I - K_b K_b^H] = [K_a K_a^H, K_b K_b^H]``."""
-    def apply_comm(v):
-        t = v.reshape(box.shape)
-        Pa = lambda x: _project_axis(box, fibers[a], a, x)
-        Pb = lambda x: _project_axis(box, fibers[b], b, x)
-        return 1j * (Pa(Pb(t)) - Pb(Pa(t))).reshape(-1)
-
-    return _opnorm_hermitian(apply_comm, box.total_dim)
-
-
-def _gramian_box_operator(L: DilationMap, box: TruncatedHardySpace, grams):
-    """Matvec of ``P (L L^H - prod(I - F_i F_i^H)) P`` on the margin ``box``,
-    ``F_i`` the block-Toeplitz matrix of variable ``i``'s symbol
-    (:func:`_model_symbol`) and ``P`` the projection onto the box, the
-    layers ``k_i <= box.degree`` in every variable.
-
-    ``grams[i]`` is the leading box block ``A_i`` of ``F_i F_i^H``.
-    Restricting to the box is exact: ``P`` is the product of per-axis
-    projections ``P_i``, and ``P_j`` commutes with ``I (x) F_i F_i^H (x) I``
-    for ``j != i``, so ``P prod(I - F_i F_i^H) P = prod P_i (I - F_i F_i^H) P_i``,
-    which is ``prod(I - A_i)`` on the box.  The matvec takes and returns
-    flat vectors of the box tensor in C order."""
-    Lb = box_rows(L.space, L.matrix, box)
-
-    def apply_X(v):
-        rhs = v.reshape(box.shape)
-        for i, A in enumerate(grams):
-            rhs = rhs - _apply_axis(A, i, rhs)
-        # Lb^H v = conj(conj(v) @ Lb), with no conjugated copy of Lb
-        return Lb @ np.conj(np.conj(v) @ Lb) - rhs.reshape(-1)
-
-    return apply_X
-
-
-def box_distance(box: TruncatedHardySpace, bases, apply_other) -> float:
-    """Norm of ``prod_i (I (x) B_i B_i^H (x) I) - X`` on the margin ``box``:
-    ``bases[i]`` holds the box rows of an orthonormal basis in the
-    one-variable space of variable ``i``, and ``apply_other`` applies the
-    Hermitian ``X`` to flat vectors of the box.  Cutting each basis to its
-    box rows is exact, as :func:`_gramian_box_operator` explains."""
-    def apply_X(v):
-        return apply_axis_projections(box, bases, v) - apply_other(v)
-
-    return _opnorm_hermitian(apply_X, box.total_dim)
+def _frame_commutator(frames, a: int, b: int) -> float:
+    """Exact norm of the commutator ``[P_a, P_b]`` of two box projections
+    (:func:`axis_frames`).  It is the identity on the other axes, so it is
+    ``X - X^H``, ``X = E_a N E_b^H``, ``N = D_a Z D_b``, ``Z = E_a^H E_b``, on the
+    two-axis frame space of ``s_a s_b r`` rows.  With ``R_Y`` the triangular
+    factor of ``E_b - E_a Z``, formed explicitly (its Gram ``I - Z^H Z`` would
+    lose small angles to cancellation), the commutator is the anti-Hermitian
+    ``[[N Z^H - Z N^H, N R_Y^H], [-R_Y N^H, 0]]`` in an orthonormal frame; its
+    norm is the largest eigenvalue modulus of ``i`` times it.  Raises
+    :class:`FrameTooLarge` when the two-axis space exceeds ``_FRAME_MAX`` rows."""
+    (_, Qa, Da), (_, Qb, Db) = frames[a], frames[b]
+    sa, r, ka = Qa.shape
+    sb, kb = Qb.shape[0], Qb.shape[2]
+    if sa * sb * r > _FRAME_MAX:
+        raise FrameTooLarge(f"a commutator needs an m = {sa * sb * r} row frame space, above {_FRAME_MAX}")
+    # E_a has columns (j, q) and E_b columns (p, J), both rows (p, q, x)
+    Z = np.einsum("pxj,qxJ->jqpJ", Qa.conj(), Qb)
+    Y = -np.tensordot(Qa, Z, axes=(2, 0)).transpose(0, 2, 1, 3, 4)  # -E_a Z, (p, q, x, p', J)
+    Y[np.arange(sa), :, :, np.arange(sa)] += Qb  # + E_b, the identity on p
+    RY = np.linalg.qr(Y.reshape(sa * sb * r, sa * kb), mode="r")
+    N = np.einsum("jk,kqpK,KJ->jqpJ", Da, Z, Db).reshape(ka * sb, sa * kb)  # D_a Z D_b
+    Z = Z.reshape(ka * sb, sa * kb)
+    X = np.concatenate([N @ Z.conj().T, N @ RY.conj().T], axis=1)
+    iM = np.zeros((X.shape[1], X.shape[1]), dtype=complex)
+    iM[:len(X)] = 1j * X
+    iM[:, :len(X)] -= 1j * X.conj().T
+    return float(np.max(np.abs(np.linalg.eigvalsh(iM)), initial=0.0))
 
 
 def _functional_model_factor(L: DilationMap, i: int) -> np.ndarray:
@@ -496,18 +523,22 @@ def model_space(
     margin box holds the layers ``k_i <= d - d // 2`` in every variable.
     The margin drift ``||I - K_i K_i^H - F_i F_i^H||`` on its layers is
     measured from the symbol ``F_i``, the one check tying the fibers to
-    it, and certified against the symbol tail.  Its ``F_i F_i^H`` block
-    ``A_i`` comes from :func:`toeplitz_gram` and also serves the
-    operator-form Gramian residual on the box.  Also records the residual
-    between the dilation range and the complement of the multiplier sum
-    space.  The commutators, that split and the Gramian are norms on the
-    box, with every factor cut to its box rows; this is exact, as
-    :func:`_gramian_box_operator` explains."""
+    it, and certified against the symbol tail; it is the Frobenius norm,
+    an upper bound on the spectral one.  Its ``F_i F_i^H`` block ``A_i``
+    comes from :func:`toeplitz_gram`.
+
+    The commutators and the split between the dilation range and the
+    complement of the multiplier sum space are exact norms on the box, from
+    one set of frames (:func:`axis_frames`).  The operator-form Gramian
+    ``||L_b L_b^H - prod_i (I - A_i)||`` (``L_b`` the box rows of the
+    dilation matrix) is bounded by telescoping, as every ``I - A_i`` and
+    ``B_i B_i^H`` has norm at most one: by the exact
+    ``||L_b L_b^H - prod_i B_i B_i^H||`` plus the sum of the margin drifts."""
     d = L.degree
     space = L.space
     box = space.margin_box(d // 2)
     rows = (box.degree + 1) * space.coeff_dim
-    fibers, box_fibers, margin_drifts, grams = [], [], [], []
+    fibers, box_fibers, margin_drifts = [], [], []
     for i, cf in enumerate(charfns):
         U, sv, _ = np.linalg.svd(_functional_model_factor(L, i), full_matrices=False)
         K = U[:, sv ** 2 > _FIBER_SPLIT]
@@ -515,19 +546,19 @@ def model_space(
         Kk = K[:rows]
         box_fibers.append(Kk)
         A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, box.degree + 1, "out")
-        grams.append(A)
-        md = hermitian_norm(np.eye(len(A)) - Kk @ Kk.conj().T - A)
+        md = float(np.linalg.norm(np.eye(len(A)) - Kk @ Kk.conj().T - A))
         margin_drifts.append(md)
         bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(cf, box.degree))
         if md > bound:
             raise ProjectionDriftExceedsTolerance(
                 f"variable {i}: clipped-projection drift {md:.3e} exceeds bound {bound:.3e}"
             )
-    comms = {(a, b): _fiber_commutator(box, box_fibers, a, b)
+    frames = axis_frames(box, box_fibers)
+    comms = {(a, b): _frame_commutator(frames, a, b)
              for a in range(T.n) for b in range(a + 1, T.n)}
-    q_box = range_box_basis(L, box, cfg)
-    s_residual = box_distance(box, box_fibers, lambda v: q_box @ (q_box.conj().T @ v))
-    gramian_residual = _opnorm_hermitian(_gramian_box_operator(L, box, grams), box.total_dim)
+    s_residual = box_distance(box, frames, range_box_basis(L, box, cfg))
+    Lb = L.matrix.reshape(space.shape + (T.dim,))[(slice(box.degree + 1),) * T.n]  # a view
+    gramian_residual = box_distance(box, frames, Lb) + sum(margin_drifts)
     return ModelSpaces(
         space=space,
         fibers=fibers,

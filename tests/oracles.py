@@ -34,7 +34,6 @@ from dcmodel.model import (
     NotProjection,
     _embedding,
     _model_symbol,
-    _project_axis,
     _single_defect_pair,
     charfn_eval,
     toeplitz_gram,
@@ -157,6 +156,33 @@ def one_var_factor_matrix(space: TruncatedHardySpace, A: np.ndarray, i: int) -> 
                 M[p * r:(p + 1) * r, q * r:(q + 1) * r] = \
                     A[k[i] * r:(k[i] + 1) * r, l[i] * r:(l[i] + 1) * r]
     return M
+
+
+def _project_axis(space: TruncatedHardySpace, B: np.ndarray, i: int, t: np.ndarray) -> np.ndarray:
+    """Apply ``I (x) B B^H (x) I`` to ``t`` of shape ``space.shape + (...)``,
+    ``B`` (any ``(d+1) r``-row matrix) acting on the axis of variable
+    ``i`` and the coefficient axis."""
+    n = space.n
+    B3 = B.reshape(space.degree + 1, space.coeff_dim, B.shape[1])
+    coef = np.tensordot(B3.conj(), t, axes=([0, 1], [i, n]))
+    # axes (k_i', coeff', other k's..., columns) -> storage order
+    return np.moveaxis(np.tensordot(B3, coef, axes=([2], [0])), [0, 1], [i, n])
+
+
+def apply_axis_projections(space: TruncatedHardySpace, bases, V: np.ndarray) -> np.ndarray:
+    """Apply ``prod_i (I (x) B_i B_i^H (x) I)`` to flat columns, variable 0
+    first, where ``bases[i]`` has ``(d+1) r`` rows (nothing ``(d+1) r``-square
+    is formed)."""
+    V = np.asarray(V, dtype=complex)
+    t = V.reshape(space.shape + V.shape[1:])
+    for i, B in enumerate(bases):
+        t = _project_axis(space, B, i, t)
+    return t.reshape(V.shape)
+
+
+def dense_axis_projections(space: TruncatedHardySpace, bases) -> np.ndarray:
+    """Dense ``N x N`` matrix of :func:`apply_axis_projections`."""
+    return apply_axis_projections(space, bases, np.eye(space.total_dim, dtype=complex))
 
 
 def charfn_point_from_taylor(cf: CharFn, z: complex) -> np.ndarray:
@@ -350,6 +376,19 @@ def margin_drift(model, L, cf, i: int, cfg=DEFAULT_TOL) -> float:
     K = model.box_fibers[i]
     w = np.linalg.eigvalsh(np.eye(len(A)) - K @ K.conj().T - A)
     return float(max(-w[0], w[-1]))
+
+
+def isometry_drift(inner, d: int, cfg=DEFAULT_TOL) -> float:
+    """Spectral norm of the leading block of ``T^H T - I`` whose Frobenius
+    norm ``inner_from_wandering`` reports, ``T`` the dense block-Toeplitz
+    matrix of the recovered columns: the layers up to the top one the
+    column degree leaves room for."""
+    norms = [np.linalg.norm(c) for c in inner.columns]
+    cut = max(cfg.rank_tol, np.sqrt(cfg.tail_tol)) * max(norms)
+    deg = max((k for k, v in enumerate(norms) if v > cut), default=0)
+    rows = (max(0, min(d // 2, d - deg)) + 1) * inner.inner_dim
+    T = one_var_toeplitz(inner.columns, d)
+    return operator_norm((T.conj().T @ T - np.eye(T.shape[1]))[:rows, :rows])
 
 
 def s_projection(model) -> np.ndarray:

@@ -433,6 +433,26 @@ class TestExitCodes:
         assert all(c["status"] == "pass" for c in doc["checks"] if c["name"].startswith("validate."))
         assert doc["verdict"] == "incomplete" and doc["skipped"] == 16
 
+    def test_frame_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a box norm above the frame limit is not estimated: model_space
+        # stops, and the checks it had not reported are skipped with the
+        # size in their note, with no traceback
+        monkeypatch.setattr("dcmodel.model._FRAME_MAX", 8)
+        demo = str(tmp_path / "demo.json")
+        rep = str(tmp_path / "report.json")
+        main(["demo", "tensor", "--dims", "2,2", "--out", demo])
+        assert main(["--format", "json", "suite", demo, "--report", rep]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(Path(rep).read_text())
+        skipped = [c for c in doc["checks"] if c["status"] == "skipped"]
+        assert [c["name"] for c in skipped] == [
+            "model.gramian_operator", "model.projection_drift", "model.projection_commutators",
+            "model.subspace_split", "blh.inner_recovery", "blh.reconstruct_sum"]
+        for c in skipped:
+            assert c["note"].startswith("not evaluated: ") and "m = " in c["note"] and "above 8" in c["note"]
+        assert doc["verdict"] == "incomplete"
+
     def test_linear_algebra_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # a LAPACK failure is a ValueError; it must not read as a parse error (3)
         def fail(*args, **kwargs):

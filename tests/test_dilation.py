@@ -25,7 +25,7 @@ from dcmodel.dilation import (
 )
 from dcmodel.hardy import row_blocks
 from dcmodel.matrixcore import operator_norm
-from dcmodel.model import box_distance, charfns_for_tuple, model_space
+from dcmodel.model import axis_frames, box_distance, charfns_for_tuple, model_space
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
 
 import oracles
@@ -299,7 +299,7 @@ class TestRowBlocks:
         ms = model_space(T, L, charfns_for_tuple(T, L.defects))
         want = oracles.range_box_basis(L, ms.box)
         assert range_factor(L).shape[1] == want.shape[1]
-        split = box_distance(ms.box, ms.box_fibers, lambda v: want @ (want.conj().T @ v))
+        split = box_distance(ms.box, axis_frames(ms.box, ms.box_fibers), want)
         assert ms.s_residual == pytest.approx(split, abs=1e-10)
 
 

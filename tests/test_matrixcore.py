@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmodel import matrixcore, model
 from dcmodel.matrixcore import (
-    _EXACT_ROWS,
     _PIVOT_FLOOR,
     DEFAULT_TOL,
     DimensionMismatch,
@@ -15,16 +13,13 @@ from dcmodel.matrixcore import (
     NotPSD,
     ToleranceConfig,
     as_matrix,
-    hermitian_norm,
     hermitian_psd_sqrt,
     operator_norm,
     orthonormal_range_basis,
     phase_normalize_columns,
     spectral_radius,
     subspace_distance,
-    unit_probe,
 )
-from dcmodel.model import _opnorm_hermitian
 
 
 def _random_matrix(seed, n, m=None):
@@ -81,113 +76,6 @@ class TestOperatorNorm:
         na, nb, nab = operator_norm(A), operator_norm(B), operator_norm(A @ B)
         assert nab <= na * nb * (1 + 1e-12)
         assert na >= 0.0
-
-
-class TestHermitianNorm:
-    @pytest.mark.parametrize("shift", [-3.0, 0.0, 3.0])
-    def test_matches_operator_norm(self, shift):
-        # the largest modulus may sit at either end of the spectrum
-        A = _random_matrix(7, 6)
-        H = A + A.conj().T + shift * np.eye(6)
-        assert hermitian_norm(H) == pytest.approx(operator_norm(H), rel=1e-13)
-
-    def test_empty_is_zero(self):
-        assert hermitian_norm(np.zeros((0, 0))) == 0.0
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            hermitian_norm(np.array([[np.nan]]))
-
-    @pytest.mark.parametrize("shape", [(3, 4), (_EXACT_ROWS + 1, _EXACT_ROWS + 2)])
-    def test_rejects_non_square(self, shape):
-        # on the eigvalsh path and on the Krylov path
-        with pytest.raises(DimensionMismatch):
-            hermitian_norm(np.ones(shape))
-
-    @pytest.mark.parametrize("size", [3, _EXACT_ROWS + 1])
-    def test_zero_is_zero(self, size):
-        assert hermitian_norm(np.zeros((size, size))) == 0.0
-
-    def test_at_cutoff_is_eigvalsh(self):
-        A = _random_matrix(3, _EXACT_ROWS)
-        H = A + A.conj().T
-        w = np.linalg.eigvalsh(H)
-        assert hermitian_norm(H) == float(max(-w[0], w[-1]))
-
-    @pytest.mark.parametrize("size", [_EXACT_ROWS + 1, 516])
-    @pytest.mark.parametrize("spectrum", ["noise", "rank_two", "negative_top", "clustered_top"])
-    def test_krylov_path_matches_eigvalsh(self, size, spectrum):
-        H = _spectrum(spectrum, size)
-        w = np.linalg.eigvalsh(H)
-        assert hermitian_norm(H) == pytest.approx(max(-w[0], w[-1]), rel=1e-10)
-
-    @pytest.mark.parametrize("size", [_EXACT_ROWS + 1, 516])
-    def test_wide_cluster_within_its_width(self, size):
-        # five top eigenvalues 1e-9 apart, wider than the Krylov tolerance: a
-        # restart that gains less than 1e-10 ends the run inside the cluster
-        # (0.9999999974 at 516 rows), a lower bound off by at most its width
-        eigs = np.concatenate([1.0 - 1e-9 * np.arange(5), np.linspace(-0.5, 0.9, size - 5)])
-        got = hermitian_norm(_unitary_conjugate(eigs))
-        assert 1.0 - 4e-9 <= got <= 1.0 + 1e-15
-
-
-def _spectrum(kind, size):
-    """A ``size``-square Hermitian matrix of the named spectral shape."""
-    rng = np.random.default_rng(size)
-    A = _random_matrix(size + 1, size)
-    noise = 1e-15 * (A + A.conj().T) / np.sqrt(size)  # a drift at rounding level
-    if kind == "noise":
-        return noise
-    if kind == "rank_two":
-        # the shape of the recovered isometry drift: a rank-2 part above noise
-        B = rng.standard_normal((size, 2)) + 1j * rng.standard_normal((size, 2))
-        return 1e-8 * (B @ B.conj().T) / size + noise
-    if kind == "negative_top":
-        eigs = np.concatenate([[-2.0], np.linspace(-1.5, 1.9, size - 1)])
-    else:  # clustered_top, five eigenvalues closer than the Krylov tolerance
-        eigs = np.concatenate([1.0 - 1e-12 * np.arange(5), np.linspace(-0.5, 0.9, size - 5)])
-    return _unitary_conjugate(eigs)
-
-
-def _unitary_conjugate(eigs):
-    """``U diag(eigs) U^H`` for a seeded random unitary ``U``."""
-    U = np.linalg.qr(_random_matrix(len(eigs) + 2, len(eigs)))[0]
-    return (U * eigs) @ U.conj().T
-
-
-def _fresh_probe(size):
-    """The Krylov start vector as drawn afresh for every norm."""
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return v / np.linalg.norm(v)
-
-
-class TestUnitProbe:
-    def test_drawn_once_per_size(self):
-        v = unit_probe(66)
-        assert unit_probe(66) is v
-        assert np.array_equal(v, _fresh_probe(66))
-
-    def test_read_only(self):
-        v = unit_probe(5)
-        with pytest.raises(ValueError):
-            v[0] = 0.0
-        with pytest.raises(ValueError):
-            v *= 2.0
-        assert np.array_equal(v, _fresh_probe(5))
-
-    def test_norms_read_as_with_a_fresh_draw(self, monkeypatch):
-        H = _spectrum("rank_two", 516)
-        X = _unitary_conjugate(np.linspace(-0.3, 0.8, 300))
-
-        def norms():
-            return hermitian_norm(H), _opnorm_hermitian(lambda v: X @ v, len(X))
-
-        cached = norms()
-        assert norms() == cached
-        monkeypatch.setattr(matrixcore, "unit_probe", _fresh_probe)
-        monkeypatch.setattr(model, "unit_probe", _fresh_probe)
-        assert norms() == cached
 
 
 class TestSpectralRadius:
@@ -297,3 +185,22 @@ class TestSubspaceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             subspace_distance(np.eye(3), np.eye(4))
+        with pytest.raises(DimensionMismatch):
+            subspace_distance(np.zeros((3, 0)), np.zeros((4, 0)))
+
+    @pytest.mark.parametrize("rows,a,b", [(7, 2, 3), (5, 4, 4), (4, 3, 3), (6, 1, 0)])
+    @pytest.mark.parametrize("orthonormal", [True, False])
+    def test_matches_dense_projections(self, rows, a, b, orthonormal):
+        # the thin form against ||A A^H - B B^H|| from ambient-square
+        # matrices, also where [A, B] has more columns than rows
+        A, B = _random_matrix(rows + a, rows, a), _random_matrix(rows + b + 1, rows, b)
+        if orthonormal:
+            A, B = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
+        want = operator_norm(A @ A.conj().T - B @ B.conj().T)
+        assert subspace_distance(A, B) == pytest.approx(want, rel=1e-12)
+
+    def test_empty_families(self):
+        B = np.linalg.qr(_random_matrix(19, 5, 2))[0]
+        assert subspace_distance(np.zeros((5, 0)), np.zeros((5, 0))) == 0.0
+        assert subspace_distance(np.zeros((5, 0)), B) == pytest.approx(1.0, rel=1e-14)
+        assert subspace_distance(2 * B, np.zeros((5, 0))) == pytest.approx(4.0, rel=1e-14)
