@@ -9,16 +9,15 @@ step here works in that space: the fiber of variable ``i`` is
 ``range(P_i)``, held by an orthonormal basis of its complement (the model
 fiber, a few columns), and the wandering subspace is found in a space of
 at most ``2 r`` plus that many dimensions (Halmos, "Shifts on Hilbert
-spaces", J. reine angew. Math. 208, 1961).  The complement of each
-recovered Toeplitz range comes from randomized subspace iteration on
-``I - T T^H``, certified complete by a probe bound."""
+spaces", J. reine angew. Math. 208, 1961).  The complement of each recovered
+Toeplitz range comes from subspace iteration on ``I - T T^H`` started at the
+backward-shift orbit of the recovered columns, certified by its exact trace."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy 2.x loads it lazily: load it with the package, not in a suite call
 
 from .dilation import build_dilation
 from .hardy import TruncatedHardySpace, apply_coshift, apply_shift, box_rows
@@ -150,71 +149,72 @@ def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL
     ]
 
 
-# Gaussian probes behind the completeness bound of the recovered-range
-# complement: a missed direction escapes them with probability 10^-10
-_PROBES = 10
+# ``||A X - X Θ||_F`` of converged Ritz pairs, the rounding of ``A = I - T T^H`` on unit
+# columns (also allowed per eigenvalue); not reached in _RITZ_STEPS, the orbit doubles
+_RITZ_FLOOR = 1e-14
+_RITZ_STEPS = 8
 
 
-def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
     """Orthonormal basis of the complement of the range of the truncated
-    Toeplitz matrix ``T`` of a recovered inner function: the eigenvectors
-    of ``T T^H`` with eigenvalues at most ``sqrt(tail_tol)^2 ||T||^2``,
-    that is of ``A = I - T T^H`` with eigenvalues at least ``tau``.
+    Toeplitz matrix ``T`` of a recovered inner function (blocks ``c_k``,
+    ``r x m``), the eigenvectors of ``A = I - T T^H`` with eigenvalues at
+    least ``tau = 1 - cut^2 ||T||^2``, and its certificate ``δ``.
 
-    ``T T^H`` is close to a projection, so a few eigenvalues of ``A`` lie
-    near 1 and the rest near 0.  Blocked randomized subspace iteration
-    finds them (Halko, Martinsson, Tropp, SIAM Rev. 53 (2011), Alg. 4.4):
-    a fixed-seed Gaussian block of 8, two power steps, a Rayleigh-Ritz
-    step.  The block doubles until a Ritz value falls below ``tau`` and
-    the bound of their Sec. 4.3 on ten probes, ``e >= ||(I - Q Q^H) A||``,
-    rules out a missed direction: no eigenvalue of ``A`` past the kept
-    Ritz values exceeds ``max(next Ritz value, e) + e < tau``.  A block as
-    large as the space is the space, and its Rayleigh-Ritz step exact."""
-    size = (degree + 1) * inner.coeff_dim
-    if inner.inner_dim == 0:
-        return np.eye(size, dtype=complex)
-    T = one_var_toeplitz(inner.columns, degree)
-    rng = np.random.default_rng(0)
+    The complement is the truncated model space, spanned by the backward-shift
+    orbit (Sz.-Nagy and Foias, ch. VI): the blocks ``(c_s, ..., c_d, 0, ...)``,
+    ``s = 1 .. ceil(r/m) + 1``, start steps ``H <- qr(A H)`` with Rayleigh-Ritz
+    to _RITZ_FLOOR; a power step from the block column ``(c_0, ..., c_d)``
+    rides along for ``||T||^2``.
 
-    def apply_Th(X):  # T^H X, without a conjugated copy of T
-        return (X.conj().T @ T).conj().T
+    ``tr A = (d+1) r - sum_k (d+1-k) ||c_k||_F^2`` exactly.  For the ``p``
+    Ritz values ``θ``, Cauchy interlacing and Ky Fan bound ``λ_{p+1}`` and
+    each ``λ_i - θ_i`` by ``tr A - sum θ - sum_{i>p} λ_i``.  ``A`` has at most
+    ``(d+1) m`` negative eigenvalues, none below ``1 - ||T||^2``, hence
+    ``δ = tr A - sum θ + (d+1) m max(||T||^2 - 1, _RITZ_FLOOR)``, ``||T||^2`` as
+    estimated.  Kept if ``δ < tau`` and no Ritz value is in ``[tau - δ, tau)``;
+    else the orbit doubles, up to the whole space (exact, ``δ = 0``)."""
+    r, m, d = inner.coeff_dim, inner.inner_dim, degree
+    size = (d + 1) * r
+    if m == 0:
+        return np.eye(size, dtype=complex), 0.0
+    T = one_var_toeplitz(inner.columns, d)
+    C = T[:, :m]
+    trace = size - np.arange(d + 1, 0, -1) @ np.sum(np.abs(C.reshape(d + 1, -1)) ** 2, axis=1)
 
-    def apply_A(X):
-        return X - T @ apply_Th(X)
+    def apply(H, V):  # A H and T T^H V from one pair of products with T
+        Z = T @ (np.hstack([V, H]).conj().T @ T).conj().T
+        return H - Z[:, V.shape[1]:], Z[:, :V.shape[1]]
 
-    def gauss(b):
-        return (rng.standard_normal((size, b)) + 1j * rng.standard_normal((size, b))) / np.sqrt(2)
-
-    # ||T||^2 from two power steps: the top cluster of T T^H is tight
-    v = gauss(1)
-    for _ in range(2):
-        v = T @ apply_Th(v)
-        v /= np.linalg.norm(v)
-    tau = 1.0 - _loose_cut(cfg) ** 2 * np.linalg.norm(apply_Th(v)) ** 2
-    b = 8
-    while True:
-        if b < size:
-            Q = gauss(b)
-            for _ in range(3):  # the range finder, then two power steps
-                Q = np.linalg.qr(apply_A(Q))[0]
-        else:
-            Q = np.eye(size, dtype=complex)
-        k = Q.shape[1]
-        Z = apply_A(np.hstack([Q, gauss(_PROBES if b < size else 0)]))
-        R = Z[:, k:] - Q @ (Q.conj().T @ Z[:, k:])
-        e = 10.0 * np.sqrt(2.0 / np.pi) * np.max(np.linalg.norm(R, axis=0), initial=0.0)
-        w, V = np.linalg.eigh(Q.conj().T @ Z[:, :k])
-        keep = w >= tau
-        if b >= size or (not keep.all() and max(w[~keep].max(), e) + e < tau):
-            return Q @ V[:, keep]
-        b *= 2
+    V, s = C, -(-r // m) + 1
+    while s * m < size and s <= d:
+        H = np.hstack([np.vstack([C[k * r:], np.zeros((k * r, m))]) for k in range(1, s + 1)])
+        Z, TV = apply(np.linalg.qr(H)[0], V)
+        V = np.linalg.qr(TV)[0]
+        for _ in range(_RITZ_STEPS):
+            H = np.linalg.qr(Z)[0]
+            Z, TV = apply(H, V)
+            if V.shape[1]:  # the power step's Rayleigh quotient
+                norm2, V = np.linalg.eigvalsh(V.conj().T @ TV)[-1], V[:, :0]
+                tau = 1.0 - _loose_cut(cfg) ** 2 * norm2
+            theta, W = np.linalg.eigh(H.conj().T @ Z)
+            keep = theta >= tau
+            X = H @ W[:, keep]
+            if np.linalg.norm(Z @ W[:, keep] - X * theta[keep]) <= _RITZ_FLOOR:
+                delta = trace - theta.sum() + (d + 1) * m * max(norm2 - 1.0, _RITZ_FLOOR)
+                if delta < tau and not np.any((theta >= tau - delta) & ~keep):
+                    return X, delta
+                break
+        s *= 2
+    theta, W = np.linalg.eigh(np.eye(size) - T @ T.conj().T)
+    return W[:, theta >= 1.0 - _loose_cut(cfg) ** 2 * (1.0 - theta[0])], 0.0
 
 
 def _box_complements(inners, model: ModelSpaces, cfg: ToleranceConfig) -> list:
     """The complements of the recovered multiplier ranges of ``inners``
     (:func:`_inner_range_complement`), cut to the rows of ``model.box``."""
     rows = (model.box.degree + 1) * model.box.coeff_dim
-    return [_inner_range_complement(inner, model.space.degree, cfg)[:rows] for inner in inners]
+    return [_inner_range_complement(inner, model.space.degree, cfg)[0][:rows] for inner in inners]
 
 
 def reconstruct_S_check(inners, model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

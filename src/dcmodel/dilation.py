@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import TruncatedHardySpace, kernel_vector, next_layers, row_blocks
+from .hardy import TruncatedHardySpace, _check_polydisc, kernel_vector, next_layers, row_blocks
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -246,28 +246,38 @@ def intertwining_residual(L: DilationMap, i: int) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
+def _kernel_adjoints(L: DilationMap, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """``L^H k_j`` for the kernel vectors ``k_j = conj(w_j)^k eta_j`` of ``(k, n)``
+    points ``w``: its conjugate contracts the tensor view of ``L`` with the
+    powers ``w_ji^k`` of the first ``n - 1`` variables (a GEMM, then an einsum
+    per axis) and the conjugate last-variable kernel vector, ``(d+1) r`` long.
+    In chunks of ``(d+1) // dim`` samples no product holds over ``N`` entries."""
+    k, d, r = len(w), L.degree, L.defects.rank
+    _check_polydisc(w)
+    kv = np.array([kernel_vector(TruncatedHardySpace(1, d, r), w[j, -1:], eta[j]) for j in range(k)])
+    factors = [w[:, i, None] ** np.arange(d + 1) for i in range(L.tuple.n - 1)]
+    factors.append(kv.conj().reshape(k, (d + 1) * r))
+    step, out = max(1, (d + 1) // L.tuple.dim), np.empty((k, L.tuple.dim), dtype=complex)
+    for a in range(0, k, step):
+        F = [f[a:a + step] for f in factors]
+        X = F[0] @ L.matrix.reshape(F[0].shape[1], -1)
+        for f in F[1:]:
+            X = np.einsum("ja,jax->jx", f, X.reshape(len(f), f.shape[1], -1))
+        out[a:a + step] = X.conj()
+    return out
+
+
 def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Compare ``L^H`` applied to truncated kernel vectors against the
     closed-form resolvent product.  ``samples`` is a sequence of pairs
     ``(w, eta)`` with ``w`` in the polydisc and ``eta`` in joint-defect
     coordinates."""
-    B = L.defects.big_defect_basis
-    D = L.defects.big_defect
     I = np.eye(L.tuple.dim, dtype=complex)
     k = len(samples)
-    # L^H kv = conj(conj(kv) @ L) without copying L, one kernel vector at a
-    # time and conjugated in place: stacked, the N-length vectors of all
-    # samples would be held at once (about 85 MB at N = 264,196 and 20
-    # samples), and the benchmark's traced run counts one kernel_vector call
-    # per sample (perfbench/test_perfbench.py)
-    lhs = np.empty((k, L.tuple.dim), dtype=complex)
-    for j, (w, eta) in enumerate(samples):
-        kv = kernel_vector(L.space, w, eta)
-        lhs[j] = np.conj(np.conj(kv, out=kv) @ L.matrix)
-        del kv  # else it stays live while the next one is built
     w = np.asarray([w for w, _ in samples], dtype=complex).reshape(k, L.tuple.n)
-    eta = np.asarray([eta for _, eta in samples], dtype=complex).reshape(k, B.shape[1], 1)
-    v = D @ (B @ eta)
+    eta = np.asarray([eta for _, eta in samples], dtype=complex).reshape(k, L.defects.rank, 1)
+    lhs = _kernel_adjoints(L, w, eta[..., 0])
+    v = L.defects.big_defect @ (L.defects.big_defect_basis @ eta)
     for i, M in enumerate(L.tuple.matrices):
         v = np.linalg.solve(I - np.conj(w[:, i, None, None]) * M, v)
     return max((float(np.linalg.norm(x)) for x in lhs - v[..., 0]), default=0.0)

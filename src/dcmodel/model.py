@@ -197,14 +197,13 @@ def inner_boundary_check(cf: CharFn, samples: int = 64, cfg: ToleranceConfig = D
 
 
 def one_var_toeplitz(taylor, d: int) -> np.ndarray:
-    """Lower-triangular block-Toeplitz matrix of a one-variable symbol
-    truncated at degree ``d`` (degree-graded block order)."""
+    """Lower-triangular block-Toeplitz matrix of a one-variable symbol truncated at
+    degree ``d`` (degree-graded block order): block ``(k, j)`` is ``P[d - k + j]``."""
     r_out, r_in = taylor[0].shape
-    M = np.zeros((d + 1, r_out, d + 1, r_in), dtype=complex)
-    k = np.arange(d + 1)
-    for m, theta in enumerate(taylor[:d + 1]):
-        M[k[m:], :, k[m:] - m, :] = theta  # block diagonal m
-    return M.reshape((d + 1) * r_out, (d + 1) * r_in)
+    P = np.zeros((2 * d + 1, r_out, r_in), dtype=complex)
+    P[d::-1][:len(taylor[:d + 1])] = taylor[:d + 1]  # P[d - m] = taylor[m], zero-padded
+    V = np.lib.stride_tricks.sliding_window_view(P, d + 1, axis=0)  # V[s, ..., t] = P[s + t]
+    return V[::-1].transpose(0, 1, 3, 2).reshape((d + 1) * r_out, (d + 1) * r_in)
 
 
 def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:

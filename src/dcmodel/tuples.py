@@ -133,6 +133,15 @@ def validate_tuple(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT_TOL) -> V
     return ValidationReport(contr, comm, dcomm, radii, cfg)
 
 
+def _root_and_range(X: np.ndarray, cfg: ToleranceConfig) -> tuple:
+    """The PSD root ``D`` of ``X`` and as many leading left singular vectors of ``D``
+    as ``X`` has eigenvalues above ``rank_tol`` times the largest: cut after the
+    root, rounding in ``X`` (1e-16 of its norm) would count, lifted to 1e-8."""
+    D = hermitian_psd_sqrt(X, cfg)
+    lam = np.linalg.eigvalsh(0.5 * (X + X.conj().T))
+    return D, orthonormal_range_basis(D, cfg)[:, :int(np.sum(lam > cfg.rank_tol * max(lam[-1], 0.0)))]
+
+
 def defect_operators(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT_TOL) -> DefectData:
     """Per-operator defects plus the joint defect of the tuple.
 
@@ -142,25 +151,14 @@ def defect_operators(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT_TOL) ->
     I = np.eye(T.dim, dtype=complex)
     pairs = []
     for M in T.matrices:
-        D = hermitian_psd_sqrt(I - M.conj().T @ M, cfg)
-        Ds = hermitian_psd_sqrt(I - M @ M.conj().T, cfg)
-        pairs.append(
-            DefectPair(
-                defect=D,
-                defect_star=Ds,
-                basis=orthonormal_range_basis(D, cfg),
-                basis_star=orthonormal_range_basis(Ds, cfg),
-            )
-        )
+        D, B = _root_and_range(I - M.conj().T @ M, cfg)
+        Ds, Bs = _root_and_range(I - M @ M.conj().T, cfg)
+        pairs.append(DefectPair(defect=D, defect_star=Ds, basis=B, basis_star=Bs))
     prod = I.copy()
     for M in T.matrices:
         prod = prod @ (I - M @ M.conj().T)
-    big = hermitian_psd_sqrt(prod, cfg)
-    return DefectData(
-        big_defect=big,
-        big_defect_basis=orthonormal_range_basis(big, cfg),
-        per_op=tuple(pairs),
-    )
+    big, basis = _root_and_range(prod, cfg)
+    return DefectData(big_defect=big, big_defect_basis=basis, per_op=tuple(pairs))
 
 
 def defect_commutation_check(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT_TOL) -> dict:

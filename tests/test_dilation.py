@@ -13,6 +13,7 @@ from dcmodel.dilation import (
     DegreeCapExceeded,
     _box_gram_defect,
     _box_sum,
+    _kernel_adjoints,
     _top_layer_tail,
     adjoint_on_kernels_check,
     build_dilation,
@@ -193,15 +194,42 @@ class TestChecks:
         lambda: [np.eye(3, k=1), np.eye(2, k=1)],
     ], ids=["tensor", "jordan"])
     def test_adjoint_on_kernels_matches_point_loop(self, factors):
-        # one stacked resolvent chain per variable runs the per-sample arithmetic
+        # one stacked resolvent chain per variable runs the per-sample
+        # arithmetic; the left-hand side sums the N products of the loop's
+        # full-length kernel vectors in another order, so the two agree to
+        # rounding (1e-14 on residuals of norm below 1)
         T = make_tensor_tuple(factors())
         L = build_dilation(T, d=4, adaptive=False)
         rng = np.random.default_rng(7)
         samples = [(0.6 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n)),
                     rng.standard_normal(L.defects.rank) + 1j * rng.standard_normal(L.defects.rank))
                    for _ in range(6)]
-        assert adjoint_on_kernels_check(L, samples) == oracles.adjoint_on_kernels_loop(L, samples)
+        assert abs(adjoint_on_kernels_check(L, samples) - oracles.adjoint_on_kernels_loop(L, samples)) <= 1e-14
         assert adjoint_on_kernels_check(L, []) == 0.0
+
+    @pytest.mark.parametrize("factors,d,k", [
+        (lambda: [make_random_pure_contraction(3, 0.6, 1)], 5, 5),  # n = 1: chunks of 2
+        (lambda: [[[0.5]], np.array([[0, 0.6], [0, 0]])], 20, 5),  # one chunk of 10
+        (lambda: [make_random_pure_contraction(2, 0.7, 3), [[0, 0.5], [0, 0]]], 6, 4),  # chunks of 1
+        (lambda: [make_random_pure_contraction(2, 0.7, 2), [[0.6]], [[-0.5j]]], 3, 5),  # n = 3: chunks of 2
+    ], ids=["n1-chunked", "n2-one-chunk", "n2-chunked", "n3-chunked"])
+    def test_kernel_adjoints_match_full_kernel_vectors(self, factors, d, k, monkeypatch):
+        # the per-axis contraction against L^H of the N-length kernel vectors,
+        # to rounding (1e-14 on vectors of norm below 3), with one
+        # kernel_vector call per sample
+        T = make_tensor_tuple(factors())
+        L = build_dilation(T, d=d, adaptive=False)
+        rng = np.random.default_rng(d + k)
+        w = 0.9 * rng.random((k, T.n)) * np.exp(2j * np.pi * rng.random((k, T.n)))
+        eta = rng.standard_normal((k, L.defects.rank)) + 1j * rng.standard_normal((k, L.defects.rank))
+        want = np.array([(hardy.kernel_vector(L.space, wj, ej).conj() @ L.matrix).conj()
+                         for wj, ej in zip(w, eta)])
+        calls = []
+        monkeypatch.setattr(dilation, "kernel_vector",
+                            lambda *a: calls.append(a[0]) or hardy.kernel_vector(*a))
+        got = _kernel_adjoints(L, w, eta)
+        assert calls == [hardy.TruncatedHardySpace(1, d, L.defects.rank)] * k
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_adjoint_at_origin_exact(self, pair):
         T, L = pair

@@ -90,6 +90,16 @@ class TestDefects:
         assert np.allclose(d.big_defect, np.eye(3), atol=1e-13)
         assert d.rank == 3
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rounding_is_not_rank(self, seed):
+        # T = U J U^H, J the 4x4 shift: I - T T^H, I - T^H T and the joint
+        # defect have rank 1, and their zero eigenvalues carry rounding of
+        # about 1e-16, which the square root would lift to about 1e-8
+        rng = np.random.default_rng(seed)
+        U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        d = defect_operators(ContractionTuple((U @ np.eye(4, k=1) @ U.conj().T,)))
+        assert d.rank == d.per_op[0].basis.shape[1] == d.per_op[0].basis_star.shape[1] == 1
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_defect_commutation_for_tensor_tuples(self, seed):
