@@ -202,21 +202,6 @@ def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     return W @ ((V / np.sqrt(e)) @ V.conj().T)
 
 
-def range_box_basis(L: DilationMap, box: TruncatedHardySpace,
-                    cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The rows in ``box`` (:func:`hardy.box_rows`) of the orthonormal
-    range basis ``L W`` of :func:`range_factor`, formed one row block of the
-    box at a time: no copy of the box rows of ``L`` is held."""
-    W = range_factor(L, cfg)
-    t = _tensor(L)
-    rest = (slice(box.degree + 1),) * (L.tuple.n - 1)
-    out = np.empty(box.shape + (W.shape[1],), dtype=complex)
-    for a, b in row_blocks(box, out):
-        Lb = t[(slice(a, b),) + rest].reshape(-1, L.tuple.dim)
-        out[a:b] = (Lb @ W).reshape(out[a:b].shape)
-    return out.reshape(box.total_dim, W.shape[1])
-
-
 def isometry_defect(L: DilationMap) -> float:
     """``||I - L^H L||`` on the input space, the Gram summed over row
     blocks (:func:`hardy.row_blocks`)."""

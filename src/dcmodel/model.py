@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_box_basis
+from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_factor
 from .hardy import TruncatedHardySpace, _check_polydisc, row_blocks, szego_kernel
 from .matrixcore import DEFAULT_TOL, NumericalFailure, ToleranceConfig, operator_norm
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
@@ -395,14 +395,14 @@ def _chain(frames) -> np.ndarray:
     return C.reshape(C.shape[0] * C.shape[1], C.shape[2])
 
 
-def box_distance(box: TruncatedHardySpace, frames, W) -> float:
-    """Exact norm of ``prod_i P_i - W W^H`` on the margin ``box`` (variable 0
-    applied first; ``frames`` from :func:`axis_frames`), for a thin ``W``:
-    flat columns of the box, or a tensor of shape ``box.shape + (w,)`` read
-    one row block at a time, so that a strided view of the box rows of a
-    larger array is not copied.  Cutting one-variable bases to their box
-    rows is exact, as the box projection commutes with every factor acting
-    on another axis.
+def box_coordinates(box: TruncatedHardySpace, frames, W) -> tuple:
+    """The coordinates ``(C, S_L, S_R)`` of ``prod_i P_i - W W^H`` on the
+    margin ``box`` (variable 0 applied first; ``frames`` from
+    :func:`axis_frames`), for a thin ``W``: flat columns of the box, or a
+    tensor of shape ``box.shape + (w,)`` read one row block at a time, so
+    that a strided view of the box rows of a larger array is not copied.
+    Cutting one-variable bases to their box rows is exact, as the box
+    projection commutes with every factor acting on another axis.
 
     The product is ``U~ E_{n-1} C E_0^H U~^H`` (:func:`_chain`).  Split
     ``W = U~ w + W_perp``; the triangular factor of ``W_perp`` comes from
@@ -410,10 +410,10 @@ def box_distance(box: TruncatedHardySpace, frames, W) -> float:
     every ``U_i`` is square.  ``W - U~ E E^H w`` is orthogonal to ``U~ E`` for
     ``E = E_{n-1}`` and for ``E = E_0``, with triangular factors ``R_L`` and
     ``R_R`` of ``[(I - E E^H) w; W_perp]``, so in orthonormal frames the
-    operator is ``K = diag(C, 0) - [E_{n-1}^H w; R_L] [E_0^H w; R_R]^H``, of
-    ``m_{n-1} + w`` by ``m_0 + w``, ``m_i = k_i prod_{j != i} s_j``.  Its norm
-    comes from the largest eigenvalue of its Gram matrix, whether or not the
-    ``P_i`` commute.  Raises :class:`FrameTooLarge` above ``_FRAME_MAX``."""
+    operator is ``K = diag(C, 0) - S_L S_R^H``, ``S_L = [E_{n-1}^H w; R_L]``,
+    ``S_R = [E_0^H w; R_R]``, of ``m_{n-1} + w`` by ``m_0 + w``, ``m_i = k_i
+    prod_{j != i} s_j``; for ``W X`` they are ``(C, S_L X, S_R X)`` in the same
+    frames.  Raises :class:`FrameTooLarge` above ``_FRAME_MAX``."""
     n, cols = box.n, W.shape[-1]
     Us = [U for U, _, _ in frames]
     s = [U.shape[1] for U in Us]
@@ -441,11 +441,22 @@ def box_distance(box: TruncatedHardySpace, frames, W) -> float:
         rest = w - np.moveaxis(np.tensordot(Q, y, axes=(2, i)), [0, 1], [i, n])
         sides.append(np.concatenate([y.reshape(-1, cols),
                                      np.linalg.qr(np.concatenate([rest.reshape(-1, cols), R]), mode="r")]))
-    K = -sides[0] @ sides[1].conj().T
-    C = _chain(frames)
+    return _chain(frames), sides[0], sides[1]
+
+
+def _coordinate_norm(C, SL, SR) -> float:
+    """Norm of ``K = diag(C, 0) - S_L S_R^H`` (:func:`box_coordinates`) from
+    the largest eigenvalue of its Gram matrix, whether or not the ``P_i`` commute."""
+    K = -SL @ SR.conj().T
     K[:C.shape[0], :C.shape[1]] += C
     G = K.conj().T @ K if K.shape[0] >= K.shape[1] else K @ K.conj().T
     return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
+
+
+def box_distance(box: TruncatedHardySpace, frames, W) -> float:
+    """Exact norm of ``prod_i P_i - W W^H`` on the margin ``box``, from its
+    coordinates (:func:`box_coordinates`, which raises :class:`FrameTooLarge`)."""
+    return _coordinate_norm(*box_coordinates(box, frames, W))
 
 
 def _frame_commutator(frames, a: int, b: int) -> float:
@@ -495,16 +506,18 @@ class ModelSpaces:
     """Model-space data: per-variable clipped multiplier projections, held
     as the orthonormal bases of their complements (the model fibers), the
     margin box every box norm runs on with the fibers cut to its rows, and
-    the residuals tying them to the dilation."""
+    the residuals tying them to the dilation (the three box norms ``None``
+    when ``frame_error`` says their frames exceed ``_FRAME_MAX``)."""
 
     space: TruncatedHardySpace
     fibers: list
     box: TruncatedHardySpace
     box_fibers: list
     margin_drifts: list
-    commutator_residuals: dict
-    s_residual: float
-    gramian_residual: float
+    commutator_residuals: dict | None
+    s_residual: float | None
+    gramian_residual: float | None
+    frame_error: FrameTooLarge | None = None
 
 
 def model_space(
@@ -526,13 +539,16 @@ def model_space(
     an upper bound on the spectral one.  Its ``F_i F_i^H`` block ``A_i``
     comes from :func:`toeplitz_gram`.
 
-    The commutators and the split between the dilation range and the
-    complement of the multiplier sum space are exact norms on the box, from
-    one set of frames (:func:`axis_frames`).  The operator-form Gramian
-    ``||L_b L_b^H - prod_i (I - A_i)||`` (``L_b`` the box rows of the
-    dilation matrix) is bounded by telescoping, as every ``I - A_i`` and
-    ``B_i B_i^H`` has norm at most one: by the exact
-    ``||L_b L_b^H - prod_i B_i B_i^H||`` plus the sum of the margin drifts."""
+    The commutators and the two norms below are exact on the box, from one
+    set of frames (:func:`axis_frames`) and one set of box coordinates
+    ``(C, S_L, S_R)`` of ``L_b``, the box rows of ``L`` (:func:`box_coordinates`).
+    The operator-form Gramian ``||L_b L_b^H - prod_i (I - A_i)||`` is bounded
+    by telescoping, as every ``I - A_i`` and ``B_i B_i^H`` has norm at most
+    one: by the exact ``||L_b L_b^H - prod_i B_i B_i^H||`` plus the sum of
+    the margin drifts.  The split between the dilation range and the
+    complement of the multiplier sum space is the same norm for the range
+    basis ``L_b W`` (:func:`dilation.range_factor`), of coordinates
+    ``(C, S_L W, S_R W)``."""
     d = L.degree
     space = L.space
     box = space.margin_box(d // 2)
@@ -553,18 +569,13 @@ def model_space(
                 f"variable {i}: clipped-projection drift {md:.3e} exceeds bound {bound:.3e}"
             )
     frames = axis_frames(box, box_fibers)
-    comms = {(a, b): _frame_commutator(frames, a, b)
-             for a in range(T.n) for b in range(a + 1, T.n)}
-    s_residual = box_distance(box, frames, range_box_basis(L, box, cfg))
     Lb = L.matrix.reshape(space.shape + (T.dim,))[(slice(box.degree + 1),) * T.n]  # a view
-    gramian_residual = box_distance(box, frames, Lb) + sum(margin_drifts)
-    return ModelSpaces(
-        space=space,
-        fibers=fibers,
-        box=box,
-        box_fibers=box_fibers,
-        margin_drifts=margin_drifts,
-        commutator_residuals=comms,
-        s_residual=float(s_residual),
-        gramian_residual=float(gramian_residual),
-    )
+    try:
+        comms = {(a, b): _frame_commutator(frames, a, b)
+                 for a in range(T.n) for b in range(a + 1, T.n)}
+        C, SL, SR = box_coordinates(box, frames, Lb)
+    except FrameTooLarge as e:
+        return ModelSpaces(space, fibers, box, box_fibers, margin_drifts, None, None, None, e)
+    W = range_factor(L, cfg)
+    return ModelSpaces(space, fibers, box, box_fibers, margin_drifts, comms,
+                       _coordinate_norm(C, SL @ W, SR @ W), _coordinate_norm(C, SL, SR) + sum(margin_drifts))

@@ -183,8 +183,9 @@ class TestDenseOracle:
         factors, d = self.CASES[case]
         ms = _model_for(factors(), d=d)
         inners = model_inner_functions(ms)
+        # 1e-14: both drifts are rounding (about 1e-16) on an exact inner function
         for inner in inners:
-            assert inner.isometry_drift >= oracles.isometry_drift(inner, d) * (1 - 1e-8)
+            assert inner.isometry_drift >= oracles.isometry_drift(inner, d) * (1 - 1e-8) - 1e-14
         rows = (ms.box.degree + 1) * ms.box.coeff_dim
         comps = [_inner_range_complement(inner, d)[0][:rows] for inner in inners]
         X = oracles.dense_axis_projections(ms.box, comps) - oracles.dense_axis_projections(ms.box, ms.box_fibers)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import dcmodel
 from dcmodel.cli import (
+    _PAPER_REFS,
     TupleFileError,
     VerificationReport,
     emit_report,
@@ -191,6 +192,18 @@ class TestPipelines:
         assert dc.status == "skipped" and "below -rank_tol" in dc.note
         report, code = run_full_suite(p)
         assert code == 2
+
+    def test_non_commuting_defects_evaluated_exit_1(self, tmp_path):
+        # contractive but not commuting: the product of the I - T_j T_j^H is
+        # not Hermitian, yet the defect commutation check reads only the star
+        # defects, so it is evaluated, and fails
+        p = _write_tuple(tmp_path / "nc.json", [[[0, 0.5], [0, 0]], [[0.3, 0], [0.2, 0.1]]])
+        report, code = run_validate(p)
+        assert code == 1
+        checks = {c.name: c for c in report.checks}
+        assert checks["validate.commuting"].status == "fail"
+        dc = checks["validate.defect_commutation"]
+        assert dc.status == "fail" and dc.residual > dc.tolerance
 
     def test_zero_tuple_suite_exact(self, tmp_path):
         p = _write_tuple(tmp_path / "zero.json",
@@ -434,9 +447,10 @@ class TestExitCodes:
         assert doc["verdict"] == "incomplete" and doc["skipped"] == 16
 
     def test_frame_limit_exits_2(self, tmp_path, capsys, monkeypatch):
-        # a box norm above the frame limit is not estimated: model_space
-        # stops, and the checks it had not reported are skipped with the
-        # size in their note, with no traceback
+        # a box norm above the frame limit is not estimated: the three checks
+        # that need frames are skipped with the size in their note, the
+        # drift and the BLH checks, which need none, are evaluated in roster
+        # order, and there is no traceback
         monkeypatch.setattr("dcmodel.model._FRAME_MAX", 8)
         demo = str(tmp_path / "demo.json")
         rep = str(tmp_path / "report.json")
@@ -445,13 +459,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert err == ""
         doc = json.loads(Path(rep).read_text())
+        assert [c["name"] for c in doc["checks"]] == list(_PAPER_REFS)
         skipped = [c for c in doc["checks"] if c["status"] == "skipped"]
         assert [c["name"] for c in skipped] == [
-            "model.gramian_operator", "model.projection_drift", "model.projection_commutators",
-            "model.subspace_split", "blh.inner_recovery", "blh.reconstruct_sum"]
+            "model.gramian_operator", "model.projection_commutators", "model.subspace_split"]
         for c in skipped:
             assert c["note"].startswith("not evaluated: ") and "m = " in c["note"] and "above 8" in c["note"]
-        assert doc["verdict"] == "incomplete"
+        assert all(c["status"] == "pass" for c in doc["checks"] if c not in skipped)
+        assert doc["verdict"] == "incomplete" and doc["skipped"] == 3
 
     def test_linear_algebra_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # a LAPACK failure is a ValueError; it must not read as a parse error (3)

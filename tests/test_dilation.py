@@ -21,7 +21,6 @@ from dcmodel.dilation import (
     intertwining_residual,
     isometry_defect,
     minimality_check,
-    range_box_basis,
     range_factor,
 )
 from dcmodel.hardy import row_blocks
@@ -259,12 +258,8 @@ class TestChecks:
         assert max(compressed_tuple_residual(L)) <= 1e-13
 
 
-def _projection_gap(A, B) -> float:
-    return float(np.linalg.norm(A @ A.conj().T - B @ B.conj().T, 2))
-
-
 class TestRowBlocks:
-    """The dilation build, its checks and the range basis run over row
+    """The dilation build, its checks and the range factor run over row
     blocks of whole first-variable layers; with the block size patched to
     two layers, several blocks and their seams are exercised."""
 
@@ -300,13 +295,13 @@ class TestRowBlocks:
                            rtol=1e-12, atol=1e-14)
         assert oracles.isometry_defect(L) > 1e-6
 
-    def test_range_box_basis_matches_svd(self, blocked):
-        _, L = blocked
-        box = L.space.margin_box(L.degree // 2)
-        q_box = range_box_basis(L, box)
-        want = oracles.range_box_basis(L, box)
-        assert q_box.shape == want.shape
-        assert _projection_gap(q_box, want) <= 1e-13
+    def test_split_matches_svd_range_basis(self, blocked):
+        # the split, read from the box coordinates of L with the range factor
+        # applied, against box_distance of the box rows of an SVD range basis
+        T, L = blocked
+        ms = model_space(T, L, charfns_for_tuple(T, L.defects))
+        want = box_distance(ms.box, axis_frames(ms.box, ms.box_fibers), oracles.range_box_basis(L, ms.box))
+        assert ms.s_residual == pytest.approx(want, abs=1e-13)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_rank_deficient_range(self, d):
@@ -361,13 +356,15 @@ def test_tall_products_allocate_blocks_not_copies(monkeypatch):
     assert _traced_peak(lambda: build_dilation(T, d=64, adaptive=False)) < L.matrix.nbytes + bound
 
 
-def test_range_box_basis_allocates_its_output_only(monkeypatch):
-    # n = 3, d = 32: the margin box holds (17/33)^3 = 0.137 of the rows, so
-    # the box rows of the range basis stay under a quarter of the dilation
-    # matrix; a full N-row basis, or a copy of the box rows of L next to
-    # the product, would not
+def test_model_space_forms_no_box_row_basis(monkeypatch):
+    # n = 3, d = 32: the margin box holds (17/33)^3 = 0.137 of the rows. The
+    # split and the Gramian read one set of box coordinates of L, row block
+    # by row block, so model_space allocates less than the box rows of the
+    # range basis alone would take (314 KB here)
     T = make_tensor_tuple([make_random_pure_contraction(2, 0.9, 6), [[0.8]], [[-0.7j]]])
     L = build_dilation(T, d=32, adaptive=False)
     box = L.space.margin_box(L.degree // 2)
+    charfns = charfns_for_tuple(T, L.defects)
     monkeypatch.setattr(hardy, "_BLOCK_BYTES", L.matrix.nbytes // 32)
-    assert _traced_peak(lambda: range_box_basis(L, box)) < L.matrix.nbytes // 4
+    box_basis_bytes = box.total_dim * range_factor(L).shape[1] * 16
+    assert _traced_peak(lambda: model_space(T, L, charfns)) < box_basis_bytes

@@ -104,12 +104,21 @@ class TestDefects:
     @settings(max_examples=20, deadline=None)
     def test_defect_commutation_for_tensor_tuples(self, seed):
         T = _random_tensor_tuple(seed)
-        res = defect_commutation_check(T)
-        assert res["max"] <= 1e-9
+        assert defect_commutation_check(T) <= 1e-9
+
+    def test_star_defects_only(self, monkeypatch):
+        # the residual is the one the star defects of defect_operators give,
+        # bit for bit, and is taken without the joint defect
+        T = _random_tensor_tuple(3)
+        stars = [p.defect_star for p in defect_operators(T).per_op]
+        (A, B), (Da, Db) = T.matrices, stars
+        want = max(operator_norm(X @ Y - Y @ X) for X, Y in [(A, Db), (B, Da), (Da, Db)])
+        monkeypatch.setattr("dcmodel.tuples.defect_operators", None)
+        assert defect_commutation_check(T) == want
 
     def test_single_operator_trivial(self):
         T = ContractionTuple((np.array([[0.3]]),))
-        assert defect_commutation_check(T)["max"] == 0.0
+        assert defect_commutation_check(T) == 0.0
 
 
 class TestGenerators:
