@@ -56,7 +56,6 @@ from .model import (
     charfn_taylor,
     charfns_for_tuple,
     inner_boundary_check,
-    kernel_identity_check,
     model_space,
     polydisc_kernel_checks,
     taylor_tail_estimate,

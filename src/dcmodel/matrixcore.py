@@ -42,8 +42,9 @@ class ToleranceConfig:
     tail_tol: float = 1e-6
 
     def __post_init__(self):
-        if not (self.rank_tol > 0 and self.check_tol > 0 and self.tail_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        # an infinite tolerance would pass any residual, inf included
+        if not all(0 < t < np.inf for t in (self.rank_tol, self.check_tol, self.tail_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -249,56 +249,21 @@ def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
     return G.reshape(layers * r, layers * r)
 
 
-def kernel_identity_check(Ti, samples, cfg: ToleranceConfig = DEFAULT_TOL, pair: DefectPair = None) -> float:
-    """Closed-form residual of the one-variable kernel identity
-
-        S(z, w) (I - theta(z) theta(w)^H)
-            = D*(I - z T^H)^{-1} (I - conj(w) T)^{-1} D*
-
-    as maps on the star-defect coordinates.  ``samples`` is a sequence
-    of scalar pairs (z, w) in the unit disc."""
-    Ti = np.asarray(Ti, dtype=complex)
-    if pair is None:
-        pair = _single_defect_pair(Ti, cfg)
-    z, w = np.asarray(samples, dtype=complex).reshape(len(samples), 2).T
-    _check_polydisc(z, w)
-    Bout = pair.basis_star
-    th_z, th_w = np.split(charfn_eval(Ti, np.concatenate([z, w]), pair, cfg), 2)
-    lhs = szego_kernel(z[:, None], w[:, None])[:, None, None] * (
-        np.eye(Bout.shape[1], dtype=complex) - th_z @ th_w.conj().transpose(0, 2, 1))
-    rhs = Bout.conj().T @ _resolvent_product_ambient(Ti, pair, z, w) @ Bout
-    return operator_norm(lhs - rhs)
-
-
-def _resolvent_product_ambient(Ti, pair: DefectPair, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``D*(I - z T^H)^{-1} (I - conj(w) T)^{-1} D*`` as ambient matrices,
-    one per entry of the 1-D arrays ``z`` and ``w``, stacked."""
-    I = np.eye(Ti.shape[0], dtype=complex)
-    z, w = z.reshape(-1, 1, 1), w.reshape(-1, 1, 1)
-    mid = np.linalg.solve(I - z * Ti.conj().T, np.linalg.solve(I - np.conj(w) * Ti, pair.defect_star))
-    return pair.defect_star @ mid
-
-
-def _theta_product_ambient(Ti, pair: DefectPair, z: np.ndarray, w: np.ndarray, cfg) -> np.ndarray:
-    """``Theta(z) Theta(w)^H`` embedded back into the ambient space, one
-    per entry of the 1-D arrays ``z`` and ``w``, stacked."""
-    th_z, th_w = np.split(charfn_eval(Ti, np.concatenate([z, w]), pair, cfg), 2)
-    Bout = pair.basis_star
-    return Bout @ th_z @ th_w.conj().transpose(0, 2, 1) @ Bout.conj().T
-
-
 def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
                            cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
-    """Residuals of the polydisc kernel factorization on the joint defect
-    space, from exact closed forms (no truncation) at sample pairs
-    ``(z, w)`` of polydisc points, as ``(invariance, product, gramian)``.
+    """Residuals of the polydisc kernel factorization, from exact closed
+    forms (no truncation) at sample pairs ``(z, w)`` of polydisc points, as
+    ``(one_variable, invariance, product, gramian)``.
 
     Each variable needs two factors, evaluated once per pair and stacked
     over the pairs: the resolvent product
     ``R_i = D*(I - z_i T_i^H)^{-1} (I - conj(w_i) T_i)^{-1} D*``
-    and ``X_i = Theta_i(z_i) Theta_i(w_i)^H``.  With ``B`` the joint
-    defect basis, ``P = B B^H`` and ``S`` the polydisc kernel:
+    and ``Theta_i(z_i) Theta_i(w_i)^H``, ``X_i`` once embedded by the
+    star-defect basis ``B*_i``.  With ``B`` the joint defect basis,
+    ``P = B B^H`` and ``S`` the polydisc kernel:
 
+    - one_variable: the Sz.-Nagy-Foias factor of each variable, the largest
+      ``||S(z_i, w_i)(I - Theta_i(z_i) Theta_i(w_i)^H) - B*_i^H R_i B*_i||``;
     - invariance: the largest leakage ``||(I - P) R_i P||`` and
       ``||(I - P) X_i P||`` out of the joint defect space;
     - product: ``B^H (prod R_i) B`` against ``S(z, w) B^H prod(I - X_i) B``;
@@ -312,21 +277,29 @@ def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
     zw = np.asarray(samples, dtype=complex).reshape(len(samples), 2, T.n)
     z, w = zw[:, 0], zw[:, 1]
     _check_polydisc(z, w)
-    invariance = 0.0
+    one_variable = invariance = 0.0
     resolvents = complements = I
     Vz = Vw = defects.big_defect @ B
     for i, (Ti, pair) in enumerate(zip(T.matrices, defects.per_op)):
-        R = _resolvent_product_ambient(Ti, pair, z[:, i], w[:, i])
-        X = _theta_product_ambient(Ti, pair, z[:, i], w[:, i], cfg)
+        zi, wi = z[:, i, None, None], w[:, i, None, None]
+        Bout = pair.basis_star
+        R = pair.defect_star @ np.linalg.solve(I - zi * Ti.conj().T,
+                                               np.linalg.solve(I - np.conj(wi) * Ti, pair.defect_star))
+        th_z, th_w = np.split(charfn_eval(Ti, np.concatenate([z[:, i], w[:, i]]), pair, cfg), 2)
+        th_wh = th_w.conj().transpose(0, 2, 1)
+        X = Bout @ th_z @ th_wh @ Bout.conj().T
+        lhs = szego_kernel(z[:, i, None], w[:, i, None])[:, None, None] * (
+            np.eye(Bout.shape[1], dtype=complex) - th_z @ th_wh)
+        one_variable = max(one_variable, operator_norm(lhs - Bout.conj().T @ R @ Bout))
         invariance = max(invariance, operator_norm((I - P) @ R @ P), operator_norm((I - P) @ X @ P))
         resolvents = R @ resolvents
         complements = (I - X) @ complements
-        Vw = np.linalg.solve(I - np.conj(w[:, i, None, None]) * Ti, Vw)
-        Vz = np.linalg.solve(I - np.conj(z[:, i, None, None]) * Ti, Vz)
+        Vw = np.linalg.solve(I - np.conj(wi) * Ti, Vw)
+        Vz = np.linalg.solve(I - np.conj(zi) * Ti, Vz)
     rhs = szego_kernel(z, w)[:, None, None] * (Bh @ complements @ B)
     product = operator_norm(Bh @ resolvents @ B - rhs)
     gramian = operator_norm(Vz.conj().transpose(0, 2, 1) @ Vw - rhs)
-    return invariance, product, gramian
+    return one_variable, invariance, product, gramian
 
 
 def _embedding(defects: DefectData, i: int, cfg: ToleranceConfig) -> np.ndarray:

@@ -502,7 +502,8 @@ def _resolvent_product(Ti, pair, z: complex, w: complex) -> np.ndarray:
 
 
 def kernel_identity_loop(Ti, samples, pair, cfg=DEFAULT_TOL) -> float:
-    """``kernel_identity_check`` one scalar pair ``(z, w)`` at a time."""
+    """The one-variable residual of ``polydisc_kernel_checks`` for one
+    variable, one scalar pair ``(z, w)`` at a time."""
     Bout = pair.basis_star
     Ir = np.eye(Bout.shape[1], dtype=complex)
     worst = 0.0

@@ -28,12 +28,12 @@ from dcmodel.model import (
     charfn_taylor,
     charfns_for_tuple,
     inner_boundary_check,
-    kernel_identity_check,
     model_space,
     polydisc_kernel_checks,
 )
 from dcmodel.tuples import (
     ContractionTuple,
+    defect_operators,
     make_random_pure_contraction,
     make_tensor_tuple,
 )
@@ -80,9 +80,9 @@ def test_acceptance_1_one_variable_kernel_identity():
     for s in range(20):
         rng = np.random.default_rng(s)
         dim = int(rng.integers(1, 5))
-        M = make_random_pure_contraction(dim, 0.3 + 0.5 * rng.random(), 500 + s)
-        pairs = list(zip(_disc_points(rng, 100), _disc_points(rng, 100)))
-        worst = max(worst, kernel_identity_check(M, pairs))
+        T = ContractionTuple((make_random_pure_contraction(dim, 0.3 + 0.5 * rng.random(), 500 + s),))
+        pairs = list(zip(_disc_points(rng, 100)[:, None], _disc_points(rng, 100)[:, None]))
+        worst = max(worst, polydisc_kernel_checks(T, defect_operators(T), pairs)[0])
     elapsed = time.time() - t0
     _report(1, worst <= 1e-10 and elapsed <= 5.0,
             f"one-variable kernel identity: max residual {worst:.3e} "
@@ -95,7 +95,7 @@ def test_acceptance_2_product_kernel_identities(suite_tuples, suite_dilations):
     for s, (T, L) in enumerate(zip(suite_tuples, suite_dilations)):
         rng = np.random.default_rng(3000 + s)
         pairs = [(_disc_points(rng, T.n), _disc_points(rng, T.n)) for _ in range(50)]
-        _, product, gramian = polydisc_kernel_checks(T, L.defects, pairs)
+        _, _, product, gramian = polydisc_kernel_checks(T, L.defects, pairs)
         worst = max(worst, product, gramian)
     elapsed = time.time() - t0
     _report(2, worst <= 1e-9 and elapsed <= 10.0,
@@ -143,12 +143,8 @@ def test_acceptance_4_exact_nilpotent_regime():
         cfs = charfns_for_tuple(T, L.defects)
         pairs = [(_disc_points(rng, T.n, 0.6), _disc_points(rng, T.n, 0.6))
                  for _ in range(10)]
-        scalar_pairs = [(complex(a[0]), complex(b[0])) for a, b in pairs]
         worst = max(worst,
                     max(inner_boundary_check(cf, 16) for cf in cfs),
-                    max(kernel_identity_check(T.matrices[i], scalar_pairs,
-                                              pair=L.defects.per_op[i])
-                        for i in range(T.n)),
                     *polydisc_kernel_checks(T, L.defects, pairs))
         ms = model_space(T, L, cfs)
         worst = max(worst, max(ms.margin_drifts), ms.s_residual, ms.gramian_residual,

@@ -317,6 +317,36 @@ class TestMain:
         assert main(["suite", demo, "--degree", "many"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extra", [["--bogus"], ["--boundary-samples", "0"],
+                                       ["--tail-tol", "abc"], ["--tail-tol", "nan"]])
+    def test_usage_errors_exit_3(self, tmp_path, capsys, extra):
+        # argparse's own code 2 would read as a failed numerical check
+        demo = str(tmp_path / "demo.json")
+        main(["demo", "jordan", "--dims", "2", "--out", demo])
+        capsys.readouterr()
+        assert main(["suite", demo, *extra]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infinite_tolerance_exits_3(self, tmp_path, capsys):
+        # an infinite check_tol would let the overflowing residuals of this
+        # float-limit tuple pass: the run stops before any arithmetic
+        path = _write_tuple(tmp_path / "edge.json", [(1.7e308 + 1.7e308j) * np.eye(2)] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["suite", path, "--check-tol", "inf"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tolerances must be finite and strictly positive\n"
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["suite", "--help"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 0
+        assert "--check-tol" in capsys.readouterr().out
+
     def test_fixed_degree(self, tmp_path, capsys):
         demo = str(tmp_path / "demo.json")
         main(["demo", "jordan", "--dims", "2", "--radius", "0.6", "--out", demo])

@@ -38,6 +38,13 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(rank_tol=0.0)
 
+    @pytest.mark.parametrize("name", ["rank_tol", "check_tol", "tail_tol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite(self, name, value):
+        # an infinite bound would pass every residual, an infinite one included
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(**{name: value})
+
 
 class TestOperatorNorm:
     def test_column_vector_norm(self):

@@ -33,7 +33,6 @@ from dcmodel.model import (
     charfn_taylor,
     charfns_for_tuple,
     inner_boundary_check,
-    kernel_identity_check,
     model_space,
     one_var_toeplitz,
     polydisc_kernel_checks,
@@ -358,14 +357,14 @@ class TestKernelIdentities:
     @given(st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_one_var_kernel_identity(self, seed):
-        M = make_random_pure_contraction(3, 0.7, seed)
+        T = ContractionTuple((make_random_pure_contraction(3, 0.7, seed),))
         rng = np.random.default_rng(seed)
         pairs = [
-            (0.7 * rng.random() * np.exp(2j * np.pi * rng.random()),
-             0.7 * rng.random() * np.exp(2j * np.pi * rng.random()))
+            (0.7 * rng.random(1) * np.exp(2j * np.pi * rng.random(1)),
+             0.7 * rng.random(1) * np.exp(2j * np.pi * rng.random(1)))
             for _ in range(10)
         ]
-        assert kernel_identity_check(M, pairs) <= 1e-10
+        assert polydisc_kernel_checks(T, defect_operators(T), pairs)[0] <= 1e-10
 
     def test_defect_invariance_and_product_identity(self):
         T = make_tensor_tuple([
@@ -378,7 +377,7 @@ class TestKernelIdentities:
              0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
             for _ in range(15)
         ]
-        invariance, product, _ = polydisc_kernel_checks(T, defect_operators(T), pairs)
+        _, invariance, product, _ = polydisc_kernel_checks(T, defect_operators(T), pairs)
         assert invariance <= 1e-10
         assert product <= 1e-10
 
@@ -398,16 +397,18 @@ def test_checks_reject_points_outside_polydisc(tensor_model):
     T, L, cfs = tensor_model
     pairs = [(np.array([0.2, 1.0]), np.array([0.1, 0.3j]))]
     with pytest.raises(PointOutsidePolydisc):
-        kernel_identity_check(T.matrices[0], [(0.2, -1.0)], pair=L.defects.per_op[0])
-    with pytest.raises(PointOutsidePolydisc):
         polydisc_kernel_checks(T, L.defects, pairs)
+    T1 = ContractionTuple(T.matrices[:1])
+    with pytest.raises(PointOutsidePolydisc):
+        polydisc_kernel_checks(T1, defect_operators(T1), [(np.array([0.2]), np.array([-1.0]))])
 
 
 def test_empty_sample_lists_give_zero(tensor_model):
     T, L, cfs = tensor_model
     assert inner_boundary_check(cfs[0], samples=0) == 0.0
-    assert kernel_identity_check(T.matrices[0], [], pair=L.defects.per_op[0]) == 0.0
-    assert polydisc_kernel_checks(T, L.defects, []) == (0.0, 0.0, 0.0)
+    assert polydisc_kernel_checks(T, L.defects, []) == (0.0, 0.0, 0.0, 0.0)
+    assert [oracles.kernel_identity_loop(Ti, [], pair)
+            for Ti, pair in zip(T.matrices, L.defects.per_op)] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("factors", [
@@ -424,13 +425,19 @@ def test_sample_checks_match_point_loops(factors):
         return 0.7 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n))
 
     pairs = [(point(), point()) for _ in range(12)]
-    scalar_pairs = [(z[0], w[0]) for z, w in pairs]
     for cf in charfns_for_tuple(T, defects):
         assert inner_boundary_check(cf, 48) == oracles.inner_boundary_loop(cf, 48)
-        Ti, pair = T.matrices[cf.op_index], defects.per_op[cf.op_index]
-        assert (kernel_identity_check(Ti, scalar_pairs, pair=pair)
-                == oracles.kernel_identity_loop(Ti, scalar_pairs, pair))
-    assert polydisc_kernel_checks(T, defects, pairs) == oracles.polydisc_kernel_loop(T, defects, pairs)
+    one_variable, *rest = polydisc_kernel_checks(T, defects, pairs)
+    per_variable = []
+    for i, (Ti, pair) in enumerate(zip(T.matrices, defects.per_op)):
+        # the pair of a variable depends on its operator alone
+        Ti_alone = ContractionTuple((Ti,))
+        alone = polydisc_kernel_checks(Ti_alone, defect_operators(Ti_alone),
+                                       [(z[i:i + 1], w[i:i + 1]) for z, w in pairs])[0]
+        per_variable.append(oracles.kernel_identity_loop(Ti, [(z[i], w[i]) for z, w in pairs], pair))
+        assert alone == per_variable[-1]
+    assert one_variable == max(per_variable)
+    assert tuple(rest) == oracles.polydisc_kernel_loop(T, defects, pairs)
 
 
 def test_each_kernel_residual_reads_its_own_identity(tensor_model):
@@ -449,12 +456,12 @@ def test_each_kernel_residual_reads_its_own_identity(tensor_model):
     cases = [
         (D, ()),
         # enters the Gramian's left side only
-        (dataclasses.replace(D, big_defect=1.5 * D.big_defect), (2,)),
-        # rescales the resolvent kernels and changes Theta_0, but neither
-        # leaks out of the joint defect space
-        (dataclasses.replace(D, per_op=(star,) + tuple(D.per_op[1:])), (1, 2)),
+        (dataclasses.replace(D, big_defect=1.5 * D.big_defect), (3,)),
+        # rescales the resolvent kernels and changes Theta_0, which breaks
+        # the one-variable factor, but neither leaks out of the joint defect space
+        (dataclasses.replace(D, per_op=(star,) + tuple(D.per_op[1:])), (0, 2, 3)),
         # the identities hold on the whole space here; only P = B B^H breaks
-        (dataclasses.replace(D, big_defect_basis=B), (0,)),
+        (dataclasses.replace(D, big_defect_basis=B), (1,)),
     ]
     for defects, moved in cases:
         res = polydisc_kernel_checks(T, defects, pairs)
@@ -474,7 +481,7 @@ class TestGramian:
              0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)))
             for _ in range(15)
         ]
-        assert polydisc_kernel_checks(T, L.defects, pairs)[2] <= 1e-10
+        assert polydisc_kernel_checks(T, L.defects, pairs)[3] <= 1e-10
 
     def test_operator_mode(self, tensor_model):
         # model_space measures the truncated operator form
