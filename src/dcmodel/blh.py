@@ -10,8 +10,8 @@ step here works in that space: the fiber of variable ``i`` is
 fiber, a few columns), and the wandering subspace is found in a space of
 at most ``2 r`` plus that many dimensions (Halmos, "Shifts on Hilbert
 spaces", J. reine angew. Math. 208, 1961).  The complement of each recovered
-Toeplitz range comes from subspace iteration on ``I - T T^H`` started at the
-backward-shift orbit of the recovered columns, certified by its exact trace."""
+Toeplitz range is read from the recovered symbol's Toeplitz Gram: on the
+truncated space ``T T^H`` is the compressed range projection of the multiplier."""
 
 from __future__ import annotations
 
@@ -27,15 +27,14 @@ from .matrixcore import (
     operator_norm,
     orthonormal_range_basis,
     phase_normalize_columns,
-    subspace_distance,
 )
 from .model import (
     ModelSpaces,
     axis_frames,
     box_distance,
+    box_drift,
     charfns_for_tuple,
     model_space,
-    one_var_toeplitz,
     toeplitz_gram,
 )
 from .tuples import ContractionTuple, validate_tuple
@@ -149,83 +148,21 @@ def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL
     ]
 
 
-# ``||A X - X Θ||_F`` of converged Ritz pairs, the rounding of ``A = I - T T^H`` on unit
-# columns (also allowed per eigenvalue); not reached in _RITZ_STEPS, the orbit doubles
-_RITZ_FLOOR = 1e-14
-_RITZ_STEPS = 8
-
-
-def _inner_range_complement(inner: InnerColumnSet, degree: int, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple:
-    """Orthonormal basis of the complement of the range of the truncated
-    Toeplitz matrix ``T`` of a recovered inner function (blocks ``c_k``,
-    ``r x m``), the eigenvectors of ``A = I - T T^H`` with eigenvalues at
-    least ``tau = 1 - cut^2 ||T||^2``, and its certificate ``δ``.
-
-    The complement is the truncated model space, spanned by the backward-shift
-    orbit (Sz.-Nagy and Foias, ch. VI): the blocks ``(c_s, ..., c_d, 0, ...)``,
-    ``s = 1 .. ceil(r/m) + 1``, start steps ``H <- qr(A H)`` with Rayleigh-Ritz
-    to _RITZ_FLOOR; a power step from the block column ``(c_0, ..., c_d)``
-    rides along for ``||T||^2``.
-
-    ``tr A = (d+1) r - sum_k (d+1-k) ||c_k||_F^2`` exactly.  For the ``p``
-    Ritz values ``θ``, Cauchy interlacing and Ky Fan bound ``λ_{p+1}`` and
-    each ``λ_i - θ_i`` by ``tr A - sum θ - sum_{i>p} λ_i``.  ``A`` has at most
-    ``(d+1) m`` negative eigenvalues, none below ``1 - ||T||^2``, hence
-    ``δ = tr A - sum θ + (d+1) m max(||T||^2 - 1, _RITZ_FLOOR)``, ``||T||^2`` as
-    estimated.  Kept if ``δ < tau`` and no Ritz value is in ``[tau - δ, tau)``;
-    else the orbit doubles, up to the whole space (exact, ``δ = 0``)."""
-    r, m, d = inner.coeff_dim, inner.inner_dim, degree
-    size = (d + 1) * r
-    if m == 0:
-        return np.eye(size, dtype=complex), 0.0
-    T = one_var_toeplitz(inner.columns, d)
-    C = T[:, :m]
-    trace = size - np.arange(d + 1, 0, -1) @ np.sum(np.abs(C.reshape(d + 1, -1)) ** 2, axis=1)
-
-    def apply(H, V):  # A H and T T^H V from one pair of products with T
-        Z = T @ (np.hstack([V, H]).conj().T @ T).conj().T
-        return H - Z[:, V.shape[1]:], Z[:, :V.shape[1]]
-
-    V, s = C, -(-r // m) + 1
-    while s * m < size and s <= d:
-        H = np.hstack([np.vstack([C[k * r:], np.zeros((k * r, m))]) for k in range(1, s + 1)])
-        Z, TV = apply(np.linalg.qr(H)[0], V)
-        V = np.linalg.qr(TV)[0]
-        for _ in range(_RITZ_STEPS):
-            H = np.linalg.qr(Z)[0]
-            Z, TV = apply(H, V)
-            if V.shape[1]:  # the power step's Rayleigh quotient
-                norm2, V = np.linalg.eigvalsh(V.conj().T @ TV)[-1], V[:, :0]
-                tau = 1.0 - _loose_cut(cfg) ** 2 * norm2
-            theta, W = np.linalg.eigh(H.conj().T @ Z)
-            keep = theta >= tau
-            X = H @ W[:, keep]
-            if np.linalg.norm(Z @ W[:, keep] - X * theta[keep]) <= _RITZ_FLOOR:
-                delta = trace - theta.sum() + (d + 1) * m * max(norm2 - 1.0, _RITZ_FLOOR)
-                if delta < tau and not np.any((theta >= tau - delta) & ~keep):
-                    return X, delta
-                break
-        s *= 2
-    theta, W = np.linalg.eigh(np.eye(size) - T @ T.conj().T)
-    return W[:, theta >= 1.0 - _loose_cut(cfg) ** 2 * (1.0 - theta[0])], 0.0
-
-
-def _box_complements(inners, model: ModelSpaces, cfg: ToleranceConfig) -> list:
-    """The complements of the recovered multiplier ranges of ``inners``
-    (:func:`_inner_range_complement`), cut to the rows of ``model.box``."""
-    rows = (model.box.degree + 1) * model.box.coeff_dim
-    return [_inner_range_complement(inner, model.space.degree, cfg)[0][:rows] for inner in inners]
-
-
-def reconstruct_S_check(inners, model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def reconstruct_S_check(inners, model: ModelSpaces) -> float:
     """Upper bound on the distance (on the margin box) between the sum of
     the recovered inner-multiplier ranges and the model's sum space, the
-    norm of ``prod(I - Q_i) - prod(I - P_i)``: each factor ``C_i C_i^H`` and
-    ``K_i K_i^H`` (``C_i``, ``K_i`` the box rows of bases of the complements)
-    has norm at most one, so telescoping bounds it by
-    ``sum_i ||C_i C_i^H - K_i K_i^H||``."""
-    return sum(subspace_distance(C, K)
-               for C, K in zip(_box_complements(inners, model, cfg), model.box_fibers))
+    norm of ``prod_i (I - A_i) - prod_i K_i K_i^H`` (``K_i`` the box rows of
+    the model fibers).
+
+    ``M_Θ`` is lower triangular, so ``P_d M_Θ P_d = P_d M_Θ`` and the
+    truncated Toeplitz matrix ``T = P_d M_Θ P_d`` of an inner ``Θ`` has
+    ``T T^H = P_d P_{ran M_Θ} P_d``: the box block of the recovered complement
+    projection is ``I - A_i``, ``A_i`` that block of ``T T^H``.  While every
+    factor has norm at most one (``K_i K_i^H`` always, ``I - A_i`` while
+    ``||T_b||^2 <= 2``, ``T_b`` the box rows of ``T``), telescoping bounds the
+    norm by ``sum_i ||I - A_i - K_i K_i^H||``, each term :func:`box_drift`."""
+    d = model.space.degree
+    return sum(box_drift(K, inner.columns, d) for K, inner in zip(model.box_fibers, inners))
 
 
 @dataclass(frozen=True)
@@ -289,10 +226,11 @@ def rankone_corollary_check(
     ms = model_space(tupleC, L, cfs, cfg)
     inners = model_inner_functions(ms, cfg)
     # sum of recovered multiplier ranges against the complement of the
-    # input subspace inside the ambient scalar space, via the complements
-    # of both: prod(I - Q_i) against the projection onto the subspace
-    frames = axis_frames(ms.box, _box_complements(inners, ms, cfg))
-    dist = box_distance(ms.box, frames, box_rows(space, Q, ms.box))
+    # input subspace, via the complements of both: the exact distance of
+    # prod(K_i K_i^H) from the projection onto the subspace, plus the
+    # telescoped distance of prod(I - A_i) from prod(K_i K_i^H)
+    dist = (box_distance(ms.box, axis_frames(ms.box, ms.box_fibers), box_rows(space, Q, ms.box))
+            + reconstruct_S_check(inners, ms))
     return RankOneVerdict(True, worst, pure=True, defect_rank=defect_rank,
                           constants_compression_rank=const_rank,
                           recovered_inners=tuple(inners), complement_distance=float(dist))

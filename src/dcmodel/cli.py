@@ -311,7 +311,7 @@ def _numerical_checks(T, cfg, degree, rng, report: VerificationReport):
     inners = model_inner_functions(ms, cfg)
     drift = max((inner.isometry_drift for inner in inners), default=0.0)
     report.add("blh.inner_recovery", drift, np.sqrt(cfg.tail_tol))
-    report.add("blh.reconstruct_sum", reconstruct_S_check(inners, ms, cfg), np.sqrt(cfg.tail_tol))
+    report.add("blh.reconstruct_sum", reconstruct_S_check(inners, ms), np.sqrt(cfg.tail_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +322,8 @@ def generate_demo(kind: str, dims, radius: float, seed: int) -> tuple:
     """Build a doubly commuting pure tuple; returns (tuple, metadata)."""
     if not dims:
         raise ValueError("dims must be nonempty")
+    if min(dims) < 1 or seed < 0:  # a file that load_tuple_file would refuse
+        raise ValueError(f"dimensions must be at least 1 and the seed at least 0, got {dims}, {seed}")
     if not 0.0 < radius < 1.0:
         raise ValueError("radius must lie in (0, 1)")
     if kind == "tensor":
@@ -417,6 +419,27 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _degree(text: str):
+    """``--degree``: ``None`` for ``adaptive``, else an integer at least 0."""
+    if text == "adaptive":
+        return None
+    try:
+        degree = int(text)
+    except ValueError:
+        degree = -1
+    if degree < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0 or 'adaptive', got {text!r}")
+    return degree
+
+
+def _dims(text: str) -> list:
+    """``--dims``: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
+
+
 @functools.lru_cache(maxsize=None)  # one parser per process: main() may run many times
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="dcmodel",
@@ -430,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("suite", help="full verification suite on a tuple file")
     s.add_argument("file")
-    s.add_argument("--degree", default="adaptive",
+    s.add_argument("--degree", type=_degree, default="adaptive",
                    help="truncation degree, or 'adaptive' (default)")
     s.add_argument("--tail-tol", type=float, default=DEFAULT_TOL.tail_tol)
     s.add_argument("--check-tol", type=float, default=DEFAULT_TOL.check_tol)
@@ -438,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("demo", help="generate a demo tuple file")
     d.add_argument("kind", choices=("tensor", "random", "jordan"))
-    d.add_argument("--dims", required=True,
+    d.add_argument("--dims", type=_dims, required=True,
                    help="comma-separated factor dimensions, e.g. 2,3")
     d.add_argument("--radius", type=float, default=0.4)
     d.add_argument("--seed", type=int, default=0)
@@ -456,16 +479,7 @@ def main(argv=None) -> int:
         if args.command == "suite":
             cfg = ToleranceConfig(rank_tol=DEFAULT_TOL.rank_tol,
                                   check_tol=args.check_tol, tail_tol=args.tail_tol)
-            if args.degree == "adaptive":
-                degree = None
-            else:
-                try:
-                    degree = int(args.degree)
-                except ValueError:
-                    print(f"error: --degree must be an integer or 'adaptive', "
-                          f"got {args.degree!r}", file=sys.stderr)
-                    return 3
-            report, code = run_full_suite(args.file, cfg, degree)
+            report, code = run_full_suite(args.file, cfg, args.degree)
             text = emit_report(report, args.format, sys.stdout)
             if args.report:
                 if args.format != "json":
@@ -474,12 +488,7 @@ def main(argv=None) -> int:
                     f.write(text)
             return code
         if args.command == "demo":
-            try:
-                dims = [int(x) for x in args.dims.split(",") if x.strip()]
-            except ValueError:
-                print(f"error: bad --dims {args.dims!r}", file=sys.stderr)
-                return 3
-            T, meta = generate_demo(args.kind, dims, args.radius, args.seed)
+            T, meta = generate_demo(args.kind, args.dims, args.radius, args.seed)
             save_tuple_file(args.out, T, meta)
             print(f"wrote {args.out}: n={T.n}, dim={T.dim}")
             return 0

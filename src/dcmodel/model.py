@@ -196,20 +196,11 @@ def inner_boundary_check(cf: CharFn, samples: int = 64, cfg: ToleranceConfig = D
     return operator_norm(th.conj().transpose(0, 2, 1) @ th - np.eye(cf.dim_in, dtype=complex))
 
 
-def one_var_toeplitz(taylor, d: int) -> np.ndarray:
-    """Lower-triangular block-Toeplitz matrix of a one-variable symbol truncated at
-    degree ``d`` (degree-graded block order): block ``(k, j)`` is ``P[d - k + j]``."""
-    r_out, r_in = taylor[0].shape
-    P = np.zeros((2 * d + 1, r_out, r_in), dtype=complex)
-    P[d::-1][:len(taylor[:d + 1])] = taylor[:d + 1]  # P[d - m] = taylor[m], zero-padded
-    V = np.lib.stride_tricks.sliding_window_view(P, d + 1, axis=0)  # V[s, ..., t] = P[s + t]
-    return V[::-1].transpose(0, 1, 3, 2).reshape((d + 1) * r_out, (d + 1) * r_in)
-
-
 def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
     """Leading ``layers``-layer block of ``F^H F`` (``side="in"``) or of
-    ``F F^H`` (``side="out"``), ``F = one_var_toeplitz(taylor, d)``, without
-    forming ``F``.
+    ``F F^H`` (``side="out"``), ``F`` the lower-triangular block-Toeplitz
+    matrix of the one-variable symbol ``taylor`` truncated at degree ``d``
+    (block ``(k, j)`` is ``taylor[k - j]``), without forming ``F``.
 
     With ``c_m`` the Taylor blocks (zero past the series and past ``d``),
     consecutive blocks along a block diagonal differ by one product:
@@ -247,6 +238,18 @@ def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
     D = G[k, :, k]
     G[k, :, k] = (D + D.conj().transpose(0, 2, 1)) / 2
     return G.reshape(layers * r, layers * r)
+
+
+def box_drift(K: np.ndarray, blocks, d: int) -> float:
+    """Frobenius norm (an upper bound on the spectral one) of
+    ``I - K K^H - A`` on the rows of ``K``, a whole number of layers of a
+    one-variable space, with ``A`` that block of ``F F^H`` for the symbol
+    ``blocks`` truncated at degree ``d`` (:func:`toeplitz_gram`), and
+    ``A = 0`` for the zero symbol (no blocks)."""
+    X = np.eye(len(K)) - K @ K.conj().T
+    if len(blocks):
+        X -= toeplitz_gram(blocks, d, len(K) // len(blocks[0]), "out")
+    return float(np.linalg.norm(X))
 
 
 def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
@@ -508,9 +511,8 @@ def model_space(
     margin box holds the layers ``k_i <= d - d // 2`` in every variable.
     The margin drift ``||I - K_i K_i^H - F_i F_i^H||`` on its layers is
     measured from the symbol ``F_i``, the one check tying the fibers to
-    it, and certified against the symbol tail; it is the Frobenius norm,
-    an upper bound on the spectral one.  Its ``F_i F_i^H`` block ``A_i``
-    comes from :func:`toeplitz_gram`.
+    it, and certified against the symbol tail (:func:`box_drift`, whose
+    ``F_i F_i^H`` block is ``A_i``).
 
     The commutators and the two norms below are exact on the box, from one
     set of frames (:func:`axis_frames`) and one set of box coordinates
@@ -533,8 +535,7 @@ def model_space(
         fibers.append(K)
         Kk = K[:rows]
         box_fibers.append(Kk)
-        A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, box.degree + 1, "out")
-        md = float(np.linalg.norm(np.eye(len(A)) - Kk @ Kk.conj().T - A))
+        md = box_drift(Kk, _model_symbol(L.defects, cf, i, d, cfg), d)
         margin_drifts.append(md)
         bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(cf, box.degree))
         if md > bound:

@@ -185,6 +185,15 @@ def dense_axis_projections(space: TruncatedHardySpace, bases) -> np.ndarray:
     return apply_axis_projections(space, bases, np.eye(space.total_dim, dtype=complex))
 
 
+def dense_axis_operators(space: TruncatedHardySpace, ops) -> np.ndarray:
+    """Dense ``prod_i (I (x) A_i (x) I)``, variable 0 first, for
+    ``(d+1) r``-square ``ops[i]`` (:func:`one_var_factor_matrix`)."""
+    M = np.eye(space.total_dim, dtype=complex)
+    for i, A in enumerate(ops):
+        M = one_var_factor_matrix(space, A, i) @ M
+    return M
+
+
 def charfn_point_from_taylor(cf: CharFn, z: complex) -> np.ndarray:
     """Horner evaluation of the stored Taylor series."""
     acc = np.zeros((cf.dim_out, cf.dim_in), dtype=complex)

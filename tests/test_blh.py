@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from dcmodel.blh import (
-    InnerColumnSet,
     NotCoinvariant,
-    _inner_range_complement,
     _loose_cut,
     inner_from_wandering,
     model_inner_functions,
@@ -18,7 +16,7 @@ from dcmodel.blh import (
 from dcmodel.dilation import build_dilation
 from dcmodel.hardy import TruncatedHardySpace
 from dcmodel.matrixcore import DEFAULT_TOL, operator_norm, subspace_distance
-from dcmodel.model import charfns_for_tuple, model_space
+from dcmodel.model import charfns_for_tuple, model_space, toeplitz_gram
 from dcmodel.tuples import make_random_pure_contraction, make_tensor_tuple
 
 import oracles
@@ -100,7 +98,7 @@ class TestModelInnerFunctions:
         inners = model_inner_functions(ms)
         assert reconstruct_S_check(inners, ms) <= 1e-9
 
-    # T T^H of the recovered symbols and the raw model factors have
+    # the raw model factors (and T T^H of the recovered symbols) have
     # eigenvalues only near 0 and 1. On the first three inputs the MRRR
     # subset eigensolver fails with "Internal Error"; on the two seeded
     # random-3x1 inputs the expert one ("evx") returns model-fiber vectors
@@ -135,8 +133,7 @@ class TestModelInnerFunctions:
     def test_clustered_toeplitz_spectrum(self, case):
         ms = _model_for(self.CLUSTERED[case], d=8, adaptive=True)
         inners = model_inner_functions(ms)
-        complements = [_inner_range_complement(inn, ms.space.degree)[0] for inn in inners]
-        for B in ms.fibers + complements:
+        for B in ms.fibers:
             assert np.max(np.abs(B.conj().T @ B - np.eye(B.shape[1]))) <= 1e-12
         assert reconstruct_S_check(inners, ms) <= 1e-9
 
@@ -176,10 +173,10 @@ class TestDenseOracle:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_bounds_read_at_least_dense(self, case):
         # the Frobenius isometry drifts against the spectral norm of the same
-        # blocks, and the telescoped reconstruction distance against the
-        # dense norm of the box operator it bounds,
-        # prod(I (x) C_i C_i^H (x) I) - prod(I (x) K_i K_i^H (x) I), with C_i
-        # and K_i the box rows of the recovered and the model complements
+        # blocks, and the telescoped reconstruction sum against the dense norm
+        # of the box operator it bounds, prod(I (x) (I - A_i) (x) I) -
+        # prod(I (x) K_i K_i^H (x) I), with A_i the box block of T_i T_i^H for
+        # the dense Toeplitz matrix T_i of the recovered columns
         factors, d = self.CASES[case]
         ms = _model_for(factors(), d=d)
         inners = model_inner_functions(ms)
@@ -187,80 +184,37 @@ class TestDenseOracle:
         for inner in inners:
             assert inner.isometry_drift >= oracles.isometry_drift(inner, d) * (1 - 1e-8) - 1e-14
         rows = (ms.box.degree + 1) * ms.box.coeff_dim
-        comps = [_inner_range_complement(inner, d)[0][:rows] for inner in inners]
-        X = oracles.dense_axis_projections(ms.box, comps) - oracles.dense_axis_projections(ms.box, ms.box_fibers)
+        comps = []
+        for inner in inners:
+            T = oracles.one_var_toeplitz(inner.columns, d)[:rows]
+            comps.append(np.eye(rows) - T @ T.conj().T)
+        X = oracles.dense_axis_operators(ms.box, comps) - oracles.dense_axis_projections(ms.box, ms.box_fibers)
+        rec = reconstruct_S_check(inners, ms)
         # 1e-14: the rounding of the dense difference of unit-norm products
-        assert reconstruct_S_check(inners, ms) >= operator_norm(X) * (1 - 1e-8) - 1e-14
+        assert rec >= operator_norm(X) * (1 - 1e-8) - 1e-14
+        assert rec >= oracles.reconstruct_distance(inners, ms) * (1 - 1e-8) - 1e-14
 
     @pytest.mark.parametrize("case", sorted(CASES) + sorted(TestModelInnerFunctions.CLUSTERED))
     def test_range_complements_match_eigh(self, case):
-        # subspace iteration against the eigenvectors of T T^H below the cut
+        # the box block I - A of the recovered complement projection, A from
+        # the Toeplitz Gram, against the box rows of the eigenvectors of T T^H
+        # below the cut: the two differ by the distance of the spectrum of
+        # T T^H from {0, 1}, which bounds the norm of any compression
         if case in self.CASES:
             factors, d = self.CASES[case]
             ms = _model_for(factors(), d=d)
         else:
             ms = _model_for(TestModelInnerFunctions.CLUSTERED[case], d=8, adaptive=True)
-        d = ms.space.degree
+        d, layers = ms.space.degree, ms.box.degree + 1
         for inner in model_inner_functions(ms):
-            got = _inner_range_complement(inner, d)[0]
+            rows = layers * inner.coeff_dim
+            A = toeplitz_gram(inner.columns, d, layers, "out")
             lam, V = oracles.toeplitz_gram_eigh(inner.columns, d)
-            want = V[:, lam <= _loose_cut(DEFAULT_TOL) ** 2 * lam[-1]]
-            assert got.shape == want.shape
-            assert np.max(np.abs(got.conj().T @ got - np.eye(got.shape[1]))) <= 1e-13
-            assert subspace_distance(got, want) <= 1e-13
-
-    @staticmethod
-    def _moebius_columns(lams, d):
-        # theta = diag(Moebius factors): I - T T^H has the eigenvalues
-        # 1 - lam^(2 (d + 1)), so exactly the lam <= 0.4 ones are above the cut
-        series = np.array([_moebius_series(lam, d) for lam in lams])
-        return [np.diag(series[:, k]) for k in range(d + 1)]
-
-    @staticmethod
-    def _blaschke_columns(zeros, d):
-        # Taylor series of prod_j (z - a_j) / (1 - conj(a_j) z): its model
-        # space has dimension len(zeros), so at d = 40 I - T T^H has that many
-        # eigenvalues near 1 and the rest near 0
-        num, den = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
-        for a in zeros:
-            num, den = np.convolve(num, [-a, 1]), np.convolve(den, [1, -np.conj(a)])
-        num, den = np.pad(num, (0, d + 1))[:d + 1], np.pad(den, (0, d + 1))[:d + 1]
-        out = np.zeros(d + 1, dtype=complex)
-        for k in range(d + 1):
-            out[k] = num[k] - den[1:k + 1] @ out[k - 1::-1][:k]
-        return [np.array([[c]]) for c in out]
-
-    @pytest.mark.parametrize("kind,params,d,wanted,widths", [
-        # ten wanted directions in the first 20-column orbit
-        ("moebius", np.linspace(0.0, 0.4, 10), 8, 10, [20]),
-        # six wanted directions, and eight more eigenvalues of I - T T^H in
-        # (0.08, 0.99) that the orbit also holds
-        ("moebius", [0.0, 0.1, 0.2, 0.3, 0.35, 0.4, 0.8, 0.85, 0.9, 0.93, 0.95, 0.97, 0.98, 0.995], 8, 6, [28]),
-        # the complement is empty
-        ("moebius", [0.9, 0.95], 8, 0, [4]),
-        # four and five wanted directions: the 2-column orbit grows
-        ("blaschke", [0.3, -0.5, 0.2 + 0.4j, 0.6j], 40, 4, [2, 4]),
-        ("blaschke", [0.3, -0.5, 0.2 + 0.4j, 0.6j, 0.1 - 0.3j], 40, 5, [2, 4, 8]),
-        # the orbit outgrows the six-dimensional space, which is exact
-        ("blaschke", [0.8, -0.7, 0.75j, 0.6 - 0.5j, -0.3j], 5, 1, [2, 4, 6]),
-    ], ids=["moebius-10", "moebius-6", "moebius-empty", "blaschke-4", "blaschke-5", "blaschke-5-full"])
-    def test_range_complement_orbit_growth(self, monkeypatch, kind, params, d, wanted, widths):
-        cols = (self._moebius_columns if kind == "moebius" else self._blaschke_columns)(params, d)
-        m = cols[0].shape[1]
-        inner = InnerColumnSet(0, m, tuple(cols), m, 0.0)
-        eigh, sizes = np.linalg.eigh, []  # one Hermitian eigensolve per Rayleigh-Ritz step
-        monkeypatch.setattr(np.linalg, "eigh", lambda M: sizes.append(len(M)) or eigh(M))
-        got, delta = _inner_range_complement(inner, d)
-        monkeypatch.undo()
-        assert sorted(set(sizes)) == widths
-        lam, V = oracles.toeplitz_gram_eigh(cols, d)
-        want = V[:, lam <= _loose_cut(DEFAULT_TOL) ** 2 * lam[-1]]
-        assert got.shape[1] == want.shape[1] == wanted
-        assert subspace_distance(got, want) <= 1e-13
-        # delta bounds lambda_{p+1}, the largest eigenvalue of A = I - T T^H
-        # past the p Ritz values (lam holds those of T T^H, ascending)
-        p = sizes[-1]
-        assert p == len(lam) or delta >= 1.0 - lam[p]
+            assert np.max(np.abs(A - (V * lam)[:rows] @ V[:rows].conj().T)) <= 1e-14
+            W = V[:rows, lam <= _loose_cut(DEFAULT_TOL) ** 2 * lam[-1]]
+            gap = np.max(np.minimum(np.abs(lam), np.abs(1.0 - lam)))
+            assert gap <= np.sqrt(DEFAULT_TOL.tail_tol)
+            assert operator_norm(np.eye(rows) - A - W @ W.conj().T) <= gap + 1e-14
 
 
 @pytest.fixture(scope="module")

@@ -130,6 +130,20 @@ class TestDemo:
         with pytest.raises(ValueError):
             generate_demo("tensor", [2], 1.5, 0)
 
+    @pytest.mark.parametrize("kind,dims,seed", [("tensor", "0", 0), ("jordan", "0", 0), ("jordan", "2,0", 0),
+                                                ("random", "0,2", 0), ("tensor", "-1", 0), ("jordan", "2", -1)])
+    def test_unloadable_demo_exits_3(self, tmp_path, capsys, kind, dims, seed):
+        # a "dim": 0 file (or a negative seed, which the jordan kind does not
+        # use) would only be refused later, by validate and suite
+        with pytest.raises(ValueError, match="at least"):
+            generate_demo(kind, [int(x) for x in dims.split(",")], 0.4, seed)
+        out = tmp_path / "demo.json"
+        assert main(["demo", kind, "--dims", dims, "--seed", str(seed), "--out", str(out)]) == 3
+        assert not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestPipelines:
     def test_identity_tuple_gates_suite(self, tmp_path):
@@ -318,7 +332,8 @@ class TestMain:
         capsys.readouterr()
 
     @pytest.mark.parametrize("extra", [["--bogus"], ["--boundary-samples", "0"],
-                                       ["--tail-tol", "abc"], ["--tail-tol", "nan"]])
+                                       ["--tail-tol", "abc"], ["--tail-tol", "nan"],
+                                       ["--degree", "many"], ["--degree", "-1"]])
     def test_usage_errors_exit_3(self, tmp_path, capsys, extra):
         # argparse's own code 2 would read as a failed numerical check
         demo = str(tmp_path / "demo.json")
@@ -355,8 +370,8 @@ class TestMain:
         assert "degree used: 6" in out
 
     def test_calls_in_one_process_match_separate_processes(self, tmp_path, capsys):
-        # the parser and the Krylov probes are built once per process: no
-        # call may see state that an earlier one left behind
+        # the parser is built once per process: no call may see state that
+        # an earlier one left behind
         demo = str(tmp_path / "demo.json")
         assert main(["demo", "tensor", "--dims", "2,2", "--radius", "0.4",
                      "--seed", "1", "--out", demo]) == 0

@@ -29,12 +29,12 @@ from dcmodel.model import (
     _model_symbol,
     axis_frames,
     box_distance,
+    box_drift,
     charfn_eval,
     charfn_taylor,
     charfns_for_tuple,
     inner_boundary_check,
     model_space,
-    one_var_toeplitz,
     polydisc_kernel_checks,
     taylor_tail_estimate,
     toeplitz_gram,
@@ -195,7 +195,7 @@ class TestCharFnStop:
 class TestMultipliers:
     def test_one_var_toeplitz_structure(self):
         cf = charfn_taylor(np.array([[0.5]]))
-        M = one_var_toeplitz(cf.taylor, 2)
+        M = oracles.one_var_toeplitz(cf.taylor, 2)
         assert np.allclose(M, [[-0.5, 0, 0], [0.75, -0.5, 0], [0.375, 0.75, -0.5]], atol=1e-13)
 
     def test_full_matrix_oracle_n1(self):
@@ -322,11 +322,19 @@ class TestLoopOracles:
         return request.param, T, L, charfns_for_tuple(T, L.defects)
 
     def test_toeplitz(self, case):
+        # box_drift against the dense Toeplitz matrix of the model symbol on
+        # the box rows of the model fiber, and with no symbol (A = 0)
         _, _, L, cfs = case
-        for cf in cfs:
-            for d in (0, L.degree):
-                assert np.array_equal(one_var_toeplitz(cf.taylor, d),
-                                      oracles.one_var_toeplitz(cf.taylor, d))
+        d = L.degree
+        ms = model_space(L.tuple, L, cfs)
+        rows = len(ms.box_fibers[0])
+        for i, (cf, K) in enumerate(zip(cfs, ms.box_fibers)):
+            blocks = _model_symbol(L.defects, cf, i, d, DEFAULT_TOL)
+            F = oracles.one_var_toeplitz(blocks, d)[:rows]
+            X = np.eye(rows) - K @ K.conj().T
+            assert box_drift(K, blocks, d) == ms.margin_drifts[i]
+            assert box_drift(K, blocks, d) == pytest.approx(np.linalg.norm(X - F @ F.conj().T), abs=1e-14)
+            assert box_drift(K, (), d) == np.linalg.norm(X)
 
     def test_raw_factors(self, case):
         label, _, L, cfs = case
