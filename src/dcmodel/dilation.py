@@ -6,10 +6,11 @@ compression back to the input tuple."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hardy import TruncatedHardySpace, _check_polydisc, kernel_vector, next_layers, row_blocks
+from .hardy import TruncatedHardySpace, _check_polydisc, kernel_vector, row_blocks
 from .matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -28,21 +29,28 @@ class DegreeCapExceeded(RuntimeError):
         self.achieved_defect = achieved_defect
 
 
-# Hard bound on entries of the dilation matrix; guards against runaway
-# adaptive degrees on slow-decay inputs.
+# Hard bound on the entries N dim of the dilation that one row pass
+# generates; stops a runaway degree before a pass streams hours of rows.
 _MAX_MATRIX_ENTRIES = 60_000_000
 
 
 @dataclass(frozen=True)
 class DilationMap:
-    """Truncated matrix of the dilation isometry from the input space
-    into the truncated Hardy space with joint-defect coefficients."""
+    """The truncated dilation isometry ``L`` into the truncated Hardy space
+    with joint-defect coefficients, held by the factors of its rows (no
+    ``N``-row array; :func:`generate_rows`): row ``k`` is ``C0 T^{*k}``, the
+    paper's map ``h -> sum_k D T^{*k} h z^k`` in the joint defect basis ``B``."""
 
     tuple: ContractionTuple
     defects: DefectData
     space: TruncatedHardySpace
-    matrix: np.ndarray  # (space.total_dim, dim)
     degree: int
+    C0: np.ndarray  # B^H D, (rank, dim)
+    powers: tuple   # powers[i][k] = T_i^{*k}, k = 0..degree
+
+    @cached_property
+    def row_pass(self) -> tuple:  # what the checks and range_factor read, from one pass
+        return _row_pass(self)
 
 
 def _box_sum(G: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
@@ -91,30 +99,31 @@ def adjoint_powers(M: np.ndarray, d: int) -> np.ndarray:
     return np.array(powers)
 
 
-def _build_matrix(T: ContractionTuple, defects: DefectData, d: int) -> tuple:
-    space = TruncatedHardySpace(T.n, d, defects.rank)
-    if space.total_dim * T.dim > _MAX_MATRIX_ENTRIES:
-        raise DegreeCapExceeded(
-            f"dilation matrix at degree {d} would exceed the memory guard",
-            achieved_defect=float("nan"),
-        )
-    B = defects.big_defect_basis
-    C0 = B.conj().T @ defects.big_defect  # (rank, dim)
-    # rows C0 T_1^{*k_1} ... T_n^{*k_n}, one axis at a time: the powers of
-    # T_1 directly, then for each later variable one GEMM with all its
-    # powers side by side per row block, written into the output (no
-    # temporary of the output's size)
-    X = np.matmul(C0, adjoint_powers(T.matrices[0], d))
-    for m, M in enumerate(T.matrices[1:], start=2):
-        P = adjoint_powers(M, d).transpose(1, 0, 2).reshape(T.dim, -1)  # [T^{*0} ... T^{*d}]
-        sub = TruncatedHardySpace(m, d, defects.rank)  # the first m variables
-        out = np.empty(sub.shape + (T.dim,), dtype=complex)
-        for a, b in row_blocks(sub, out):
-            Xb = X[a:b]
-            Y = (Xb.reshape(-1, T.dim) @ P).reshape(Xb.shape[:-1] + (d + 1, T.dim))
-            out[a:b] = np.moveaxis(Y, -2, -3)  # the new axis before the coefficient axis
-        X = out
-    return space, X.reshape(space.total_dim, T.dim)
+def generate_rows(L: DilationMap, degree: int = None, overlap: bool = False):
+    """The rows of ``L`` with every ``k_i <= degree`` (default ``L.degree``),
+    which are the rows of the dilation at that degree, one block of whole
+    first-variable layers at a time (:func:`hardy.row_blocks`): yields
+    ``(a, b, X)``, ``X`` the layers ``a <= k_1 < b`` as a tensor of shape
+    ``(b - a,) + shape[1:] + (dim,)``, ``shape`` that of the space at ``degree``.
+    With ``overlap`` the block also holds layer ``b`` when ``b <= degree``,
+    where a shift in the first variable reads.  The powers of ``T_1`` give
+    the first axis; each later variable is one GEMM with all its powers side
+    by side.  Each block overwrites the one before: read it before the next."""
+    d = L.degree if degree is None else degree
+    r, dim = L.defects.rank, L.tuple.dim
+    later = [P[:d + 1].transpose(1, 0, 2).reshape(dim, -1) for P in L.powers[1:]]  # [T^{*0} ... T^{*d}]
+    buf = None
+    for a, b in row_blocks(TruncatedHardySpace(L.tuple.n, d, r), dim):
+        X = L.powers[0][a:min(b + overlap, d + 1)]
+        if buf is None:  # sized by the first, largest block: fresh block-sized arrays page-fault anew
+            buf = [np.empty(len(X) * r * dim * (d + 1) ** m, dtype=complex) for m in range(L.tuple.n)]
+        X = np.matmul(L.C0, X, out=buf[0][:X.size * r // dim].reshape(len(X), r, dim))
+        for m, P in enumerate(later, start=1):
+            Y = X.reshape(-1, dim) @ P
+            X = buf[m][:Y.size].reshape(X.shape[:-2] + (d + 1, r, dim))
+            X[...] = np.moveaxis(Y.reshape(X.shape[:-3] + (r, d + 1, dim)), -2, -3)
+            del Y
+        yield a, b, X
 
 
 def build_dilation(
@@ -150,30 +159,58 @@ def build_dilation(
                 )
             cur *= 2
             defect = measure(cur)
-    space, L = _build_matrix(T, defects, cur)
-    return DilationMap(tuple=T, defects=defects, space=space, matrix=L, degree=cur)
-
-
-def _tensor(L: DilationMap) -> np.ndarray:
-    """The dilation matrix as a tensor view of shape ``space.shape + (dim,)``."""
-    return L.matrix.reshape(L.space.shape + (L.tuple.dim,))
+    space = TruncatedHardySpace(T.n, cur, defects.rank)
+    if space.total_dim * T.dim > _MAX_MATRIX_ENTRIES:
+        raise DegreeCapExceeded(f"dilation at degree {cur} would generate more rows per pass than the "
+                                "work guard allows", achieved_defect=float("nan"))
+    return DilationMap(tuple=T, defects=defects, space=space, degree=cur,
+                       C0=defects.big_defect_basis.conj().T @ defects.big_defect,
+                       powers=tuple(adjoint_powers(M, cur) for M in T.matrices))
 
 
 def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A^H B`` for two arrays of flat rows with a trailing column axis."""
-    A, B = A.reshape(-1, A.shape[-1]), B.reshape(-1, B.shape[-1])
-    return A.conj().T @ B
+    """``sum_p A_p^H B_p`` for stacks ``(P, ..., dim)`` of rows that flatten to a
+    view, read from the real Gram of the real views (no conjugated copy)."""
+    a, b = (np.reshape(Z, (len(Z), -1, Z.shape[-1])).view(np.float64) for Z in (A, B))
+    S = np.matmul(a.transpose(0, 2, 1), b).sum(axis=0)
+    return S[0::2, 0::2] + S[1::2, 1::2] + 1j * (S[0::2, 1::2] - S[1::2, 0::2])
+
+
+def _row_pass(L: DilationMap) -> tuple:
+    """``(L^H L, [Gram of L T_i^H - coshift_i L], [L^H shift_i L], R)`` from one
+    pass over blocks of rows overlapping by one first-variable layer, ``R``
+    the triangular factor of ``L = Q R`` by QR over the blocks (TSQR, Demmel,
+    Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012).  With the
+    block viewed as ``(P, K, Q, dim)``, the axis of variable ``i`` second (and
+    the overlap layer for ``i == 0``), the rows ``L[k]`` below its top layer
+    and their coshifts ``L[k + e_i]`` are the slices ``[:, :-1]`` and ``[:, 1:]``."""
+    dim = L.tuple.dim
+    gram = np.zeros((dim, dim), dtype=complex)
+    intw, comp = [0] * L.tuple.n, [0] * L.tuple.n
+    R, buf = np.zeros((0, dim), dtype=complex), None
+    for a, b, X in generate_rows(L, overlap=True):
+        t, rows = X[:b - a], (b - a) * X[0].size // dim
+        buf = np.empty((2, rows + dim, dim), dtype=complex) if buf is None else buf
+        gram += _gram(t[None], t[None])
+        for i, M in enumerate(L.tuple.matrices):
+            v = X if i == 0 else t
+            P, K = int(np.prod(v.shape[:i])), v.shape[i]
+            v = v.reshape(P, K, -1, dim)
+            comp[i] += _gram(v[:, 1:], v[:, :-1])
+            Y = np.matmul(t.reshape(rows, dim), M.conj().T, out=buf[0, :rows])
+            Y.reshape(P, -1, v.shape[2], dim)[:, :K - 1] -= v[:, 1:]
+            intw[i] += _gram(Y[None], Y[None])
+        R = np.linalg.qr(np.concatenate([R, t.reshape(rows, dim)], out=buf[1, :len(R) + rows]), mode="r")
+    return gram, intw, comp, R
 
 
 def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The ``dim x k`` matrix ``W`` for which ``L W`` is an orthonormal
     basis of the numerical range of the dilation matrix, without an SVD of
-    the tall matrix.  The triangular factor ``R`` of ``L = Q R`` comes from
-    QR factorizations over row blocks (:func:`hardy.row_blocks`; TSQR,
-    Demmel, Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012), so
-    ``R = U diag(s) V^H`` gives the singular values ``s`` and right singular
-    vectors ``V`` of ``L``.  The values ``s > rank_tol s_0`` are kept, the
-    cut of :func:`matrixcore.orthonormal_range_basis`.
+    the tall matrix: ``R = U diag(s) V^H`` for the triangular factor of
+    ``L = Q R`` (:func:`_row_pass`) gives the singular values and right singular
+    vectors of ``L``, and ``s > rank_tol s_0`` are kept, the cut of
+    :func:`matrixcore.orthonormal_range_basis`.
 
     In ``W_0 = V_keep diag(1/s_keep)`` the small ``s`` carry a relative
     error of rounding times ``s_0 / s_min``, about 1e-8 on a rank-deficient
@@ -187,69 +224,51 @@ def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     Cutting the eigenvalues of ``L^H L`` instead would square the singular
     values: on a rank-deficient ``L`` the Gram's rounding noise (about
     1e-16) sits above ``rank_tol^2``."""
-    t = _tensor(L)
-    R = np.zeros((0, L.tuple.dim), dtype=complex)
-    for a, b in row_blocks(L.space, L.matrix):
-        R = np.linalg.qr(np.concatenate([R, t[a:b].reshape(-1, L.tuple.dim)]), mode="r")
-    _, s, Vh = np.linalg.svd(R, full_matrices=False)
+    _, s, Vh = np.linalg.svd(L.row_pass[3], full_matrices=False)
     keep = s > cfg.rank_tol * s.max(initial=0.0)
     W = Vh[keep].conj().T / s[keep]
     G = np.zeros((W.shape[1], W.shape[1]), dtype=complex)
-    for a, b in row_blocks(L.space, L.matrix):
-        Q = t[a:b].reshape(-1, L.tuple.dim) @ W
-        G += Q.conj().T @ Q
+    for _, _, X in generate_rows(L):
+        Q = X.reshape(-1, L.tuple.dim) @ W
+        G += _gram(Q[None], Q[None])
     e, V = np.linalg.eigh(G)
     return W @ ((V / np.sqrt(e)) @ V.conj().T)
 
 
 def isometry_defect(L: DilationMap) -> float:
-    """``||I - L^H L||`` on the input space, the Gram summed over row
-    blocks (:func:`hardy.row_blocks`)."""
-    t = _tensor(L)
-    G = np.zeros((L.tuple.dim, L.tuple.dim), dtype=complex)
-    for a, b in row_blocks(L.space, L.matrix):
-        G += _gram(t[a:b], t[a:b])
-    return operator_norm(np.eye(L.tuple.dim) - G)
+    """``||I - L^H L||`` on the input space, the Gram summed over the
+    generated row blocks (:func:`_row_pass`)."""
+    return operator_norm(np.eye(L.tuple.dim) - L.row_pass[0])
 
 
 def intertwining_residual(L: DilationMap, i: int) -> float:
-    """``||L T_i^H - coshift_i L||``; supported on the top coefficient
-    layer only, hence bounded by the truncation tail.
-
-    The difference is formed one row block at a time (:func:`hardy.row_blocks`;
-    the coshift in the first variable reads across the seam into the next
-    block), and its norm is the square root of the largest eigenvalue of
-    its ``dim x dim`` Gram matrix, summed over the blocks."""
-    t = _tensor(L)
-    Mh = L.tuple.matrices[i].conj().T
-    G = np.zeros((L.tuple.dim, L.tuple.dim), dtype=complex)
-    for a, b in row_blocks(L.space, L.matrix):
-        X = (t[a:b].reshape(-1, L.tuple.dim) @ Mh).reshape(t[a:b].shape)
-        nxt = next_layers(t, a, b, i)
-        np.moveaxis(X, i, 0)[:len(nxt)] -= nxt
-        G += _gram(X, X)
-    return float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
+    """``||L T_i^H - coshift_i L||``, supported on the top coefficient layer only,
+    hence bounded by the truncation tail: the square root of the largest
+    eigenvalue of the difference's Gram, summed over row blocks (:func:`_row_pass`)."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(L.row_pass[1][i])[-1], 0.0)))
 
 
 def _kernel_adjoints(L: DilationMap, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """``L^H k_j`` for the kernel vectors ``k_j = conj(w_j)^k eta_j`` of ``(k, n)``
-    points ``w``: its conjugate contracts the tensor view of ``L`` with the
-    powers ``w_ji^k`` of the first ``n - 1`` variables (a GEMM, then an einsum
-    per axis) and the conjugate last-variable kernel vector, ``(d+1) r`` long.
-    In chunks of ``(d+1) // dim`` samples no product holds over ``N`` entries."""
+    points ``w``: its conjugate contracts each row block (:func:`generate_rows`)
+    with the conjugate last-variable kernel vectors, ``(d+1) r`` long (one
+    GEMM), then with the powers ``w_ji^k`` of each earlier variable, the last
+    first (an einsum per axis), and sums the blocks."""
     k, d, r = len(w), L.degree, L.defects.rank
     _check_polydisc(w)
     kv = np.array([kernel_vector(TruncatedHardySpace(1, d, r), w[j, -1:], eta[j]) for j in range(k)])
     factors = [w[:, i, None] ** np.arange(d + 1) for i in range(L.tuple.n - 1)]
     factors.append(kv.conj().reshape(k, (d + 1) * r))
-    step, out = max(1, (d + 1) // L.tuple.dim), np.empty((k, L.tuple.dim), dtype=complex)
-    for a in range(0, k, step):
-        F = [f[a:a + step] for f in factors]
-        X = F[0] @ L.matrix.reshape(F[0].shape[1], -1)
-        for f in F[1:]:
-            X = np.einsum("ja,jax->jx", f, X.reshape(len(f), f.shape[1], -1))
-        out[a:a + step] = X.conj()
-    return out
+    m, dim = factors[0].shape[1] // (d + 1), L.tuple.dim
+    out = np.zeros((k, dim), dtype=complex)
+    for a, b, X in generate_rows(L):
+        F = [factors[0].reshape(k, d + 1, m)[:, a:b].reshape(k, (b - a) * m)] + factors[1:]  # the block's layers
+        P, Q = X.size // (F[-1].shape[1] * dim), F[-1].shape[1]
+        Y = (X.reshape(P, Q, dim).transpose(0, 2, 1).reshape(P * dim, Q) @ F[-1].T).reshape(P, dim, k)
+        for f in F[-2::-1]:
+            Y = np.einsum("ja,paxj->pxj", f, Y.reshape(len(Y) // f.shape[1], f.shape[1], dim, k))
+        out += Y.reshape(dim, k).T
+    return out.conj()
 
 
 def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -272,9 +291,8 @@ def minimality_check(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
     """Distance between the range of the degree-zero block of the
     dilation and the full joint-defect coordinate space.  Zero means the
     dilation is minimal (constants are hit exactly by the defect)."""
-    r = L.defects.rank
-    got = orthonormal_range_basis(L.matrix[:r], cfg)  # k = 0 is row block 0 in lexicographic order
-    want = np.eye(r, dtype=complex)
+    got = orthonormal_range_basis(L.C0, cfg)  # the rows at k = 0
+    want = np.eye(L.defects.rank, dtype=complex)
     return subspace_distance(got, want)
 
 
@@ -282,14 +300,6 @@ def compressed_tuple_residual(L: DilationMap) -> list:
     """Per-variable residual ``||L^H shift_i L - T_i||`` certifying that
     compressing the shifts to the dilation range recovers the tuple.
     ``L^H shift_i L`` is the sum of ``L[k + e_i]^H L[k]`` over the
-    multi-indices ``k`` below the top layer in variable ``i``, taken one
-    row block at a time (:func:`hardy.next_layers`)."""
-    t = _tensor(L)
-    out = []
-    for i, M in enumerate(L.tuple.matrices):
-        comp = np.zeros_like(M)
-        for a, b in row_blocks(L.space, L.matrix):
-            nxt = next_layers(t, a, b, i)
-            comp += _gram(nxt, np.moveaxis(t[a:b], i, 0)[:len(nxt)])
-        out.append(operator_norm(comp - M))
-    return out
+    multi-indices ``k`` below the top layer in variable ``i``, taken over
+    the generated row blocks (:func:`_row_pass`)."""
+    return [operator_norm(comp - M) for comp, M in zip(L.row_pass[2], L.tuple.matrices)]

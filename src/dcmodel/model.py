@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DegreeCapExceeded, DilationMap, adjoint_powers, range_factor
+from .dilation import DegreeCapExceeded, DilationMap, generate_rows, range_factor
 from .hardy import TruncatedHardySpace, _check_polydisc, row_blocks, szego_kernel
 from .matrixcore import DEFAULT_TOL, NumericalFailure, ToleranceConfig, operator_norm
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
@@ -371,14 +371,14 @@ def _chain(frames) -> np.ndarray:
     return C.reshape(C.shape[0] * C.shape[1], C.shape[2])
 
 
-def box_coordinates(box: TruncatedHardySpace, frames, W) -> tuple:
+def box_coordinates(box: TruncatedHardySpace, frames, blocks) -> tuple:
     """The coordinates ``(C, S_L, S_R)`` of ``prod_i P_i - W W^H`` on the
     margin ``box`` (variable 0 applied first; ``frames`` from
-    :func:`axis_frames`), for a thin ``W``: flat columns of the box, or a
-    tensor of shape ``box.shape + (w,)`` read one row block at a time, so
-    that a strided view of the box rows of a larger array is not copied.
-    Cutting one-variable bases to their box rows is exact, as the box
-    projection commutes with every factor acting on another axis.
+    :func:`axis_frames`), for a thin ``W`` given by its row blocks: each of the
+    two passes calls ``blocks()``, which yields ``(a, b, X)``, ``X`` the layers
+    ``a <= k_1 < b`` of ``W`` as a tensor (:func:`dilation.generate_rows`), so no
+    box row is stored.  Cutting one-variable bases to their box rows is exact,
+    as the box projection commutes with every factor acting on another axis.
 
     The product is ``U~ E_{n-1} C E_0^H U~^H`` (:func:`_chain`).  Split
     ``W = U~ w + W_perp``; the triangular factor of ``W_perp`` comes from
@@ -390,26 +390,24 @@ def box_coordinates(box: TruncatedHardySpace, frames, W) -> tuple:
     ``S_R = [E_0^H w; R_R]``, of ``m_{n-1} + w`` by ``m_0 + w``, ``m_i = k_i
     prod_{j != i} s_j``; for ``W X`` they are ``(C, S_L X, S_R X)`` in the same
     frames.  Raises :class:`FrameTooLarge` above ``_FRAME_MAX``."""
-    n, cols = box.n, W.shape[-1]
-    Us = [U for U, _, _ in frames]
+    n, Us = box.n, [U for U, _, _ in frames]
     s = [U.shape[1] for U in Us]
     m = max(Q.shape[2] * int(np.prod(s[:i] + s[i + 1:])) for i, (_, Q, _) in enumerate(frames))
     if m > _FRAME_MAX:
         raise FrameTooLarge(f"the box norm needs an m = {m} row coordinate matrix, above {_FRAME_MAX}")
-    t = W.reshape(box.shape + (cols,))
-    w = np.zeros(tuple(s) + (box.coeff_dim, cols), dtype=complex)
-    for a, b in row_blocks(box, t):
-        u = t[a:b]
+    w = 0
+    for a, b, u in blocks():
         for j in range(1, n):
             u = _along(Us[j].conj().T, u, j)
-        w += _along(Us[0][a:b].conj().T, u, 0)
+        w = w + _along(Us[0][a:b].conj().T, u, 0)
+    cols = w.shape[-1]
     R = np.zeros((0, cols), dtype=complex)
     if min(s) <= box.degree:  # else U~ is square and W_perp is zero
-        for a, b in row_blocks(box, t):
+        for a, b, X in blocks():
             u = _along(Us[0][a:b], w, 0)
             for j in range(1, n):
                 u = _along(Us[j], u, j)
-            R = np.linalg.qr(np.concatenate([R, (t[a:b] - u).reshape(-1, cols)]), mode="r")
+            R = np.linalg.qr(np.concatenate([R, (X - u).reshape(-1, cols)]), mode="r")
     sides = []
     for i in (n - 1, 0):  # E_i^H w (the column axis in place of axis i), then the residual
         Q = frames[i][1]
@@ -430,9 +428,12 @@ def _coordinate_norm(C, SL, SR) -> float:
 
 
 def box_distance(box: TruncatedHardySpace, frames, W) -> float:
-    """Exact norm of ``prod_i P_i - W W^H`` on the margin ``box``, from its
-    coordinates (:func:`box_coordinates`, which raises :class:`FrameTooLarge`)."""
-    return _coordinate_norm(*box_coordinates(box, frames, W))
+    """Exact norm of ``prod_i P_i - W W^H`` on the margin ``box`` for flat columns
+    ``W`` of the box, from its coordinates (:func:`box_coordinates`, which
+    raises :class:`FrameTooLarge`)."""
+    t = W.reshape(box.shape + W.shape[-1:])
+    blocks = lambda: ((a, b, t[a:b]) for a, b in row_blocks(box, W.shape[-1]))  # noqa: E731
+    return _coordinate_norm(*box_coordinates(box, frames, blocks))
 
 
 def _frame_commutator(frames, a: int, b: int) -> float:
@@ -473,7 +474,7 @@ def _functional_model_factor(L: DilationMap, i: int) -> np.ndarray:
     lower triangular), ``I - F_i F_i^H = G_i G_i^H`` (:func:`_model_symbol`)."""
     B = L.defects.big_defect_basis
     C = B.conj().T @ L.defects.per_op[i].defect_star
-    G = np.einsum("ra,kab->krb", C, adjoint_powers(L.tuple.matrices[i], L.degree))
+    G = np.einsum("ra,kab->krb", C, L.powers[i])
     return G.reshape(-1, L.tuple.dim)
 
 
@@ -516,7 +517,8 @@ def model_space(
 
     The commutators and the two norms below are exact on the box, from one
     set of frames (:func:`axis_frames`) and one set of box coordinates
-    ``(C, S_L, S_R)`` of ``L_b``, the box rows of ``L`` (:func:`box_coordinates`).
+    ``(C, S_L, S_R)`` of the box rows ``L_b`` of ``L``, generated as the rows of
+    the dilation at the box degree (:func:`box_coordinates`).
     The operator-form Gramian ``||L_b L_b^H - prod_i (I - A_i)||`` is bounded
     by telescoping, as every ``I - A_i`` and ``B_i B_i^H`` has norm at most
     one: by the exact ``||L_b L_b^H - prod_i B_i B_i^H||`` plus the sum of
@@ -543,11 +545,10 @@ def model_space(
                 f"variable {i}: clipped-projection drift {md:.3e} exceeds bound {bound:.3e}"
             )
     frames = axis_frames(box, box_fibers)
-    Lb = L.matrix.reshape(space.shape + (T.dim,))[(slice(box.degree + 1),) * T.n]  # a view
     try:
         comms = {(a, b): _frame_commutator(frames, a, b)
                  for a in range(T.n) for b in range(a + 1, T.n)}
-        C, SL, SR = box_coordinates(box, frames, Lb)
+        C, SL, SR = box_coordinates(box, frames, lambda: generate_rows(L, box.degree))
     except FrameTooLarge as e:
         return ModelSpaces(space, fibers, box, box_fibers, margin_drifts, None, None, None, e)
     W = range_factor(L, cfg)

@@ -349,22 +349,23 @@ def sum_projection(projections, cfg=DEFAULT_TOL) -> np.ndarray:
     return np.eye(N, dtype=complex) - acc
 
 
-def dilation_matrix(T, defects, d: int) -> np.ndarray:
-    """Rows ``C0 T^{*k}`` of the truncated dilation in storage order, from
+def dilation_matrix(L) -> np.ndarray:
+    """The ``N x dim`` matrix of the dilation ``L``: rows ``C0 T^{*k}`` in
+    storage order, ``C0 = B^H D`` formed from ``L.defects``, with
     ``T^{*k} = T_i^* T^{*(k - e_i)}`` memoised over the multi-indices."""
-    space = TruncatedHardySpace(T.n, d, defects.rank)
+    T, defects, space = L.tuple, L.defects, L.space
     C0 = defects.big_defect_basis.conj().T @ defects.big_defect
     powers = {(0,) * T.n: np.eye(T.dim, dtype=complex)}
     r = defects.rank
-    L = np.zeros((space.total_dim, T.dim), dtype=complex)
+    M = np.zeros((space.total_dim, T.dim), dtype=complex)
     for p, k in enumerate(indices(space)):
         if k not in powers:
             i = next(a for a, ka in enumerate(k) if ka > 0)
             prev = list(k)
             prev[i] -= 1
             powers[k] = T.matrices[i].conj().T @ powers[tuple(prev)]
-        L[p * r:(p + 1) * r, :] = C0 @ powers[k]
-    return L
+        M[p * r:(p + 1) * r, :] = C0 @ powers[k]
+    return M
 
 
 def projection_matrix(model, i: int) -> np.ndarray:
@@ -566,7 +567,7 @@ def adjoint_on_kernels_loop(L, samples) -> float:
     worst = 0.0
     for w, eta in samples:
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        lhs = (hardy.kernel_vector(L.space, w, eta).conj() @ L.matrix).conj()
+        lhs = (hardy.kernel_vector(L.space, w, eta).conj() @ dilation_matrix(L)).conj()
         v = D @ (B @ np.asarray(eta, dtype=complex).reshape(-1))
         for i, M in enumerate(L.tuple.matrices):
             v = np.linalg.solve(I - np.conj(w[i]) * M, v)
@@ -586,24 +587,27 @@ def box_sum_loop(G: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
 
 def isometry_defect(L) -> float:
     """``||I - L^H L||`` from the Gram of the whole dilation matrix at once."""
-    return operator_norm(np.eye(L.tuple.dim) - L.matrix.conj().T @ L.matrix)
+    M = dilation_matrix(L)
+    return operator_norm(np.eye(L.tuple.dim) - M.conj().T @ M)
 
 
 def intertwining_residual(L, i: int) -> float:
     """``||L T_i^H - coshift_i L||`` from an SVD of the whole ``N x dim``
     difference."""
-    X = L.matrix @ L.tuple.matrices[i].conj().T - apply_coshift(L.space, L.matrix, i)
+    M = dilation_matrix(L)
+    X = M @ L.tuple.matrices[i].conj().T - apply_coshift(L.space, M, i)
     return operator_norm(X)
 
 
 def compressed_tuple_residual(L) -> list:
     """``||L^H shift_i L - T_i||`` per variable, the shift applied to the
     whole dilation matrix."""
-    return [operator_norm(L.matrix.conj().T @ apply_shift(L.space, L.matrix, i) - M)
+    X = dilation_matrix(L)
+    return [operator_norm(X.conj().T @ apply_shift(L.space, X, i) - M)
             for i, M in enumerate(L.tuple.matrices)]
 
 
 def range_box_basis(L, box, cfg=DEFAULT_TOL) -> np.ndarray:
     """Box rows of the dilation range basis from a thin SVD of the whole
     dilation matrix."""
-    return box_rows(L.space, orthonormal_range_basis(L.matrix, cfg), box)
+    return box_rows(L.space, orthonormal_range_basis(dilation_matrix(L), cfg), box)

@@ -18,12 +18,12 @@ from dcmodel.dilation import (
     adjoint_on_kernels_check,
     build_dilation,
     compressed_tuple_residual,
+    generate_rows,
     intertwining_residual,
     isometry_defect,
     minimality_check,
     range_factor,
 )
-from dcmodel.hardy import row_blocks
 from dcmodel.matrixcore import operator_norm
 from dcmodel.model import axis_frames, box_distance, charfns_for_tuple, model_space
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
@@ -39,7 +39,7 @@ class TestBuildOracles:
     def test_scalar_06_coefficients(self):
         # coefficients at degree d=2 for h=1: 0.8 * 0.6^k
         L = build_dilation(_scalar(0.6), d=2, adaptive=False)
-        v = L.matrix[:, 0]
+        v = oracles.dilation_matrix(L)[:, 0]
         assert np.allclose(v, [0.8, 0.48, 0.288], atol=1e-13)
 
     def test_scalar_06_isometry_defect(self):
@@ -60,7 +60,7 @@ class TestBuildOracles:
         assert intertwining_residual(L, 1) == 0.0
         # L h = h at index (0,0), all else 0
         p0 = oracles.index_pos(L.space)[(0, 0)]
-        v = L.matrix[:, 0]
+        v = oracles.dilation_matrix(L)[:, 0]
         assert v[p0] == pytest.approx(1.0, abs=1e-14)
         assert np.sum(np.abs(v)) == pytest.approx(1.0, abs=1e-14)
 
@@ -71,7 +71,7 @@ class TestBuildOracles:
         L = build_dilation(T, d=4, adaptive=False)
         r = L.defects.rank
         assert r == 2
-        v = L.matrix @ np.array([1.0, 0.0])
+        v = oracles.dilation_matrix(L) @ np.array([1.0, 0.0])
         for k1 in range(3):
             a = v[oracles.index_pos(L.space)[(k1, 0)] * r:][:r]
             b = v[oracles.index_pos(L.space)[(k1, 1)] * r:][:r]
@@ -121,7 +121,7 @@ class TestAdaptive:
         L = build_dilation(ContractionTuple((M,)), d=4, adaptive=False)
         rng = np.random.default_rng(seed)
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert np.linalg.norm(L.matrix @ h) <= np.linalg.norm(h) * (1 + 1e-12)
+        assert np.linalg.norm(oracles.dilation_matrix(L) @ h) <= np.linalg.norm(h) * (1 + 1e-12)
 
 
 class TestBoxSum:
@@ -206,22 +206,25 @@ class TestChecks:
         assert abs(adjoint_on_kernels_check(L, samples) - oracles.adjoint_on_kernels_loop(L, samples)) <= 1e-14
         assert adjoint_on_kernels_check(L, []) == 0.0
 
-    @pytest.mark.parametrize("factors,d,k", [
-        (lambda: [make_random_pure_contraction(3, 0.6, 1)], 5, 5),  # n = 1: chunks of 2
-        (lambda: [[[0.5]], np.array([[0, 0.6], [0, 0]])], 20, 5),  # one chunk of 10
-        (lambda: [make_random_pure_contraction(2, 0.7, 3), [[0, 0.5], [0, 0]]], 6, 4),  # chunks of 1
-        (lambda: [make_random_pure_contraction(2, 0.7, 2), [[0.6]], [[-0.5j]]], 3, 5),  # n = 3: chunks of 2
+    @pytest.mark.parametrize("factors,d,k,layers", [
+        (lambda: [make_random_pure_contraction(3, 0.6, 1)], 5, 5, 2),  # n = 1
+        (lambda: [[[0.5]], np.array([[0, 0.6], [0, 0]])], 20, 5, 21),  # one block
+        (lambda: [make_random_pure_contraction(2, 0.7, 3), [[0, 0.5], [0, 0]]], 6, 4, 1),
+        (lambda: [make_random_pure_contraction(2, 0.7, 2), [[0.6]], [[-0.5j]]], 3, 5, 2),  # n = 3
     ], ids=["n1-chunked", "n2-one-chunk", "n2-chunked", "n3-chunked"])
-    def test_kernel_adjoints_match_full_kernel_vectors(self, factors, d, k, monkeypatch):
-        # the per-axis contraction against L^H of the N-length kernel vectors,
-        # to rounding (1e-14 on vectors of norm below 3), with one
-        # kernel_vector call per sample
+    def test_kernel_adjoints_match_full_kernel_vectors(self, factors, d, k, layers, monkeypatch):
+        # the per-axis contraction of row blocks of the given number of
+        # first-variable layers, summed over the blocks, against L^H of the
+        # N-length kernel vectors, to rounding (1e-14 on vectors of norm
+        # below 3), with one kernel_vector call per sample
         T = make_tensor_tuple(factors())
         L = build_dilation(T, d=d, adaptive=False)
+        monkeypatch.setattr(hardy, "_BLOCK_BYTES", layers * 16 * L.space.total_dim * T.dim // (d + 1))
+        assert [b - a for a, b, _ in generate_rows(L)][:-1] == [layers] * (d // layers)
         rng = np.random.default_rng(d + k)
         w = 0.9 * rng.random((k, T.n)) * np.exp(2j * np.pi * rng.random((k, T.n)))
         eta = rng.standard_normal((k, L.defects.rank)) + 1j * rng.standard_normal((k, L.defects.rank))
-        want = np.array([(hardy.kernel_vector(L.space, wj, ej).conj() @ L.matrix).conj()
+        want = np.array([(hardy.kernel_vector(L.space, wj, ej).conj() @ oracles.dilation_matrix(L)).conj()
                          for wj, ej in zip(w, eta)])
         calls = []
         monkeypatch.setattr(dilation, "kernel_vector",
@@ -259,7 +262,7 @@ class TestChecks:
 
 
 class TestRowBlocks:
-    """The dilation build, its checks and the range factor run over row
+    """The checks, the adjoint and the range factor run over generated row
     blocks of whole first-variable layers; with the block size patched to
     two layers, several blocks and their seams are exercised."""
 
@@ -273,16 +276,30 @@ class TestRowBlocks:
     def blocked(self, request, monkeypatch):
         factors, d = self.CASES[request.param]
         T = make_tensor_tuple(factors())
-        full = build_dilation(T, d=d, adaptive=False)
-        monkeypatch.setattr(hardy, "_BLOCK_BYTES", 2 * full.matrix.nbytes // (d + 1))
         L = build_dilation(T, d=d, adaptive=False)
-        assert [b - a for a, b in row_blocks(L.space, L.matrix)][:-1] == [2] * (d // 2)
+        monkeypatch.setattr(hardy, "_BLOCK_BYTES", 2 * 16 * L.space.total_dim * T.dim // (d + 1))
+        assert [b - a for a, b, _ in generate_rows(L)][:-1] == [2] * (d // 2)
         return T, L
 
     def test_build_matches_index_loop(self, blocked):
+        # every block against the rows of the loop-built matrix: with the
+        # overlap layer at each seam, and at every lower degree, whose rows
+        # are the box rows of L
         T, L = blocked
-        want = oracles.dilation_matrix(T, L.defects, L.degree)
-        assert np.max(np.abs(L.matrix - want)) <= 1e-14
+        d = L.degree
+        want = oracles.dilation_matrix(L).reshape(L.space.shape + (T.dim,))
+        for b_deg in range(d + 1):
+            box = L.space.margin_box(d - b_deg)
+            rows = want[(slice(None),) + (slice(b_deg + 1),) * (T.n - 1)]
+            for overlap in (False, True):
+                seen = []
+                for a, b, X in generate_rows(L, b_deg, overlap):
+                    top = min(b + overlap, b_deg + 1)
+                    assert X.shape == (top - a,) + box.shape[1:] + (T.dim,)
+                    assert np.max(np.abs(X - rows[a:top])) <= 1e-15
+                    seen.append((a, b))
+                assert seen == list(hardy.row_blocks(box, T.dim))
+                assert seen[0][0] == 0 and seen[-1][1] == b_deg + 1
 
     def test_checks_match_unblocked(self, blocked):
         # at these low degrees every residual is far above rounding
@@ -339,21 +356,27 @@ def _traced_peak(f) -> int:
 
 
 def test_tall_products_allocate_blocks_not_copies(monkeypatch):
-    # n = 2, d = 64: with blocks of 1/32 of the dilation matrix, none of the
-    # checks or the range factor allocates a quarter of it; a conjugated
-    # copy, a coshifted copy or a thin SVD would each take all of it
+    # n = 2, d = 64: with blocks of 1/32 of the dilation matrix, neither the
+    # build, nor the row pass the checks read, nor the range factor allocates
+    # a quarter of it; a stored matrix, a conjugated, shifted or coshifted
+    # copy, or a thin SVD would each take all of it
     T = make_tensor_tuple([make_random_pure_contraction(2, 0.9, 4),
                            make_random_pure_contraction(2, 0.9, 5)])
     L = build_dilation(T, d=64, adaptive=False)
-    monkeypatch.setattr(hardy, "_BLOCK_BYTES", L.matrix.nbytes // 32)
-    bound = L.matrix.nbytes // 4
+    nbytes = 16 * L.space.total_dim * T.dim
+    monkeypatch.setattr(hardy, "_BLOCK_BYTES", nbytes // 32)
+    bound = nbytes // 4
+    assert _traced_peak(lambda: build_dilation(T, d=64, adaptive=False)) < bound
     assert _traced_peak(lambda: isometry_defect(L)) < bound
     for i in range(T.n):
         assert _traced_peak(lambda: intertwining_residual(L, i)) < bound
     assert _traced_peak(lambda: compressed_tuple_residual(L)) < bound
     assert _traced_peak(lambda: range_factor(L)) < bound
-    # the build holds its output and, per variable after the first, one block
-    assert _traced_peak(lambda: build_dilation(T, d=64, adaptive=False)) < L.matrix.nbytes + bound
+
+
+def _n3_d32():
+    T = make_tensor_tuple([make_random_pure_contraction(2, 0.9, 6), [[0.8]], [[-0.7j]]])
+    return T, build_dilation(T, d=32, adaptive=False)
 
 
 def test_model_space_forms_no_box_row_basis(monkeypatch):
@@ -361,10 +384,34 @@ def test_model_space_forms_no_box_row_basis(monkeypatch):
     # split and the Gramian read one set of box coordinates of L, row block
     # by row block, so model_space allocates less than the box rows of the
     # range basis alone would take (314 KB here)
-    T = make_tensor_tuple([make_random_pure_contraction(2, 0.9, 6), [[0.8]], [[-0.7j]]])
-    L = build_dilation(T, d=32, adaptive=False)
+    T, L = _n3_d32()
     box = L.space.margin_box(L.degree // 2)
     charfns = charfns_for_tuple(T, L.defects)
-    monkeypatch.setattr(hardy, "_BLOCK_BYTES", L.matrix.nbytes // 32)
+    monkeypatch.setattr(hardy, "_BLOCK_BYTES", oracles.dilation_matrix(L).nbytes // 32)
     box_basis_bytes = box.total_dim * range_factor(L).shape[1] * 16
     assert _traced_peak(lambda: model_space(T, L, charfns)) < box_basis_bytes
+
+
+def test_suite_stages_hold_no_dilation_matrix(monkeypatch):
+    # the same tuple, N = 71,874: the build, the five dilation checks and
+    # model_space together allocate less than the N x dim dilation matrix
+    # (2.3 MB), as each pass over the rows generates them block by block
+    T, L = _n3_d32()
+    charfns = charfns_for_tuple(T, L.defects)
+    nbytes = 16 * L.space.total_dim * T.dim
+    rng = np.random.default_rng(0)
+    samples = [(0.6 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n)),
+                rng.standard_normal(L.defects.rank) + 1j * rng.standard_normal(L.defects.rank))
+               for _ in range(20)]
+    monkeypatch.setattr(hardy, "_BLOCK_BYTES", nbytes // 32)
+
+    def stages():
+        L = build_dilation(T, d=32, adaptive=False)
+        isometry_defect(L)
+        [intertwining_residual(L, i) for i in range(T.n)]
+        adjoint_on_kernels_check(L, samples)
+        minimality_check(L)
+        compressed_tuple_residual(L)
+        model_space(T, L, charfns)
+
+    assert _traced_peak(stages) < nbytes
