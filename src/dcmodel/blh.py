@@ -35,7 +35,7 @@ from .model import (
     box_drift,
     charfns_for_tuple,
     model_space,
-    toeplitz_gram,
+    toeplitz_drift,
 )
 from .tuples import ContractionTuple, validate_tuple
 
@@ -126,16 +126,11 @@ def inner_from_wandering(
     # by more than d - deg drops genuine coefficients off the top, which
     # would register as spurious drift.
     norms = np.array([np.linalg.norm(c) for c in cols])
-    peak = norms.max()
-    if peak > 0.0:
-        sig = norms > _loose_cut(cfg) * peak
-        deg = int(np.max(np.nonzero(sig)[0])) if sig.any() else 0
-    else:
-        deg = 0
+    sig = np.flatnonzero(norms > _loose_cut(cfg) * norms.max())  # none for the zero columns
+    deg = int(sig[-1]) if sig.size else 0
     top_layer = max(0, min(d // 2, d - deg))
-    gram = toeplitz_gram(cols, d, top_layer + 1, "in")
-    drift = np.linalg.norm(gram - np.eye(len(gram)))
-    return InnerColumnSet(variable, m, cols, coeff_dim, float(drift))
+    drift = toeplitz_drift(cols, d, top_layer + 1, "in")
+    return InnerColumnSet(variable, m, cols, coeff_dim, drift)
 
 
 def model_inner_functions(model: ModelSpaces, cfg: ToleranceConfig = DEFAULT_TOL) -> list:

@@ -176,10 +176,7 @@ def save_tuple_file(path: str, T: ContractionTuple, metadata: dict) -> None:
     doc = {
         "n": T.n,
         "dim": T.dim,
-        "matrices": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in M]
-            for M in T.matrices
-        ],
+        "matrices": [[[[float(v.real), float(v.imag)] for v in row] for row in M] for M in T.matrices],
         "metadata": metadata,
     }
     with open(path, "w") as f:
@@ -332,18 +329,10 @@ def generate_demo(kind: str, dims, radius: float, seed: int) -> tuple:
         factors = [make_random_pure_contraction(dm, radius, seed + 17 * i)
                    for i, dm in enumerate(dims)]
     elif kind == "jordan":
-        factors = []
-        for dm in dims:
-            J = np.zeros((dm, dm), dtype=complex)
-            for a in range(dm - 1):
-                J[a, a + 1] = radius
-            factors.append(J)
+        factors = [radius * np.eye(dm, k=1, dtype=complex) for dm in dims]
     elif kind == "random":
         rng = np.random.default_rng(seed)
-        factors = [
-            np.diag(radius * rng.random(dm) * np.exp(2j * np.pi * rng.random(dm)))
-            for dm in dims
-        ]
+        factors = [np.diag(radius * rng.random(dm) * np.exp(2j * np.pi * rng.random(dm))) for dm in dims]
     else:
         raise ValueError(f"unknown demo kind {kind!r}")
     T = make_tensor_tuple(factors)
@@ -392,15 +381,11 @@ def emit_report(report: VerificationReport, fmt: str, out=None) -> str:
         }
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     elif fmt == "text":
-        lines = [f"{'check':<34} {'status':<8} {'residual':>12} {'tolerance':>12}"]
-        lines.append("-" * 70)
+        lines = [f"{'check':<34} {'status':<8} {'residual':>12} {'tolerance':>12}", "-" * 70]
         for c in report.checks:
             res = f"{c.residual:.3g}" if c.residual is not None else "-"
             tol = f"{c.tolerance:.3g}" if c.tolerance is not None else "-"
-            row = f"{c.name:<34} {c.status:<8} {res:>12} {tol:>12}"
-            if c.note:
-                row += f"  ({c.note})"
-            lines.append(row)
+            lines.append(f"{c.name:<34} {c.status:<8} {res:>12} {tol:>12}" + (f"  ({c.note})" if c.note else ""))
         if report.degree is not None:
             lines.append(f"degree used: {report.degree}")
         lines.append(f"verdict: {report.verdict}")

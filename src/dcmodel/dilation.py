@@ -17,6 +17,7 @@ from .matrixcore import (
     operator_norm,
     orthonormal_range_basis,
     subspace_distance,
+    tsqr,
 )
 from .tuples import ContractionTuple, DefectData, defect_operators
 
@@ -179,28 +180,28 @@ def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _row_pass(L: DilationMap) -> tuple:
     """``(L^H L, [Gram of L T_i^H - coshift_i L], [L^H shift_i L], R)`` from one
     pass over blocks of rows overlapping by one first-variable layer, ``R``
-    the triangular factor of ``L = Q R`` by QR over the blocks (TSQR, Demmel,
-    Grigori, Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012).  With the
-    block viewed as ``(P, K, Q, dim)``, the axis of variable ``i`` second (and
-    the overlap layer for ``i == 0``), the rows ``L[k]`` below its top layer
-    and their coshifts ``L[k + e_i]`` are the slices ``[:, :-1]`` and ``[:, 1:]``."""
+    the triangular factor of ``L = Q R`` by TSQR over the blocks
+    (:func:`matrixcore.tsqr`).  With the block viewed as ``(P, K, Q, dim)``,
+    the axis of variable ``i`` second (and the overlap layer for ``i == 0``),
+    the rows ``L[k]`` below its top layer and their coshifts ``L[k + e_i]``
+    are the slices ``[:, :-1]`` and ``[:, 1:]``."""
     dim = L.tuple.dim
     gram = np.zeros((dim, dim), dtype=complex)
     intw, comp = [0] * L.tuple.n, [0] * L.tuple.n
-    R, buf = np.zeros((0, dim), dtype=complex), None
+    R = buf = None
     for a, b, X in generate_rows(L, overlap=True):
         t, rows = X[:b - a], (b - a) * X[0].size // dim
-        buf = np.empty((2, rows + dim, dim), dtype=complex) if buf is None else buf
+        buf = np.empty((rows, dim), dtype=complex) if buf is None else buf
         gram += _gram(t[None], t[None])
         for i, M in enumerate(L.tuple.matrices):
             v = X if i == 0 else t
             P, K = int(np.prod(v.shape[:i])), v.shape[i]
             v = v.reshape(P, K, -1, dim)
             comp[i] += _gram(v[:, 1:], v[:, :-1])
-            Y = np.matmul(t.reshape(rows, dim), M.conj().T, out=buf[0, :rows])
+            Y = np.matmul(t.reshape(rows, dim), M.conj().T, out=buf[:rows])
             Y.reshape(P, -1, v.shape[2], dim)[:, :K - 1] -= v[:, 1:]
             intw[i] += _gram(Y[None], Y[None])
-        R = np.linalg.qr(np.concatenate([R, t.reshape(rows, dim)], out=buf[1, :len(R) + rows]), mode="r")
+        R = tsqr(t.reshape(rows, dim), R)
     return gram, intw, comp, R
 
 

@@ -54,6 +54,10 @@ DEFAULT_TOL = ToleranceConfig()
 # may be and still be the pivot whose phase fixes the column's phase
 _PIVOT_FLOOR = 1e-8
 
+# least rows of one group of tsqr's batched QR: the QR's copy of a group
+# stays in cache, and its factor (``cols`` rows) is a small share of it
+_TSQR_ROWS = 256
+
 
 def as_matrix(M) -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting non-finite entries."""
@@ -150,6 +154,23 @@ def orthonormal_range_basis(M, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
         return np.zeros((A.shape[0], 0), dtype=complex)
     rank = int(np.sum(s > cfg.rank_tol * s[0]))
     return phase_normalize_columns(U[:, :rank])
+
+
+def tsqr(A: np.ndarray, R: np.ndarray = None) -> np.ndarray:
+    """Triangular factor (at most ``cols`` rows) of ``[R; A]``, ``R`` an earlier
+    one (default none), with no ``[R; A]`` formed: TSQR (Demmel, Grigori,
+    Hoemmen and Langou, SIAM J. Sci. Comput. 34, 2012).  One batched QR reduces
+    each whole group of ``g = max(_TSQR_ROWS, 8 cols)`` rows of ``A`` to ``cols``
+    rows; those, ``R`` and the rest of ``A`` are reduced alike until one QR of
+    at most ``g`` rows is left."""
+    cols = A.shape[1]
+    g = max(_TSQR_ROWS, 8 * cols)
+    whole = len(A) - len(A) % g
+    parts = [] if R is None else [R]
+    if whole:
+        parts.append(np.linalg.qr(A[:whole].reshape(-1, g, cols), mode="r").reshape(-1, cols))
+    S = np.concatenate(parts + [A[whole:]])
+    return np.linalg.qr(S, mode="r") if len(S) <= g else tsqr(S)
 
 
 def subspace_distance(A, B) -> float:

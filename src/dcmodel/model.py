@@ -12,7 +12,7 @@ import numpy as np
 
 from .dilation import DegreeCapExceeded, DilationMap, generate_rows, range_factor
 from .hardy import TruncatedHardySpace, _check_polydisc, row_blocks, szego_kernel
-from .matrixcore import DEFAULT_TOL, NumericalFailure, ToleranceConfig, operator_norm
+from .matrixcore import DEFAULT_TOL, NumericalFailure, ToleranceConfig, operator_norm, tsqr
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
 
 
@@ -155,14 +155,8 @@ def charfn_taylor(
         rate = (positive[-1] / positive[0]) ** (1.0 / max(1, len(positive) - 1))
     else:
         rate = 0.0
-    return CharFn(
-        op_index=op_index,
-        operator=Ti,
-        pair=pair,
-        taylor=tuple(coeffs),
-        norms=norms,
-        decay_rate=float(rate),
-    )
+    return CharFn(op_index=op_index, operator=Ti, pair=pair, taylor=tuple(coeffs), norms=norms,
+                  decay_rate=float(rate))
 
 
 def taylor_tail_estimate(cf: CharFn, degree: int) -> float:
@@ -181,10 +175,7 @@ def taylor_tail_estimate(cf: CharFn, degree: int) -> float:
 def charfns_for_tuple(T: ContractionTuple, defects: DefectData = None, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
     if defects is None:
         defects = defect_operators(T, cfg)
-    return [
-        charfn_taylor(T.matrices[i], cfg=cfg, pair=defects.per_op[i], op_index=i)
-        for i in range(T.n)
-    ]
+    return [charfn_taylor(T.matrices[i], cfg=cfg, pair=defects.per_op[i], op_index=i) for i in range(T.n)]
 
 
 def inner_boundary_check(cf: CharFn, samples: int = 64, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -196,24 +187,23 @@ def inner_boundary_check(cf: CharFn, samples: int = 64, cfg: ToleranceConfig = D
     return operator_norm(th.conj().transpose(0, 2, 1) @ th - np.eye(cf.dim_in, dtype=complex))
 
 
-def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
-    """Leading ``layers``-layer block of ``F^H F`` (``side="in"``) or of
-    ``F F^H`` (``side="out"``), ``F`` the lower-triangular block-Toeplitz
-    matrix of the one-variable symbol ``taylor`` truncated at degree ``d``
-    (block ``(k, j)`` is ``taylor[k - j]``), without forming ``F``.
-
+def toeplitz_drift(taylor, d: int, layers: int, side: str, K: np.ndarray = None) -> float:
+    """``||I - A - K K^H||_F`` for the leading ``layers``-layer block ``A`` of
+    ``F F^H`` (``side="out"``) or of ``F^H F`` (``side="in"``), ``F`` the
+    lower-triangular block-Toeplitz matrix of the one-variable symbol
+    ``taylor`` truncated at degree ``d`` (block ``(k, j)`` is ``taylor[k - j]``),
+    and ``K`` flat columns on those layers (default none), forming neither.
     With ``c_m`` the Taylor blocks (zero past the series and past ``d``),
-    consecutive blocks along a block diagonal differ by one product:
 
         (F F^H)_{i, j} = (F F^H)_{i-1, j-1} + c_i c_j^H
         (F^H F)_{i, j} = (F^H F)_{i-1, j-1} - c_{d+1-i}^H c_{d+1-j}
 
-    One GEMM ``X X^H`` of the stacked blocks gives every product, and one
-    slice operation per layer sums them down the diagonals from column 0:
-    ``c_i c_0^H`` for ``"out"``, the full lag sums ``sum_p c_p^H c_{p+s}`` for
-    ``"in"``.  No ``(d+1) r``-cubed product is formed.  The blocks above the
-    diagonal are the conjugate transposes of those below and the diagonal
-    blocks are symmetrised, so the result is exactly Hermitian."""
+    from column 0 (``c_i c_0^H``; the lag sums ``sum_p c_p^H c_{p+s}``).  The
+    lower block triangle is walked in chunks of block rows of about one row
+    block (:func:`hardy.row_blocks`), each one GEMM for the products, one for
+    its rows of ``K K^H`` and one slice operation per block row, from the row
+    before (carried between chunks).  The blocks below the diagonal count
+    twice, once for their mirrors."""
     if side not in ("in", "out"):
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
     if not 1 <= layers <= d + 1:
@@ -223,33 +213,40 @@ def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
     if side == "out":
         X, op = c[:layers], np.add
     else:
-        X, op = c.conj().transpose(0, 2, 1)[d + 1:d + 1 - layers:-1], np.subtract
+        X, op = c[d + 1:d + 1 - layers:-1].conj().transpose(0, 2, 1), np.subtract
+        C = c.reshape(-1, c.shape[2])  # the rows of c_0, ..., c_{d+1}
+        Ch, m = C.conj().T, c.shape[1]
+        lags = np.array([Ch[:, :(d + 1 - s) * m] @ C[s * m:(d + 1) * m] for s in range(layers)])
+        del c, C, Ch  # the chunks read X and the lags alone
     r = X.shape[1]
     X = X.reshape(layers * r, X.shape[2])
-    G = (X @ X.conj().T).reshape(layers, r, layers, r)  # block (i, j) is X_i X_j^H
-    if side == "in":
-        C = c.reshape(-1, r)  # the rows of c_0, ..., c_{d+1}
-        Ch, m = C.conj().T, c.shape[1]
-        G[:, :, 0] = [Ch[:, :(d + 1 - s) * m] @ C[s * m:(d + 1) * m] for s in range(layers)]
-    for i in range(1, layers):  # block row i from row i - 1, then mirrored above the diagonal
-        op(G[i - 1, :, :i], G[i, :, 1:i + 1], out=G[i, :, 1:i + 1])
-        G[:i, :, i] = G[i, :, :i].conj().transpose(1, 2, 0)
-    k = np.arange(layers)
-    D = G[k, :, k]
-    G[k, :, k] = (D + D.conj().transpose(0, 2, 1)) / 2
-    return G.reshape(layers * r, layers * r)
+    Xh, total, last = X.conj().T, 0.0, None
+    for a, b in row_blocks(TruncatedHardySpace(1, layers - 1, r), 2 * layers * r):  # A and K K^H
+        A = (X[a * r:b * r] @ Xh[:, :b * r]).reshape(b - a, r, b, r)  # block (i, j) is X_i X_j^H
+        if side == "in":
+            A[:, :, 0] = lags[a:b]
+        for q, i in enumerate(range(a, b)):
+            if i:
+                op((A[q - 1] if q else last)[:, :i], A[q, :, 1:i + 1], out=A[q, :, 1:i + 1])
+        last = A[-1].copy()
+        if K is not None:
+            A += (K[a * r:b * r] @ K[:b * r].conj().T).reshape(A.shape)
+        k = np.arange(b - a)
+        A[k, :, a + k] -= np.eye(r)
+        v = A.view(np.float64)
+        j, i = np.arange(b), np.arange(a, b)[:, None]
+        total += float(np.sum((2.0 * (j < i) + (j == i)) * np.einsum("qajb,qajb->qj", v, v)))
+    return float(np.sqrt(total))
 
 
 def box_drift(K: np.ndarray, blocks, d: int) -> float:
-    """Frobenius norm (an upper bound on the spectral one) of
-    ``I - K K^H - A`` on the rows of ``K``, a whole number of layers of a
-    one-variable space, with ``A`` that block of ``F F^H`` for the symbol
-    ``blocks`` truncated at degree ``d`` (:func:`toeplitz_gram`), and
-    ``A = 0`` for the zero symbol (no blocks)."""
-    X = np.eye(len(K)) - K @ K.conj().T
-    if len(blocks):
-        X -= toeplitz_gram(blocks, d, len(K) // len(blocks[0]), "out")
-    return float(np.linalg.norm(X))
+    """Frobenius norm (an upper bound on the spectral one) of ``I - K K^H - A``
+    on the rows of ``K``, whole layers of a one-variable space, ``A`` that block
+    of ``F F^H`` for the symbol ``blocks`` at degree ``d`` (:func:`toeplitz_drift`);
+    ``A = 0`` for the zero symbol (no blocks, the rows read as one-row layers)."""
+    if not len(blocks):
+        blocks, d = [np.zeros((1, 0))], len(K) - 1
+    return toeplitz_drift(blocks, d, len(K) // len(blocks[0]), "out", K)
 
 
 def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
@@ -382,7 +379,7 @@ def box_coordinates(box: TruncatedHardySpace, frames, blocks) -> tuple:
 
     The product is ``U~ E_{n-1} C E_0^H U~^H`` (:func:`_chain`).  Split
     ``W = U~ w + W_perp``; the triangular factor of ``W_perp`` comes from
-    TSQR over the row blocks (:func:`hardy.row_blocks`), and is zero when
+    TSQR over the row blocks (:func:`matrixcore.tsqr`), and is zero when
     every ``U_i`` is square.  ``W - U~ E E^H w`` is orthogonal to ``U~ E`` for
     ``E = E_{n-1}`` and for ``E = E_0``, with triangular factors ``R_L`` and
     ``R_R`` of ``[(I - E E^H) w; W_perp]``, so in orthonormal frames the
@@ -401,20 +398,19 @@ def box_coordinates(box: TruncatedHardySpace, frames, blocks) -> tuple:
             u = _along(Us[j].conj().T, u, j)
         w = w + _along(Us[0][a:b].conj().T, u, 0)
     cols = w.shape[-1]
-    R = np.zeros((0, cols), dtype=complex)
+    R = None
     if min(s) <= box.degree:  # else U~ is square and W_perp is zero
         for a, b, X in blocks():
             u = _along(Us[0][a:b], w, 0)
             for j in range(1, n):
                 u = _along(Us[j], u, j)
-            R = np.linalg.qr(np.concatenate([R, (X - u).reshape(-1, cols)]), mode="r")
+            R = tsqr((X - u).reshape(-1, cols), R)
     sides = []
     for i in (n - 1, 0):  # E_i^H w (the column axis in place of axis i), then the residual
         Q = frames[i][1]
         y = np.moveaxis(np.tensordot(Q.conj(), w, axes=([0, 1], [i, n])), 0, i)
         rest = w - np.moveaxis(np.tensordot(Q, y, axes=(2, i)), [0, 1], [i, n])
-        sides.append(np.concatenate([y.reshape(-1, cols),
-                                     np.linalg.qr(np.concatenate([rest.reshape(-1, cols), R]), mode="r")]))
+        sides.append(np.concatenate([y.reshape(-1, cols), tsqr(rest.reshape(-1, cols), R)]))
     return _chain(frames), sides[0], sides[1]
 
 
@@ -441,8 +437,8 @@ def _frame_commutator(frames, a: int, b: int) -> float:
     (:func:`axis_frames`).  It is the identity on the other axes, so it is
     ``X - X^H``, ``X = E_a N E_b^H``, ``N = D_a Z D_b``, ``Z = E_a^H E_b``, on the
     two-axis frame space of ``s_a s_b r`` rows.  With ``R_Y`` the triangular
-    factor of ``E_b - E_a Z``, formed explicitly (its Gram ``I - Z^H Z`` would
-    lose small angles to cancellation), the commutator is the anti-Hermitian
+    factor of ``E_b - E_a Z``, by TSQR over its slabs of fixed ``p`` (its Gram
+    ``I - Z^H Z`` would lose small angles to cancellation), the commutator is the anti-Hermitian
     ``[[N Z^H - Z N^H, N R_Y^H], [-R_Y N^H, 0]]`` in an orthonormal frame; its
     norm is the largest eigenvalue modulus of ``i`` times it.  Raises
     :class:`FrameTooLarge` when the two-axis space exceeds ``_FRAME_MAX`` rows."""
@@ -451,11 +447,15 @@ def _frame_commutator(frames, a: int, b: int) -> float:
     sb, kb = Qb.shape[0], Qb.shape[2]
     if sa * sb * r > _FRAME_MAX:
         raise FrameTooLarge(f"a commutator needs an m = {sa * sb * r} row frame space, above {_FRAME_MAX}")
+    if not sa * sb:  # an empty fiber: P_a or P_b is zero
+        return 0.0
     # E_a has columns (j, q) and E_b columns (p, J), both rows (p, q, x)
     Z = np.einsum("pxj,qxJ->jqpJ", Qa.conj(), Qb)
-    Y = -np.tensordot(Qa, Z, axes=(2, 0)).transpose(0, 2, 1, 3, 4)  # -E_a Z, (p, q, x, p', J)
-    Y[np.arange(sa), :, :, np.arange(sa)] += Qb  # + E_b, the identity on p
-    RY = np.linalg.qr(Y.reshape(sa * sb * r, sa * kb), mode="r")
+    RY = None
+    for p0, p1 in row_blocks(TruncatedHardySpace(1, sa - 1, sb * r), sa * kb):  # a row block of slabs
+        Y = -np.tensordot(Qa[p0:p1], Z, axes=(2, 0)).transpose(0, 2, 1, 3, 4)  # -E_a Z, (p, q, x, p', J)
+        Y[np.arange(p1 - p0), :, :, np.arange(p0, p1)] += Qb  # + E_b, the identity on p
+        RY = tsqr(Y.reshape((p1 - p0) * sb * r, sa * kb), RY)
     N = np.einsum("jk,kqpK,KJ->jqpJ", Da, Z, Db).reshape(ka * sb, sa * kb)  # D_a Z D_b
     Z = Z.reshape(ka * sb, sa * kb)
     X = np.concatenate([N @ Z.conj().T, N @ RY.conj().T], axis=1)

@@ -95,9 +95,7 @@ class ValidationReport:
 
     @property
     def doubly_commuting(self) -> bool:
-        return all(
-            r <= self.cfg.check_tol for r in self.doubly_commuting_residual.values()
-        )
+        return all(r <= self.cfg.check_tol for r in self.doubly_commuting_residual.values())
 
     @property
     def pure(self) -> tuple:
@@ -105,12 +103,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            all(self.contractive)
-            and self.commuting
-            and self.doubly_commuting
-            and all(self.pure)
-        )
+        return all(self.contractive) and self.commuting and self.doubly_commuting and all(self.pure)
 
 
 def validate_tuple(T: ContractionTuple, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:

@@ -4,9 +4,11 @@ Most build explicit ``N x N`` matrices on the truncated polydisc space,
 ``N = (d+1)^n r``, so they are meant for small spaces; the package
 computes the same objects in the one-variable space of each variable.
 The others walk the multi-indices, the sample points or the Taylor
-terms one at a time, where the package uses whole-array operations."""
+terms one at a time, where the package uses whole-array operations.
+``traced_peak`` measures what a call allocates."""
 
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +38,23 @@ from dcmodel.model import (
     _model_symbol,
     _single_defect_pair,
     charfn_eval,
-    toeplitz_gram,
 )
 
 
 class NotCommuting(ValueError):
     """Projections expected to commute do not."""
+
+
+def traced_peak(f) -> int:
+    """Bytes allocated by ``f()`` at its peak, above what was live at the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def indices(space: TruncatedHardySpace) -> list:
@@ -293,6 +306,16 @@ def one_var_toeplitz(taylor, d: int) -> np.ndarray:
     return M
 
 
+def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
+    """Leading ``layers``-layer block of ``F^H F`` (``side="in"``) or of
+    ``F F^H`` (``side="out"``), ``F = one_var_toeplitz(taylor, d)``, from the
+    dense product."""
+    F = one_var_toeplitz(taylor, d)
+    G = F.conj().T @ F if side == "in" else F @ F.conj().T
+    rows = layers * len(G) // (d + 1)
+    return G[:rows, :rows]
+
+
 def one_var_raw_factors(defects, charfns, d: int, cfg=DEFAULT_TOL) -> list:
     """``K^H M_theta M_theta^H K`` with the explicit ``K = I_{d+1} (x) E``."""
     out = []
@@ -309,8 +332,7 @@ def toeplitz_gram_eigh(blocks, d: int) -> tuple:
     """Eigenvalues (ascending) and orthonormal eigenvectors of ``F F^H``,
     ``F = one_var_toeplitz(blocks, d)``, from the dense divide-and-conquer
     solver (subset eigensolvers can fail on its two tight clusters)."""
-    F = one_var_toeplitz(blocks, d)
-    return np.linalg.eigh(F @ F.conj().T)
+    return np.linalg.eigh(toeplitz_gram(blocks, d, d + 1, "out"))
 
 
 def clip_to_projection(A: np.ndarray) -> tuple:

@@ -16,7 +16,7 @@ from dcmodel.blh import (
 from dcmodel.dilation import build_dilation
 from dcmodel.hardy import TruncatedHardySpace
 from dcmodel.matrixcore import DEFAULT_TOL, operator_norm, subspace_distance
-from dcmodel.model import charfns_for_tuple, model_space, toeplitz_gram
+from dcmodel.model import charfns_for_tuple, model_space
 from dcmodel.tuples import make_random_pure_contraction, make_tensor_tuple
 
 import oracles
@@ -208,7 +208,7 @@ class TestDenseOracle:
         d, layers = ms.space.degree, ms.box.degree + 1
         for inner in model_inner_functions(ms):
             rows = layers * inner.coeff_dim
-            A = toeplitz_gram(inner.columns, d, layers, "out")
+            A = oracles.toeplitz_gram(inner.columns, d, layers, "out")
             lam, V = oracles.toeplitz_gram_eigh(inner.columns, d)
             assert np.max(np.abs(A - (V * lam)[:rows] @ V[:rows].conj().T)) <= 1e-14
             W = V[:rows, lam <= _loose_cut(DEFAULT_TOL) ** 2 * lam[-1]]

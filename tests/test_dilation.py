@@ -1,7 +1,5 @@
 """Truncated dilation isometry and its checks."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -343,18 +341,6 @@ class TestRowBlocks:
         assert ms.s_residual == pytest.approx(split, abs=1e-10)
 
 
-def _traced_peak(f) -> int:
-    """Bytes allocated by ``f()`` at its peak, above what was live at the call."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        f()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 def test_tall_products_allocate_blocks_not_copies(monkeypatch):
     # n = 2, d = 64: with blocks of 1/32 of the dilation matrix, neither the
     # build, nor the row pass the checks read, nor the range factor allocates
@@ -366,12 +352,12 @@ def test_tall_products_allocate_blocks_not_copies(monkeypatch):
     nbytes = 16 * L.space.total_dim * T.dim
     monkeypatch.setattr(hardy, "_BLOCK_BYTES", nbytes // 32)
     bound = nbytes // 4
-    assert _traced_peak(lambda: build_dilation(T, d=64, adaptive=False)) < bound
-    assert _traced_peak(lambda: isometry_defect(L)) < bound
+    assert oracles.traced_peak(lambda: build_dilation(T, d=64, adaptive=False)) < bound
+    assert oracles.traced_peak(lambda: isometry_defect(L)) < bound
     for i in range(T.n):
-        assert _traced_peak(lambda: intertwining_residual(L, i)) < bound
-    assert _traced_peak(lambda: compressed_tuple_residual(L)) < bound
-    assert _traced_peak(lambda: range_factor(L)) < bound
+        assert oracles.traced_peak(lambda: intertwining_residual(L, i)) < bound
+    assert oracles.traced_peak(lambda: compressed_tuple_residual(L)) < bound
+    assert oracles.traced_peak(lambda: range_factor(L)) < bound
 
 
 def _n3_d32():
@@ -389,7 +375,7 @@ def test_model_space_forms_no_box_row_basis(monkeypatch):
     charfns = charfns_for_tuple(T, L.defects)
     monkeypatch.setattr(hardy, "_BLOCK_BYTES", oracles.dilation_matrix(L).nbytes // 32)
     box_basis_bytes = box.total_dim * range_factor(L).shape[1] * 16
-    assert _traced_peak(lambda: model_space(T, L, charfns)) < box_basis_bytes
+    assert oracles.traced_peak(lambda: model_space(T, L, charfns)) < box_basis_bytes
 
 
 def test_suite_stages_hold_no_dilation_matrix(monkeypatch):
@@ -414,4 +400,4 @@ def test_suite_stages_hold_no_dilation_matrix(monkeypatch):
         compressed_tuple_residual(L)
         model_space(T, L, charfns)
 
-    assert _traced_peak(stages) < nbytes
+    assert oracles.traced_peak(stages) < nbytes

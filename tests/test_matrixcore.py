@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dcmodel.matrixcore import (
     _PIVOT_FLOOR,
+    _TSQR_ROWS,
     DEFAULT_TOL,
     DimensionMismatch,
     NotHermitian,
@@ -19,6 +20,7 @@ from dcmodel.matrixcore import (
     phase_normalize_columns,
     spectral_radius,
     subspace_distance,
+    tsqr,
 )
 
 
@@ -211,3 +213,51 @@ class TestSubspaceDistance:
         assert subspace_distance(np.zeros((5, 0)), np.zeros((5, 0))) == 0.0
         assert subspace_distance(np.zeros((5, 0)), B) == pytest.approx(1.0, rel=1e-14)
         assert subspace_distance(2 * B, np.zeros((5, 0))) == pytest.approx(4.0, rel=1e-14)
+
+
+class TestTsqr:
+    """The blocked TSQR factor against the Gram and the singular values of
+    the stacked rows."""
+
+    @staticmethod
+    def _check(R, A):
+        cols = A.shape[1]
+        assert R.shape == (min(len(A), cols), cols)
+        assert np.array_equal(R, np.triu(R))
+        G = A.conj().T @ A
+        assert np.max(np.abs(R.conj().T @ R - G)) <= 1e-13 * max(1.0, np.max(np.abs(G)))
+
+    @pytest.mark.parametrize("rows", [0, 1, 3, _TSQR_ROWS - 1, _TSQR_ROWS, 2 * _TSQR_ROWS,
+                                      5 * _TSQR_ROWS + 17, 40 * _TSQR_ROWS + 3])
+    @pytest.mark.parametrize("cols", [1, 4, 9])
+    def test_gram(self, rows, cols):
+        # whole groups, a partial last group, fewer rows than columns, none
+        A = _random_matrix(rows + cols, rows, cols)
+        self._check(tsqr(A), A)
+
+    def test_fold_over_blocks(self):
+        # the factor of earlier blocks carried into the next, as a row pass
+        # carries it, equals the factor of the stacked blocks
+        A = _random_matrix(2, 3 * _TSQR_ROWS + 50, 4)
+        R = None
+        for a, b in ((0, 2), (2, 700), (700, 700), (700, len(A))):
+            R = tsqr(A[a:b], R)
+        self._check(R, A)
+
+    def test_wide_columns(self):
+        # more than an eighth of a group's rows in columns: the groups grow
+        A = _random_matrix(3, 1000, _TSQR_ROWS // 8 + 5)
+        self._check(tsqr(A), A)
+
+    def test_rank_deficient_singular_values(self):
+        rng = np.random.default_rng(4)
+        A = _random_matrix(4, 3 * _TSQR_ROWS + 11, 3) @ (rng.standard_normal((3, 6)) + 0j)
+        s = np.linalg.svd(tsqr(A), compute_uv=False)
+        want = np.linalg.svd(A, compute_uv=False)
+        assert np.max(np.abs(s - want)) <= 1e-13 * want[0]
+        assert np.all(s[3:] <= 1e-13 * want[0])
+
+    def test_zero_rows(self):
+        assert tsqr(np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+        A = _random_matrix(5, 10, 3)
+        self._check(tsqr(np.zeros((0, 3), dtype=complex), tsqr(A)), A)

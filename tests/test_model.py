@@ -37,8 +37,9 @@ from dcmodel.model import (
     model_space,
     polydisc_kernel_checks,
     taylor_tail_estimate,
-    toeplitz_gram,
+    toeplitz_drift,
 )
+from dcmodel import hardy
 from dcmodel.hardy import PointOutsidePolydisc, TruncatedHardySpace, box_rows
 from dcmodel.tuples import (
     ContractionTuple,
@@ -249,53 +250,109 @@ class TestMultipliers:
         assert np.allclose(oracles.apply_axis_projections(sp, bases, V[:, 0]), want[:, 0], atol=1e-13)
 
 
+def _dense_drift(taylor, d, layers, side, K=None) -> float:
+    """``||I - A - K K^H||_F`` with ``A`` the leading block of the dense
+    ``F^H F`` or ``F F^H`` (:func:`oracles.toeplitz_gram`)."""
+    A = oracles.toeplitz_gram(taylor, d, layers, side)
+    X = np.eye(len(A)) - A
+    return float(np.linalg.norm(X if K is None else X - K @ K.conj().T))
+
+
+def _symbol(rng, r_out, r_in, length):
+    return [rng.standard_normal((r_out, r_in)) + 1j * rng.standard_normal((r_out, r_in)) for _ in range(length)]
+
+
 class TestToeplitzGram:
-    """Leading blocks of ``F^H F`` and ``F F^H`` from lag sums against the
-    dense products of the one-block-at-a-time Toeplitz matrix."""
+    """The streamed drift ``||I - A - K K^H||_F`` of the leading blocks ``A``
+    of ``F^H F`` and ``F F^H`` against the dense products of the
+    one-block-at-a-time Toeplitz matrix, with and without ``K``."""
 
     @pytest.mark.parametrize("r_out,r_in", [(1, 1), (3, 2), (2, 4)])
     @pytest.mark.parametrize("length", [1, 4, 7, 12])  # d + 1 = 7
     def test_matches_dense(self, r_out, r_in, length):
         rng = np.random.default_rng(100 * r_out + 10 * r_in + length)
-        taylor = [rng.standard_normal((r_out, r_in)) + 1j * rng.standard_normal((r_out, r_in))
-                  for _ in range(length)]
+        taylor = _symbol(rng, r_out, r_in, length)
         d = 6
-        F = oracles.one_var_toeplitz(taylor[:d + 1], d)
-        for side, dense, r in (("in", F.conj().T @ F, r_in), ("out", F @ F.conj().T, r_out)):
+        for side, r in (("in", r_in), ("out", r_out)):
             for layers in (1, 3, d + 1):
-                got = toeplitz_gram(taylor, d, layers, side)
-                assert got.shape == (layers * r, layers * r)
-                assert np.array_equal(got, got.conj().T)
-                assert np.max(np.abs(got - dense[:layers * r, :layers * r])) <= 1e-13
+                K = rng.standard_normal((layers * r, 2)) + 1j * rng.standard_normal((layers * r, 2))
+                for k in (None, K):
+                    want = _dense_drift(taylor, d, layers, side, k)
+                    assert toeplitz_drift(taylor, d, layers, side, k) == pytest.approx(want, rel=1e-13, abs=1e-13)
 
     @pytest.mark.parametrize("r_out,r_in", [(3, 2), (2, 3)])
     @pytest.mark.parametrize("d", [64, 200])
     def test_vanishing_at_zero(self, r_out, r_in, d):
-        # theta_0 = 0, as for an inner function that vanishes at the origin
+        # theta_0 = 0, as for an inner function that vanishes at the origin;
+        # at these sizes the lower triangle takes many chunks
         rng = np.random.default_rng(d + 10 * r_out)
-        taylor = [np.zeros((r_out, r_in))] + [
-            rng.standard_normal((r_out, r_in)) + 1j * rng.standard_normal((r_out, r_in)) for _ in range(d)]
-        F = oracles.one_var_toeplitz(taylor, d)
-        for side, dense, r in (("in", F.conj().T @ F, r_in), ("out", F @ F.conj().T, r_out)):
-            scale = np.max(np.abs(dense))
+        taylor = [np.zeros((r_out, r_in))] + _symbol(rng, r_out, r_in, d)
+        for side in ("in", "out"):
             for layers in (d // 2 + 1, d + 1):
-                got = toeplitz_gram(taylor, d, layers, side)
-                assert np.array_equal(got, got.conj().T)
-                assert np.max(np.abs(got - dense[:layers * r, :layers * r])) <= 1e-14 * scale
+                want = _dense_drift(taylor, d, layers, side)
+                assert toeplitz_drift(taylor, d, layers, side) == pytest.approx(want, rel=1e-13)
 
     def test_degree_zero(self):
         theta = np.array([[0.5, 1j]])
-        assert np.allclose(toeplitz_gram([theta], 0, 1, "out"), theta @ theta.conj().T)
-        assert np.allclose(toeplitz_gram([theta], 0, 1, "in"), theta.conj().T @ theta)
+        I1, I2 = np.eye(1), np.eye(2)
+        assert toeplitz_drift([theta], 0, 1, "out") == pytest.approx(np.linalg.norm(I1 - theta @ theta.conj().T))
+        assert toeplitz_drift([theta], 0, 1, "in") == pytest.approx(np.linalg.norm(I2 - theta.conj().T @ theta))
 
     def test_rejects_bad_arguments(self):
         taylor = [np.eye(2)]
         with pytest.raises(ValueError):
-            toeplitz_gram(taylor, 3, 5, "out")
+            toeplitz_drift(taylor, 3, 5, "out")
         with pytest.raises(ValueError):
-            toeplitz_gram(taylor, 3, 0, "in")
+            toeplitz_drift(taylor, 3, 0, "in")
         with pytest.raises(ValueError):
-            toeplitz_gram(taylor, 3, 2, "left")
+            toeplitz_drift(taylor, 3, 2, "left")
+
+    @pytest.mark.parametrize("block_bytes", [1 << 30, 1, 1 << 13])
+    @pytest.mark.parametrize("r_out,r_in", [(2, 2), (3, 1), (1, 4)])
+    def test_chunks(self, monkeypatch, block_bytes, r_out, r_in):
+        # one chunk, one block row per chunk, and a few rows per chunk (the
+        # last one shorter): the carried row joins the chunks exactly
+        monkeypatch.setattr(hardy, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(7 * r_out + r_in)
+        d = 12
+        taylor = _symbol(rng, r_out, r_in, 9)
+        for side, r in (("in", r_in), ("out", r_out)):
+            for layers in (1, 5, d + 1):
+                K = rng.standard_normal((layers * r, 3)) + 1j * rng.standard_normal((layers * r, 3))
+                for k in (None, K):
+                    want = _dense_drift(taylor, d, layers, side, k)
+                    assert toeplitz_drift(taylor, d, layers, side, k) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("block_bytes", [1 << 30, 1])
+    def test_zero_and_nilpotent_symbols(self, monkeypatch, block_bytes):
+        # the zero symbol (A = 0), a zero-width one, and a series that stops
+        # long before d (a nilpotent operator's)
+        monkeypatch.setattr(hardy, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(3)
+        d = 9
+        K = rng.standard_normal((4 * (d + 1), 2)) + 1j * rng.standard_normal((4 * (d + 1), 2))
+        for side in ("in", "out"):
+            assert toeplitz_drift([np.zeros((4, 4))], d, d + 1, side) == pytest.approx(np.sqrt(4 * (d + 1)))
+            want = np.linalg.norm(np.eye(len(K)) - K @ K.conj().T)
+            assert toeplitz_drift([np.zeros((4, 4))] * 3, d, d + 1, side, K) == pytest.approx(want, rel=1e-13)
+        assert toeplitz_drift([np.zeros((4, 0))], d, d + 1, "out", K) == pytest.approx(want, rel=1e-13)
+        assert box_drift(K, (), d) == pytest.approx(want, rel=1e-13)
+        jordan = [np.zeros((4, 4)), np.eye(4, k=1), np.eye(4, k=2)]
+        for side in ("in", "out"):
+            for layers in (1, d + 1):
+                want = _dense_drift(jordan, d, layers, side, K[:4 * layers])
+                assert toeplitz_drift(jordan, d, layers, side, K[:4 * layers]) == pytest.approx(want, rel=1e-13)
+
+    def test_allocates_a_chunk_not_the_block(self):
+        # d = 256, r = 4: the 129-layer block is 516-square (4.3 MB); the
+        # drift allocates less than an eighth of it, with K and on both sides
+        rng = np.random.default_rng(5)
+        taylor = _symbol(rng, 4, 4, 257)
+        K = rng.standard_normal((516, 4)) + 1j * rng.standard_normal((516, 4))
+        bound = 516 ** 2 * 16 // 8
+        assert oracles.traced_peak(lambda: toeplitz_drift(taylor, 256, 129, "out", K)) < bound
+        assert oracles.traced_peak(lambda: toeplitz_drift(taylor, 256, 129, "in")) < bound
+        assert oracles.traced_peak(lambda: box_drift(K, taylor, 256)) < bound
 
 
 class TestLoopOracles:
@@ -334,7 +391,7 @@ class TestLoopOracles:
             X = np.eye(rows) - K @ K.conj().T
             assert box_drift(K, blocks, d) == ms.margin_drifts[i]
             assert box_drift(K, blocks, d) == pytest.approx(np.linalg.norm(X - F @ F.conj().T), abs=1e-14)
-            assert box_drift(K, (), d) == np.linalg.norm(X)
+            assert box_drift(K, (), d) == pytest.approx(np.linalg.norm(X), rel=1e-13)
 
     def test_raw_factors(self, case):
         label, _, L, cfs = case
