@@ -137,7 +137,7 @@ def load_tuple_file(path: str) -> tuple:
             raise TupleFileError(f"missing required key {key!r}")
     n, dim = doc["n"], doc["dim"]
     mats = doc["matrices"]
-    if not (isinstance(n, int) and isinstance(dim, int) and n >= 1 and dim >= 1):
+    if not all(_is_number(v) and isinstance(v, int) and v >= 1 for v in (n, dim)):
         raise TupleFileError("'n' and 'dim' must be positive integers")
     if not isinstance(mats, list) or len(mats) != n:
         raise TupleFileError(f"'matrices' must hold exactly n={n} matrices")
@@ -273,8 +273,7 @@ def _numerical_checks(T, cfg, degree, seed, report: VerificationReport):
         w = 0.6 * rng.random(T.n) * np.exp(2j * np.pi * rng.random(T.n))
         eta = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         kern_samples.append((w, eta / np.linalg.norm(eta)))
-    report.add("dilation.adjoint_on_kernels", adjoint_on_kernels_check(L, kern_samples, cfg),
-               10.0 * cfg.tail_tol)
+    report.add("dilation.adjoint_on_kernels", adjoint_on_kernels_check(L, kern_samples), 10.0 * cfg.tail_tol)
     report.add("dilation.minimality", minimality_check(L, cfg), cfg.check_tol)
     report.add("dilation.compression", max(compressed_tuple_residual(L)), cfg.tail_tol)
 

@@ -178,7 +178,7 @@ def _gram(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _row_pass(L: DilationMap) -> tuple:
-    """``(L^H L, [Gram of L T_i^H - coshift_i L], [L^H shift_i L], R)`` from one
+    """``([Gram of L T_i^H - coshift_i L], [L^H shift_i L], R)`` from one
     pass over blocks of rows overlapping by one first-variable layer, ``R``
     the triangular factor of ``L = Q R`` by TSQR over the blocks
     (:func:`matrixcore.tsqr`).  With the block viewed as ``(P, K, Q, dim)``,
@@ -186,13 +186,11 @@ def _row_pass(L: DilationMap) -> tuple:
     the rows ``L[k]`` below its top layer and their coshifts ``L[k + e_i]``
     are the slices ``[:, :-1]`` and ``[:, 1:]``."""
     dim = L.tuple.dim
-    gram = np.zeros((dim, dim), dtype=complex)
     intw, comp = [0] * L.tuple.n, [0] * L.tuple.n
     R = buf = None
     for a, b, X in generate_rows(L, overlap=True):
         t, rows = X[:b - a], (b - a) * X[0].size // dim
         buf = np.empty((rows, dim), dtype=complex) if buf is None else buf
-        gram += _gram(t[None], t[None])
         for i, M in enumerate(L.tuple.matrices):
             v = X if i == 0 else t
             P, K = int(np.prod(v.shape[:i])), v.shape[i]
@@ -202,7 +200,7 @@ def _row_pass(L: DilationMap) -> tuple:
             Y.reshape(P, -1, v.shape[2], dim)[:, :K - 1] -= v[:, 1:]
             intw[i] += _gram(Y[None], Y[None])
         R = tsqr(t.reshape(rows, dim), R)
-    return gram, intw, comp, R
+    return intw, comp, R
 
 
 def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -225,7 +223,7 @@ def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     Cutting the eigenvalues of ``L^H L`` instead would square the singular
     values: on a rank-deficient ``L`` the Gram's rounding noise (about
     1e-16) sits above ``rank_tol^2``."""
-    _, s, Vh = np.linalg.svd(L.row_pass[3], full_matrices=False)
+    _, s, Vh = np.linalg.svd(L.row_pass[2], full_matrices=False)
     keep = s > cfg.rank_tol * s.max(initial=0.0)
     W = Vh[keep].conj().T / s[keep]
     G = np.zeros((W.shape[1], W.shape[1]), dtype=complex)
@@ -237,42 +235,36 @@ def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
 
 
 def isometry_defect(L: DilationMap) -> float:
-    """``||I - L^H L||`` on the input space, the Gram summed over the
-    generated row blocks (:func:`_row_pass`)."""
-    return operator_norm(np.eye(L.tuple.dim) - L.row_pass[0])
+    """``||I - L^H L||`` on the input space, with ``L^H L = R^H R`` for the
+    TSQR factor ``R`` of the row pass (:func:`_row_pass`)."""
+    R = L.row_pass[2]
+    return operator_norm(np.eye(L.tuple.dim) - R.conj().T @ R)
 
 
 def intertwining_residual(L: DilationMap, i: int) -> float:
     """``||L T_i^H - coshift_i L||``, supported on the top coefficient layer only,
     hence bounded by the truncation tail: the square root of the largest
     eigenvalue of the difference's Gram, summed over row blocks (:func:`_row_pass`)."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(L.row_pass[1][i])[-1], 0.0)))
+    return float(np.sqrt(max(np.linalg.eigvalsh(L.row_pass[0][i])[-1], 0.0)))
 
 
 def _kernel_adjoints(L: DilationMap, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """``L^H k_j`` for the kernel vectors ``k_j = conj(w_j)^k eta_j`` of ``(k, n)``
-    points ``w``: its conjugate contracts each row block (:func:`generate_rows`)
-    with the conjugate last-variable kernel vectors, ``(d+1) r`` long (one
-    GEMM), then with the powers ``w_ji^k`` of each earlier variable, the last
-    first (an einsum per axis), and sums the blocks."""
+    points ``w``, from the factors of the rows ``C0 T_1^{*k_1} ... T_n^{*k_n}``:
+    the stacked first-variable rows ``C0 T_1^{*k}`` against the one-variable
+    kernel vectors, ``(d+1) r`` long, then ``S_i = sum_k conj(w_i)^k T_i^k`` of
+    each later variable in turn, so no commutation of the ``T_i`` is used."""
     k, d, r = len(w), L.degree, L.defects.rank
     _check_polydisc(w)
-    kv = np.array([kernel_vector(TruncatedHardySpace(1, d, r), w[j, -1:], eta[j]) for j in range(k)])
-    factors = [w[:, i, None] ** np.arange(d + 1) for i in range(L.tuple.n - 1)]
-    factors.append(kv.conj().reshape(k, (d + 1) * r))
-    m, dim = factors[0].shape[1] // (d + 1), L.tuple.dim
-    out = np.zeros((k, dim), dtype=complex)
-    for a, b, X in generate_rows(L):
-        F = [factors[0].reshape(k, d + 1, m)[:, a:b].reshape(k, (b - a) * m)] + factors[1:]  # the block's layers
-        P, Q = X.size // (F[-1].shape[1] * dim), F[-1].shape[1]
-        Y = (X.reshape(P, Q, dim).transpose(0, 2, 1).reshape(P * dim, Q) @ F[-1].T).reshape(P, dim, k)
-        for f in F[-2::-1]:
-            Y = np.einsum("ja,paxj->pxj", f, Y.reshape(len(Y) // f.shape[1], f.shape[1], dim, k))
-        out += Y.reshape(dim, k).T
-    return out.conj()
+    kv = np.array([kernel_vector(TruncatedHardySpace(1, d, r), w[j, :1], eta[j]) for j in range(k)])
+    out = kv.reshape(k, (d + 1) * r) @ np.matmul(L.C0, L.powers[0]).reshape((d + 1) * r, -1).conj()
+    for i in range(1, L.tuple.n):
+        S = np.tensordot(w[:, i, None] ** np.arange(d + 1), L.powers[i], axes=1)  # sum_k w^k T_i^{*k} = S_i^H
+        out = np.einsum("jba,jb->ja", S.conj(), out)
+    return out
 
 
-def adjoint_on_kernels_check(L: DilationMap, samples, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
+def adjoint_on_kernels_check(L: DilationMap, samples) -> float:
     """Compare ``L^H`` applied to truncated kernel vectors against the
     closed-form resolvent product.  ``samples`` is a sequence of pairs
     ``(w, eta)`` with ``w`` in the polydisc and ``eta`` in joint-defect
@@ -303,4 +295,4 @@ def compressed_tuple_residual(L: DilationMap) -> list:
     ``L^H shift_i L`` is the sum of ``L[k + e_i]^H L[k]`` over the
     multi-indices ``k`` below the top layer in variable ``i``, taken over
     the generated row blocks (:func:`_row_pass`)."""
-    return [operator_norm(comp - M) for comp, M in zip(L.row_pass[2], L.tuple.matrices)]
+    return [operator_norm(comp - M) for comp, M in zip(L.row_pass[1], L.tuple.matrices)]

@@ -18,7 +18,7 @@ import numpy as np
 
 
 # bytes of one row block: a product over the rows of flat columns, such
-# as the Gram of the dilation, is accumulated block by block (row_blocks),
+# as a Gram of the dilation's row pass, is accumulated block by block (row_blocks),
 # so no N-row array is formed.  The block temporaries set a suite's peak:
 # at 1 MiB, d = 256 and r = 4 they took 6 MB more; at 256 KiB a block holds 3
 # first-variable layers, and the overlap layer each row-pass block generates

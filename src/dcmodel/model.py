@@ -302,7 +302,7 @@ def polydisc_kernel_checks(T: ContractionTuple, defects: DefectData, samples,
     return one_variable, invariance, product, gramian
 
 
-def _embedding(defects: DefectData, i: int, cfg: ToleranceConfig) -> np.ndarray:
+def _embedding(defects: DefectData, i: int) -> np.ndarray:
     """Coordinates of the joint defect basis inside the i-th star-defect
     basis (the joint defect space is contained in each star defect)."""
     Bout = defects.per_op[i].basis_star
@@ -316,12 +316,12 @@ def _embedding(defects: DefectData, i: int, cfg: ToleranceConfig) -> np.ndarray:
     return E
 
 
-def _model_symbol(defects: DefectData, cf: CharFn, i: int, d: int, cfg: ToleranceConfig) -> list:
+def _model_symbol(defects: DefectData, cf: CharFn, i: int, d: int) -> list:
     """Taylor blocks, up to degree ``d``, of the symbol ``E^H theta`` of
     variable ``i``.  Its block-Toeplitz matrix ``F`` is ``K^H M_theta``
     with ``K = I_{d+1} (x) E``, so ``F F^H`` is the one-variable
     compression of the truncated multiplier projection."""
-    E = _embedding(defects, i, cfg)
+    E = _embedding(defects, i)
     return [E.conj().T @ theta for theta in cf.taylor[:d + 1]]
 
 
@@ -537,7 +537,7 @@ def model_space(
         fibers.append(K)
         Kk = K[:rows]
         box_fibers.append(Kk)
-        md = box_drift(Kk, _model_symbol(L.defects, cf, i, d, cfg), d)
+        md = box_drift(Kk, _model_symbol(L.defects, cf, i, d), d)
         margin_drifts.append(md)
         bound = max(cfg.tail_tol, 10.0 * taylor_tail_estimate(cf, box.degree))
         if md > bound:

@@ -35,7 +35,6 @@ from dcmodel.model import (
     CharFn,
     NotProjection,
     _embedding,
-    _model_symbol,
     _single_defect_pair,
     charfn_eval,
 )
@@ -316,11 +315,11 @@ def toeplitz_gram(taylor, d: int, layers: int, side: str) -> np.ndarray:
     return G[:rows, :rows]
 
 
-def one_var_raw_factors(defects, charfns, d: int, cfg=DEFAULT_TOL) -> list:
+def one_var_raw_factors(defects, charfns, d: int) -> list:
     """``K^H M_theta M_theta^H K`` with the explicit ``K = I_{d+1} (x) E``."""
     out = []
     for i, cf in enumerate(charfns):
-        E = _embedding(defects, i, cfg)
+        E = _embedding(defects, i)
         M1 = one_var_toeplitz(cf.taylor, d)
         K = np.kron(np.eye(d + 1, dtype=complex), E)
         A = K.conj().T @ (M1 @ (M1.conj().T @ K))
@@ -397,17 +396,6 @@ def projection_matrix(model, i: int) -> np.ndarray:
     I = np.eye(N, dtype=complex)
     KKh = _project_axis(model.space, model.fibers[i], i, I.reshape(model.space.shape + (N,)))
     return I - KKh.reshape(N, N)
-
-
-def margin_drift(model, L, cf, i: int, cfg=DEFAULT_TOL) -> float:
-    """The margin drift ``||I - K_i K_i^H - A_i||`` of variable ``i`` on the
-    box rows, from the same formed difference as ``model_space`` and a
-    dense ``eigvalsh`` at every size."""
-    d = L.degree
-    A = toeplitz_gram(_model_symbol(L.defects, cf, i, d, cfg), d, model.box.degree + 1, "out")
-    K = model.box_fibers[i]
-    w = np.linalg.eigvalsh(np.eye(len(A)) - K @ K.conj().T - A)
-    return float(max(-w[0], w[-1]))
 
 
 def isometry_drift(inner, d: int, cfg=DEFAULT_TOL) -> float:

@@ -85,6 +85,8 @@ class TestTupleFile:
         "infinite-seed":
             '{"n": 1, "dim": 1, "matrices": [[[[0.3, 0.0]]]], "metadata": {"seed": Infinity}}',
         "negative-seed": '{"n": 1, "dim": 1, "matrices": [[[[0.3, 0.0]]]], "metadata": {"seed": -1}}',
+        "bool-n": '{"n": true, "dim": 1, "matrices": [[[[0.5, 0.0]]]]}',
+        "bool-dim": '{"n": 1, "dim": true, "matrices": [[[[0.5, 0.0]]]]}',
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -150,6 +150,13 @@ class TestBoxSum:
         assert build_dilation(T, d=2, adaptive=True).degree == got
 
 
+def _non_commuting_pair():
+    # diagonal defects, so the joint defect is formed, and T_1 T_2 != T_2 T_1
+    rng = np.random.default_rng(1)
+    U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return ContractionTuple((np.diag([0.5, -0.3j, 0.6]), np.diag([0.6, 0.5, 0.7]) @ U))
+
+
 @pytest.fixture(scope="module")
 def pair():
     T = make_tensor_tuple([[[0.5]], np.array([[0, 0.6], [0, 0]])])
@@ -204,21 +211,22 @@ class TestChecks:
         assert abs(adjoint_on_kernels_check(L, samples) - oracles.adjoint_on_kernels_loop(L, samples)) <= 1e-14
         assert adjoint_on_kernels_check(L, []) == 0.0
 
-    @pytest.mark.parametrize("factors,d,k,layers", [
-        (lambda: [make_random_pure_contraction(3, 0.6, 1)], 5, 5, 2),  # n = 1
-        (lambda: [[[0.5]], np.array([[0, 0.6], [0, 0]])], 20, 5, 21),  # one block
-        (lambda: [make_random_pure_contraction(2, 0.7, 3), [[0, 0.5], [0, 0]]], 6, 4, 1),
-        (lambda: [make_random_pure_contraction(2, 0.7, 2), [[0.6]], [[-0.5j]]], 3, 5, 2),  # n = 3
-    ], ids=["n1-chunked", "n2-one-chunk", "n2-chunked", "n3-chunked"])
-    def test_kernel_adjoints_match_full_kernel_vectors(self, factors, d, k, layers, monkeypatch):
-        # the per-axis contraction of row blocks of the given number of
-        # first-variable layers, summed over the blocks, against L^H of the
-        # N-length kernel vectors, to rounding (1e-14 on vectors of norm
-        # below 3), with one kernel_vector call per sample
-        T = make_tensor_tuple(factors())
+    @pytest.mark.parametrize("tup,d,k", [
+        (lambda: make_tensor_tuple([make_random_pure_contraction(3, 0.6, 1)]), 5, 5),  # n = 1
+        (lambda: make_tensor_tuple([[[0.5]], np.array([[0, 0.6], [0, 0]])]), 20, 5),
+        (lambda: make_tensor_tuple([make_random_pure_contraction(2, 0.7, 3), [[0, 0.5], [0, 0]]]), 6, 4),
+        (lambda: make_tensor_tuple([make_random_pure_contraction(2, 0.7, 2), [[0.6]], [[-0.5j]]]), 3, 5),  # n = 3
+        (lambda: make_tensor_tuple([make_random_pure_contraction(2, 0.7, 3), [[0.6]]]), 0, 3),
+        (_non_commuting_pair, 4, 4),
+    ], ids=["n1-chunked", "n2-one-chunk", "n2-chunked", "n3-chunked", "d0", "non-commuting"])
+    def test_kernel_adjoints_match_full_kernel_vectors(self, tup, d, k, monkeypatch):
+        # the first variable's stacked rows against its kernel vectors, then
+        # the later variables' geometric sums, against L^H of the N-length
+        # kernel vectors, to rounding (1e-14 on vectors of norm below 3), with
+        # one kernel_vector call per sample; on the non-commuting pair only the
+        # row order C0 T_1^{*k_1} T_2^{*k_2} of L gives the dense value
+        T = tup()
         L = build_dilation(T, d=d, adaptive=False)
-        monkeypatch.setattr(hardy, "_BLOCK_BYTES", layers * 16 * L.space.total_dim * T.dim // (d + 1))
-        assert [b - a for a, b, _ in generate_rows(L)][:-1] == [layers] * (d // layers)
         rng = np.random.default_rng(d + k)
         w = 0.9 * rng.random((k, T.n)) * np.exp(2j * np.pi * rng.random((k, T.n)))
         eta = rng.standard_normal((k, L.defects.rank)) + 1j * rng.standard_normal((k, L.defects.rank))
@@ -226,10 +234,24 @@ class TestChecks:
                          for wj, ej in zip(w, eta)])
         calls = []
         monkeypatch.setattr(dilation, "kernel_vector",
-                            lambda *a: calls.append(a[0]) or hardy.kernel_vector(*a))
+                            lambda *a: calls.append(a) or hardy.kernel_vector(*a))
         got = _kernel_adjoints(L, w, eta)
-        assert calls == [hardy.TruncatedHardySpace(1, d, L.defects.rank)] * k
+        assert [c[0] for c in calls] == [hardy.TruncatedHardySpace(1, d, L.defects.rank)] * k
+        assert np.array_equal([c[1] for c in calls], w[:, :1])  # the first variable's point
         assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_adjoint_check_generates_no_rows(self, pair, monkeypatch):
+        # L^H k is read from C0 and the power stacks alone
+        T, L = pair
+        rng = np.random.default_rng(3)
+        samples = [(0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)), np.array([0.6, 0.8]))
+                   for _ in range(20)]
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("generate_rows called")
+
+        monkeypatch.setattr(dilation, "generate_rows", no_rows)
+        assert adjoint_on_kernels_check(L, samples) <= 1e-6
 
     def test_adjoint_at_origin_exact(self, pair):
         T, L = pair
@@ -260,9 +282,9 @@ class TestChecks:
 
 
 class TestRowBlocks:
-    """The checks, the adjoint and the range factor run over generated row
-    blocks of whole first-variable layers; with the block size patched to
-    two layers, several blocks and their seams are exercised."""
+    """The row pass the checks read and the range factor run over generated
+    row blocks of whole first-variable layers; with the block size patched
+    to two layers, several blocks and their seams are exercised."""
 
     CASES = {
         "n1": (lambda: [make_random_pure_contraction(3, 0.7, 1)], 9),

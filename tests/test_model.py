@@ -386,7 +386,7 @@ class TestLoopOracles:
         ms = model_space(L.tuple, L, cfs)
         rows = len(ms.box_fibers[0])
         for i, (cf, K) in enumerate(zip(cfs, ms.box_fibers)):
-            blocks = _model_symbol(L.defects, cf, i, d, DEFAULT_TOL)
+            blocks = _model_symbol(L.defects, cf, i, d)
             F = oracles.one_var_toeplitz(blocks, d)[:rows]
             X = np.eye(rows) - K @ K.conj().T
             assert box_drift(K, blocks, d) == ms.margin_drifts[i]
@@ -396,12 +396,12 @@ class TestLoopOracles:
     def test_raw_factors(self, case):
         label, _, L, cfs = case
         if label == "jordan-3x2":
-            assert [_embedding(L.defects, i, DEFAULT_TOL).shape for i in range(2)] == [(2, 1), (3, 1)]
+            assert [_embedding(L.defects, i).shape for i in range(2)] == [(2, 1), (3, 1)]
             assert all(len(cf.taylor) < L.degree + 1 for cf in cfs)
         want = oracles.one_var_raw_factors(L.defects, cfs, L.degree)
         fibers = model_space(L.tuple, L, cfs).fibers
         for i, (cf, A, K) in enumerate(zip(cfs, want, fibers)):
-            w, V = oracles.toeplitz_gram_eigh(_model_symbol(L.defects, cf, i, L.degree, DEFAULT_TOL),
+            w, V = oracles.toeplitz_gram_eigh(_model_symbol(L.defects, cf, i, L.degree),
                                               L.degree)
             assert np.max(np.abs((V * w) @ V.conj().T - A)) <= 1e-14
             # the functional-model split I - F F^H = G G^H, and the fiber
@@ -582,7 +582,7 @@ class TestGramian:
         MMh = M @ M.conj().T
         prod, drifts = np.eye(N), 0.0
         for i, (cf, K) in enumerate(zip(cfs, fibers)):
-            F = oracles.one_var_toeplitz(_model_symbol(L.defects, cf, i, d, DEFAULT_TOL), d)
+            F = oracles.one_var_toeplitz(_model_symbol(L.defects, cf, i, d), d)
             FFh = F @ F.conj().T
             prod = (np.eye(N) - oracles.one_var_factor_matrix(sp, FFh, i)) @ prod
             drifts += np.linalg.norm(np.eye(rows) - K[:rows] @ K[:rows].conj().T - FFh[:rows, :rows])
