@@ -18,11 +18,10 @@ import numpy as np
 
 
 # bytes of one row block: a product over the rows of flat columns, such
-# as a Gram of the dilation's row pass, is accumulated block by block (row_blocks),
-# so no N-row array is formed.  The block temporaries set a suite's peak:
-# at 1 MiB, d = 256 and r = 4 they took 6 MB more; at 256 KiB a block holds 3
-# first-variable layers, and the overlap layer each row-pass block generates
-# adds a third to the pass's work (a fifteenth at 1 MiB)
+# as the box coordinates of the dilation, is accumulated block by block
+# (row_blocks), so no N-row array is formed.  The block temporaries set a
+# suite's peak: at 1 MiB, d = 256 and r = 4 they took 6 MB more; at 256 KiB a
+# block of that margin box (degree 128, dim 4) holds 7 first-variable layers
 _BLOCK_BYTES = 1 << 18
 
 
@@ -126,11 +125,18 @@ def szego_kernel(z, w):
     return complex(value) if z.ndim == 1 else value
 
 
+def _powers(z: np.ndarray, d: int) -> np.ndarray:
+    """``z^k`` for ``k = 0..d`` along a new last axis, as running products
+    (complex ``**`` runs many times slower right after a BLAS product)."""
+    P = np.ones(np.shape(z) + (d + 1,), dtype=complex)
+    P[..., 1:] = np.asarray(z)[..., None]
+    return np.cumprod(P, axis=-1, out=P)
+
+
 def _monomials(space: TruncatedHardySpace, z: np.ndarray) -> np.ndarray:
     """``z^k = prod_i z_i^{k_i}`` for every multi-index: the outer
     product of the per-variable power vectors."""
-    powers = [zi ** np.arange(space.degree + 1) for zi in z]
-    return reduce(np.multiply.outer, powers).reshape(-1)
+    return reduce(np.multiply.outer, _powers(z, space.degree)).reshape(-1)
 
 
 def kernel_vector(space: TruncatedHardySpace, w, eta) -> np.ndarray:

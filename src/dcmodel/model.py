@@ -523,9 +523,11 @@ def model_space(
     by telescoping, as every ``I - A_i`` and ``B_i B_i^H`` has norm at most
     one: by the exact ``||L_b L_b^H - prod_i B_i B_i^H||`` plus the sum of
     the margin drifts.  The split between the dilation range and the
-    complement of the multiplier sum space is the same norm for the range
-    basis ``L_b W`` (:func:`dilation.range_factor`), of coordinates
-    ``(C, S_L W, S_R W)``."""
+    complement of the multiplier sum space is the same norm for ``L_b W``, the
+    box rows of the range basis ``L W``, of coordinates ``(C, S_L W, S_R W)``:
+    the ``dim x k`` factor ``W`` comes from the tuple's powers, with no row of
+    ``L`` read (:func:`dilation.range_factor`), so the two box passes are the
+    only ones over the rows."""
     d = L.degree
     space = L.space
     box = space.margin_box(d // 2)

@@ -15,7 +15,7 @@ import numpy as np
 
 from dcmodel import hardy
 from dcmodel.blh import inner_from_wandering
-from dcmodel.dilation import DegreeCapExceeded
+from dcmodel.dilation import DegreeCapExceeded, _add
 from dcmodel.hardy import (
     TruncatedHardySpace,
     _check_polydisc,
@@ -585,8 +585,9 @@ def adjoint_on_kernels_loop(L, samples) -> float:
     return worst
 
 
-def box_sum_loop(G: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
-    """``sum_{k=0}^{d} M^k G M^{*k}``, term by term."""
+def box_sum_loop(G: np.ndarray, M: np.ndarray, d: int, join=_add) -> np.ndarray:
+    """``sum_{k=0}^{d} M^k G M^{*k}``, term by term (the Gram form only)."""
+    assert join is _add
     acc = np.zeros_like(G)
     P = np.eye(M.shape[0], dtype=complex)
     for _ in range(d + 1):

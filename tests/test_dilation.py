@@ -22,7 +22,7 @@ from dcmodel.dilation import (
     minimality_check,
     range_factor,
 )
-from dcmodel.matrixcore import operator_norm
+from dcmodel.matrixcore import operator_norm, orthonormal_range_basis, subspace_distance
 from dcmodel.model import axis_frames, box_distance, charfns_for_tuple, model_space
 from dcmodel.tuples import ContractionTuple, make_random_pure_contraction, make_tensor_tuple
 
@@ -97,14 +97,15 @@ class TestAdaptive:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_measured_tails_match_built_matrix(self, d):
-        # the adaptive search measures both residuals without building L
+        # the adaptive search measures both residuals without building L, from
+        # D^2, against the loop-built matrix
         T = make_tensor_tuple([make_random_pure_contraction(2, 0.6, 3),
                                make_random_pure_contraction(3, 0.6, 4)])
         L = build_dilation(T, d=d, adaptive=False)
         D2 = L.defects.big_defect @ L.defects.big_defect
-        assert _box_gram_defect(T, D2, d) == pytest.approx(isometry_defect(L), rel=1e-12)
-        assert _top_layer_tail(T, D2, d) == pytest.approx(
-            max(intertwining_residual(L, i) for i in range(T.n)), rel=1e-12)
+        assert _box_gram_defect(T, D2, d) == pytest.approx(oracles.isometry_defect(L), rel=1e-12)
+        for i in range(T.n):
+            assert _top_layer_tail(T, D2, d, i) == pytest.approx(oracles.intertwining_residual(L, i), rel=1e-12)
 
     def test_cap_exceeded(self):
         with pytest.raises(DegreeCapExceeded) as e:
@@ -253,6 +254,22 @@ class TestChecks:
         monkeypatch.setattr(dilation, "generate_rows", no_rows)
         assert adjoint_on_kernels_check(L, samples) <= 1e-6
 
+    def test_dilation_checks_generate_no_rows(self, pair, monkeypatch):
+        # all five checks and the range factor read dim x dim closed forms
+        T, L = pair
+        samples = [(np.array([0.3, -0.2j]), np.array([0.6, 0.8]))]
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("generate_rows called")
+
+        monkeypatch.setattr(dilation, "generate_rows", no_rows)
+        assert isometry_defect(L) <= 1e-6
+        assert max(intertwining_residual(L, i) for i in range(T.n)) <= 1e-6
+        assert adjoint_on_kernels_check(L, samples) <= 1e-6
+        assert minimality_check(L) <= 1e-12
+        assert max(compressed_tuple_residual(L)) <= 1e-6
+        assert range_factor(L).shape == (T.dim, T.dim)
+
     def test_adjoint_at_origin_exact(self, pair):
         T, L = pair
         eta = np.array([1.0, 0.0])
@@ -281,10 +298,19 @@ class TestChecks:
         assert max(compressed_tuple_residual(L)) <= 1e-13
 
 
+def _shift_conjugate():
+    # T = U J U^H, J the 4 x 4 shift: a rank-one defect, and a dilation
+    # matrix that is rank-deficient below d = 3
+    rng = np.random.default_rng(0)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return ContractionTuple((U @ np.eye(4, k=1) @ U.conj().T,))
+
+
 class TestRowBlocks:
-    """The row pass the checks read and the range factor run over generated
-    row blocks of whole first-variable layers; with the block size patched
-    to two layers, several blocks and their seams are exercised."""
+    """The box passes of ``model_space`` run over generated row blocks of
+    whole first-variable layers; with the block size patched to two layers,
+    several blocks and their seams are exercised.  The dilation checks and
+    the range factor read no rows, and must give the unblocked values too."""
 
     CASES = {
         "n1": (lambda: [make_random_pure_contraction(3, 0.7, 1)], 9),
@@ -302,24 +328,21 @@ class TestRowBlocks:
         return T, L
 
     def test_build_matches_index_loop(self, blocked):
-        # every block against the rows of the loop-built matrix: with the
-        # overlap layer at each seam, and at every lower degree, whose rows
-        # are the box rows of L
+        # every block against the rows of the loop-built matrix, at the full
+        # degree and at every lower one, whose rows are the box rows of L
         T, L = blocked
         d = L.degree
         want = oracles.dilation_matrix(L).reshape(L.space.shape + (T.dim,))
         for b_deg in range(d + 1):
             box = L.space.margin_box(d - b_deg)
             rows = want[(slice(None),) + (slice(b_deg + 1),) * (T.n - 1)]
-            for overlap in (False, True):
-                seen = []
-                for a, b, X in generate_rows(L, b_deg, overlap):
-                    top = min(b + overlap, b_deg + 1)
-                    assert X.shape == (top - a,) + box.shape[1:] + (T.dim,)
-                    assert np.max(np.abs(X - rows[a:top])) <= 1e-15
-                    seen.append((a, b))
-                assert seen == list(hardy.row_blocks(box, T.dim))
-                assert seen[0][0] == 0 and seen[-1][1] == b_deg + 1
+            seen = []
+            for a, b, X in generate_rows(L, b_deg):
+                assert X.shape == (b - a,) + box.shape[1:] + (T.dim,)
+                assert np.max(np.abs(X - rows[a:b])) <= 1e-15
+                seen.append((a, b))
+            assert seen == list(hardy.row_blocks(box, T.dim))
+            assert seen[0][0] == 0 and seen[-1][1] == b_deg + 1
 
     def test_checks_match_unblocked(self, blocked):
         # at these low degrees every residual is far above rounding
@@ -343,18 +366,14 @@ class TestRowBlocks:
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_rank_deficient_range(self, d):
         # T = U J U^H, J the 4 x 4 shift: below d = 3 the dilation matrix
-        # is rank-deficient, with singular values near 1e-8 besides those
-        # near 1. The cut on the singular values of the blocked R keeps the
-        # SVD's rank, and the range split matches the SVD basis's to
-        # rounding (at most 9e-16 here); without the Gram pass that rescales
-        # W it was off by 2.5e-8 at d = 1, the rounding of R over the
-        # smallest kept singular value. A cut
-        # on the eigenvalues of L^H L, whose rounding noise is about 1e-16,
-        # read 0.854, 0.775 and 0.314 here against 1.000, 1.000 and 0.757
-        # at d = 0, 1, 2
-        rng = np.random.default_rng(0)
-        U, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        T = ContractionTuple((U @ np.eye(4, k=1) @ U.conj().T,))
+        # is rank-deficient. C0 has exactly r = 1 row, so the kept singular
+        # values of the doubled factor R are all 1 and the rest are rounding;
+        # the cut on them keeps the SVD's rank, and the range split matches
+        # the SVD basis's to rounding (at most 9e-16 here). A cut on the
+        # eigenvalues of L^H L, whose rounding noise is about 1e-16, read
+        # 0.854, 0.775 and 0.314 here against 1.000, 1.000 and 0.757 at
+        # d = 0, 1, 2
+        T = _shift_conjugate()
         L = build_dilation(T, d=d, adaptive=False)
         ms = model_space(T, L, charfns_for_tuple(T, L.defects))
         want = oracles.range_box_basis(L, ms.box)
@@ -363,11 +382,68 @@ class TestRowBlocks:
         assert ms.s_residual == pytest.approx(split, abs=1e-10)
 
 
+class TestClosedForms:
+    """The checks and the range factor from the powers of the tuple, against
+    the loop-built dilation matrix (:func:`oracles.dilation_matrix`)."""
+
+    CASES = {
+        **{k: (lambda f=f: make_tensor_tuple(f()), d) for k, (f, d) in TestRowBlocks.CASES.items()},
+        "n2-d0": (lambda: make_tensor_tuple([make_random_pure_contraction(2, 0.7, 3), [[0.6]]]), 0),
+        **{f"shift-d{d}": (_shift_conjugate, d) for d in range(4)},
+    }
+
+    @pytest.fixture(params=list(CASES))
+    def case(self, request):
+        tup, d = self.CASES[request.param]
+        T = tup()
+        return T, build_dilation(T, d=d, adaptive=False)
+
+    def test_residuals_match_dense(self, case):
+        T, L = case
+        assert isometry_defect(L) == pytest.approx(oracles.isometry_defect(L), abs=1e-14)
+        for i in range(T.n):
+            assert intertwining_residual(L, i) == pytest.approx(
+                oracles.intertwining_residual(L, i), rel=1e-12, abs=1e-14)
+        assert np.allclose(compressed_tuple_residual(L), oracles.compressed_tuple_residual(L),
+                           rtol=1e-12, atol=1e-14)
+
+    def test_factor_gram_matches_dense(self, case):
+        # the square-root doubling from C0 gives R with R^H R = L^H L
+        T, L = case
+        M = oracles.dilation_matrix(L)
+        R = dilation._box(L.C0, T, [L.degree] * T.n, dilation._stack)
+        assert R.shape[0] <= T.dim
+        assert operator_norm(R.conj().T @ R - M.conj().T @ M) <= 1e-14
+
+    def test_range_factor_matches_svd_basis(self, case):
+        # L W is orthonormal and spans the range of the SVD basis
+        _, L = case
+        M = oracles.dilation_matrix(L)
+        Q, want = M @ range_factor(L), orthonormal_range_basis(M)
+        assert Q.shape == want.shape
+        assert operator_norm(Q.conj().T @ Q - np.eye(Q.shape[1])) <= 1e-14
+        assert subspace_distance(Q, want) <= 1e-14
+
+    def test_d0_compression_is_the_tuple_norm(self):
+        # at d = 0 no row lies below a top layer, so L^H shift_i L = 0
+        T = make_tensor_tuple([make_random_pure_contraction(2, 0.7, 3), [[0.6]], [[-0.5j]]])
+        L = build_dilation(T, d=0, adaptive=False)
+        assert compressed_tuple_residual(L) == pytest.approx([operator_norm(M) for M in T.matrices],
+                                                             rel=1e-14)
+        assert compressed_tuple_residual(L) == pytest.approx(oracles.compressed_tuple_residual(L),
+                                                             rel=1e-14)
+
+    def test_empty_box_sum_is_zero(self):
+        G, M = TestBoxSum._operands(0)
+        assert np.array_equal(_box_sum(G, M, -1), np.zeros_like(G))
+
+
 def test_tall_products_allocate_blocks_not_copies(monkeypatch):
     # n = 2, d = 64: with blocks of 1/32 of the dilation matrix, neither the
-    # build, nor the row pass the checks read, nor the range factor allocates
-    # a quarter of it; a stored matrix, a conjugated, shifted or coshifted
-    # copy, or a thin SVD would each take all of it
+    # build, nor the checks, nor the range factor allocates a quarter of it;
+    # the checks and the factor read dim x dim closed forms, and a stored
+    # matrix, a conjugated, shifted or coshifted copy, or a thin SVD would
+    # each take all of it
     T = make_tensor_tuple([make_random_pure_contraction(2, 0.9, 4),
                            make_random_pure_contraction(2, 0.9, 5)])
     L = build_dilation(T, d=64, adaptive=False)
@@ -403,7 +479,8 @@ def test_model_space_forms_no_box_row_basis(monkeypatch):
 def test_suite_stages_hold_no_dilation_matrix(monkeypatch):
     # the same tuple, N = 71,874: the build, the five dilation checks and
     # model_space together allocate less than the N x dim dilation matrix
-    # (2.3 MB), as each pass over the rows generates them block by block
+    # (2.3 MB): the checks read no rows, and model_space's box passes generate
+    # them block by block
     T, L = _n3_d32()
     charfns = charfns_for_tuple(T, L.defects)
     nbytes = 16 * L.space.total_dim * T.dim
