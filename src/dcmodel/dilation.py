@@ -16,6 +16,7 @@ from .matrixcore import (
     operator_norm,
     orthonormal_range_basis,
     subspace_distance,
+    tsqr,
 )
 from .tuples import ContractionTuple, DefectData, defect_operators
 
@@ -28,18 +29,20 @@ class DegreeCapExceeded(RuntimeError):
         self.achieved_defect = achieved_defect
 
 
-# Hard bound on the entries N dim of the dilation; the box passes of
-# model.model_space generate its rows at the margin box degree, and this stops
-# a runaway degree before they stream hours of rows.
+# Hard bound on N dim, the entries of the dilation matrix at the chosen degree.
+# No stage forms that matrix or any of its rows (the checks and model_space read
+# C0 and the power stacks), so this bounds the size of problem a suite accepts,
+# not one allocation: a runaway degree is refused before any numerical check.
 _MAX_MATRIX_ENTRIES = 60_000_000
 
 
 @dataclass(frozen=True)
 class DilationMap:
     """The truncated dilation isometry ``L`` into the truncated Hardy space
-    with joint-defect coefficients, held by the factors of its rows (no
-    ``N``-row array; :func:`generate_rows`): row ``k`` is ``C0 T^{*k}``, the
-    paper's map ``h -> sum_k D T^{*k} h z^k`` in the joint defect basis ``B``."""
+    with joint-defect coefficients, held by the factors of its rows: row ``k``
+    is ``C0 T^{*k}``, the paper's map ``h -> sum_k D T^{*k} h z^k`` in the
+    joint defect basis ``B``.  No row is formed: the checks, the range factor
+    and the box factors (:func:`box_factors`) read ``C0`` and the powers."""
 
     tuple: ContractionTuple
     defects: DefectData
@@ -115,32 +118,6 @@ def adjoint_powers(M: np.ndarray, d: int) -> np.ndarray:
     return np.array(powers)
 
 
-def generate_rows(L: DilationMap, degree: int = None):
-    """The rows of ``L`` with every ``k_i <= degree`` (default ``L.degree``),
-    which are the rows of the dilation at that degree, one block of whole
-    first-variable layers at a time (:func:`hardy.row_blocks`): yields
-    ``(a, b, X)``, ``X`` the layers ``a <= k_1 < b`` as a tensor of shape
-    ``(b - a,) + shape[1:] + (dim,)``, ``shape`` that of the space at ``degree``.
-    The powers of ``T_1`` give the first axis; each later variable is one GEMM
-    with all its powers side by side.  Each block overwrites the one before:
-    read it before the next."""
-    d = L.degree if degree is None else degree
-    r, dim = L.defects.rank, L.tuple.dim
-    later = [P[:d + 1].transpose(1, 0, 2).reshape(dim, -1) for P in L.powers[1:]]  # [T^{*0} ... T^{*d}]
-    buf = None
-    for a, b in row_blocks(TruncatedHardySpace(L.tuple.n, d, r), dim):
-        X = L.powers[0][a:b]
-        if buf is None:  # sized by the first, largest block: fresh block-sized arrays page-fault anew
-            buf = [np.empty(len(X) * r * dim * (d + 1) ** m, dtype=complex) for m in range(L.tuple.n)]
-        X = np.matmul(L.C0, X, out=buf[0][:X.size * r // dim].reshape(len(X), r, dim))
-        for m, P in enumerate(later, start=1):
-            Y = X.reshape(-1, dim) @ P
-            X = buf[m][:Y.size].reshape(X.shape[:-2] + (d + 1, r, dim))
-            X[...] = np.moveaxis(Y.reshape(X.shape[:-3] + (r, d + 1, dim)), -2, -3)
-            del Y
-        yield a, b, X
-
-
 def build_dilation(
     T: ContractionTuple,
     d: int = 8,
@@ -176,8 +153,8 @@ def build_dilation(
             defect = measure(cur)
     space = TruncatedHardySpace(T.n, cur, defects.rank)
     if space.total_dim * T.dim > _MAX_MATRIX_ENTRIES:
-        raise DegreeCapExceeded(f"dilation at degree {cur} would generate more rows per pass than the "
-                                "work guard allows", achieved_defect=float("nan"))
+        raise DegreeCapExceeded(f"dilation at degree {cur} has N dim = {space.total_dim * T.dim}, above "
+                                f"the work guard's {_MAX_MATRIX_ENTRIES}", achieved_defect=float("nan"))
     return DilationMap(tuple=T, defects=defects, space=space, degree=cur,
                        C0=defects.big_defect_basis.conj().T @ defects.big_defect,
                        powers=tuple(adjoint_powers(M, cur) for M in T.matrices))
@@ -200,6 +177,37 @@ def range_factor(L: DilationMap, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     _, s, Vh = np.linalg.svd(_box(L.C0, L.tuple, [L.degree] * L.tuple.n, _stack), full_matrices=False)
     keep = s > cfg.rank_tol * s.max(initial=0.0)
     return Vh[keep].conj().T / s[keep]
+
+
+def box_factors(L: DilationMap, Us) -> tuple:
+    """``(w, R)`` for the box rows ``L_b`` of ``L`` (every ``k_i <= b``, ``b + 1``
+    the rows of the frame bases ``Us``) with no row of ``L`` formed: the frame
+    coordinates ``w = U~^H L_b``, ``U~ = U_1 (x) ... (x) U_n (x) I_r``, as a tensor
+    of shape ``(s_1, ..., s_n, r, dim)``, and a triangular factor ``R`` of
+    ``W_perp = (I - U~ U~^H) L_b`` (``None`` when it is zero).  A row of ``L`` is
+    ``C0 T_1^{*k_1} ... T_n^{*k_n}``, so ``w`` holds ``C0 N_1[s_1] ... N_n[s_n]``,
+    ``N_i[s] = sum_k conj(U_i[k, s]) T_i^{*k}``.  ``I - U~ U~^H`` is the sum of
+    the orthogonal pieces ``Pi_1 (x) ... (x) Pi_{i-1} (x) (I - Pi_i) (x) I``,
+    ``Pi_i = U_i U_i^H``, whose rows are ``Y_i T_{i+1}^{*k_{i+1}} ... T_n^{*k_n}``,
+    ``Y_i`` the ``(I - Pi_i)`` part of the rows ``C0 N_1[s_1] ... T_i^{*k_i}``:
+    piece ``i``'s factor is the box sum (:func:`_box` with :func:`_stack`) of
+    the TSQR factor of ``Y_i``, formed a row block at a time
+    (:func:`hardy.row_blocks`), and ``R`` is that of the stacked pieces.  A piece
+    with a square ``U_i`` is zero and is skipped."""
+    T, r, dim = L.tuple, L.defects.rank, L.tuple.dim
+    b = len(Us[0]) - 1
+    w, pieces = L.C0, []
+    for i, (U, P) in enumerate(zip(Us, L.powers)):
+        P = P[:b + 1]
+        if U.shape[1] <= b and w.size:  # else U_i is square or an earlier s_j is 0: piece i is zero
+            flat, Y = w.reshape(-1, r, dim), None
+            for a, e in row_blocks(TruncatedHardySpace(1, len(flat) - 1, (b + 1) * r), dim):
+                Z = np.matmul(flat[a:e, None], P).reshape(e - a, b + 1, r * dim)  # the rows ... T_i^{*k}
+                Z -= U @ (U.conj().T @ Z)
+                Y = tsqr(Z.reshape(-1, dim), Y)
+            pieces.append(_box(Y, T, [0] * (i + 1) + [b] * (T.n - i - 1), _stack))
+        w = np.matmul(w[..., None, :, :], np.tensordot(U.conj(), P, axes=(0, 0)))  # C0 ... N_i[s_i]
+    return w, np.linalg.qr(np.concatenate(pieces), mode="r") if pieces else None
 
 
 def isometry_defect(L: DilationMap) -> float:

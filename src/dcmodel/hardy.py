@@ -17,11 +17,11 @@ from functools import reduce
 import numpy as np
 
 
-# bytes of one row block: a product over the rows of flat columns, such
-# as the box coordinates of the dilation, is accumulated block by block
-# (row_blocks), so no N-row array is formed.  The block temporaries set a
-# suite's peak: at 1 MiB, d = 256 and r = 4 they took 6 MB more; at 256 KiB a
-# block of that margin box (degree 128, dim 4) holds 7 first-variable layers
+# bytes of one row block (row_blocks): a TSQR over rows too many to hold at
+# once, the Y_i of dilation.box_factors or the slabs of
+# model._frame_commutator, forms and reduces them a block at a time.  At
+# d = 256 and r = dim = 4 a block of Y_2 (16 frame coordinates of variable 1,
+# each 129 layers of 4 rows) holds 7 of the 16
 _BLOCK_BYTES = 1 << 18
 
 

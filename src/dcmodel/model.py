@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilation import DegreeCapExceeded, DilationMap, generate_rows, range_factor
+from .dilation import DegreeCapExceeded, DilationMap, box_factors, range_factor
 from .hardy import TruncatedHardySpace, _check_polydisc, row_blocks, szego_kernel
 from .matrixcore import DEFAULT_TOL, NumericalFailure, ToleranceConfig, operator_norm, tsqr
 from .tuples import ContractionTuple, DefectData, DefectPair, defect_operators
@@ -194,16 +194,17 @@ def toeplitz_drift(taylor, d: int, layers: int, side: str, K: np.ndarray = None)
     ``taylor`` truncated at degree ``d`` (block ``(k, j)`` is ``taylor[k - j]``),
     and ``K`` flat columns on those layers (default none), forming neither.
     With ``c_m`` the Taylor blocks (zero past the series and past ``d``),
+    ``M = I - A - K K^H`` has the displacement
 
-        (F F^H)_{i, j} = (F F^H)_{i-1, j-1} + c_i c_j^H
-        (F^H F)_{i, j} = (F^H F)_{i-1, j-1} - c_{d+1-i}^H c_{d+1-j}
+        M_{i, j} - M_{i-1, j-1} = -Z_i Z~_j^H,
+        Z_i = [X_i, K_i, K_{i-1}],  Z~_j = [+-X_j, K_j, -K_{j-1}],
 
-    from column 0 (``c_i c_0^H``; the lag sums ``sum_p c_p^H c_{p+s}``).  The
-    lower block triangle is walked in chunks of block rows of about one row
-    block (:func:`hardy.row_blocks`), each one GEMM for the products, one for
-    its rows of ``K K^H`` and one slice operation per block row, from the row
-    before (carried between chunks).  The blocks below the diagonal count
-    twice, once for their mirrors."""
+    ``X_i = c_i`` and ``+`` for ``F F^H``, ``X_i = c_{d+1-i}^H`` and ``-`` for
+    ``F^H F``.  The walk keeps the lower part of one block column, ``S[s] =
+    M_{t+s, t}``, from column 0 (``I - c_s c_0^H - K_s K_0^H``, or
+    ``I - lags - K_s K_0^H`` with the lag sums ``sum_p c_p^H c_{p+s}``), and
+    steps to column ``t + 1`` by one GEMM and one in-place subtraction; the
+    blocks below the diagonal count twice, once for their mirrors."""
     if side not in ("in", "out"):
         raise ValueError(f"side must be 'in' or 'out', got {side!r}")
     if not 1 <= layers <= d + 1:
@@ -211,31 +212,26 @@ def toeplitz_drift(taylor, d: int, layers: int, side: str, K: np.ndarray = None)
     c = np.zeros((d + 2,) + np.shape(taylor[0]), dtype=complex)  # c_{d+1} = 0 pads the "in" steps
     c[:min(len(taylor), d + 1)] = np.array(taylor[:d + 1])
     if side == "out":
-        X, op = c[:layers], np.add
+        X, sign = c[:layers], 1.0
+        A0 = (X @ X[0].conj().T).reshape(-1, X.shape[1])  # column 0 of A: c_s c_0^H
     else:
-        X, op = c[d + 1:d + 1 - layers:-1].conj().transpose(0, 2, 1), np.subtract
+        X, sign = c[d + 1:d + 1 - layers:-1].conj().transpose(0, 2, 1), -1.0
         C = c.reshape(-1, c.shape[2])  # the rows of c_0, ..., c_{d+1}
         Ch, m = C.conj().T, c.shape[1]
-        lags = np.array([Ch[:, :(d + 1 - s) * m] @ C[s * m:(d + 1) * m] for s in range(layers)])
-        del c, C, Ch  # the chunks read X and the lags alone
+        A0 = np.concatenate([Ch[:, :(d + 1 - s) * m] @ C[s * m:(d + 1) * m] for s in range(layers)])
     r = X.shape[1]
-    X = X.reshape(layers * r, X.shape[2])
-    Xh, total, last = X.conj().T, 0.0, None
-    for a, b in row_blocks(TruncatedHardySpace(1, layers - 1, r), 2 * layers * r):  # A and K K^H
-        A = (X[a * r:b * r] @ Xh[:, :b * r]).reshape(b - a, r, b, r)  # block (i, j) is X_i X_j^H
-        if side == "in":
-            A[:, :, 0] = lags[a:b]
-        for q, i in enumerate(range(a, b)):
-            if i:
-                op((A[q - 1] if q else last)[:, :i], A[q, :, 1:i + 1], out=A[q, :, 1:i + 1])
-        last = A[-1].copy()
-        if K is not None:
-            A += (K[a * r:b * r] @ K[:b * r].conj().T).reshape(A.shape)
-        k = np.arange(b - a)
-        A[k, :, a + k] -= np.eye(r)
-        v = A.view(np.float64)
-        j, i = np.arange(b), np.arange(a, b)[:, None]
-        total += float(np.sum((2.0 * (j < i) + (j == i)) * np.einsum("qajb,qajb->qj", v, v)))
+    K = np.zeros((layers * r, 0)) if K is None else K
+    Kp = np.concatenate([np.zeros((r, K.shape[1])), K[:-r]])  # K_{i-1}, K_{-1} = 0
+    Z = np.concatenate([X.reshape(layers * r, X.shape[2]), K, Kp], axis=1)
+    Zt = Z.conj() * np.repeat([sign, 1.0, -1.0], [X.shape[2], K.shape[1], K.shape[1]])  # conj(Z~)
+    S = -A0 - K @ K[:r].conj().T  # column 0 of M
+    S[:r] += np.eye(r)
+    total = 0.0
+    for t in range(layers):
+        if t:
+            S[:(layers - t) * r] -= Z[t * r:] @ Zt[t * r:(t + 1) * r].T
+        v = S[:(layers - t) * r].view(np.float64).ravel()
+        total += 2.0 * float(v @ v) - float(v[:2 * r * r] @ v[:2 * r * r])
     return float(np.sqrt(total))
 
 
@@ -368,43 +364,31 @@ def _chain(frames) -> np.ndarray:
     return C.reshape(C.shape[0] * C.shape[1], C.shape[2])
 
 
-def box_coordinates(box: TruncatedHardySpace, frames, blocks) -> tuple:
+def box_coordinates(box: TruncatedHardySpace, frames, w, R) -> tuple:
     """The coordinates ``(C, S_L, S_R)`` of ``prod_i P_i - W W^H`` on the
     margin ``box`` (variable 0 applied first; ``frames`` from
-    :func:`axis_frames`), for a thin ``W`` given by its row blocks: each of the
-    two passes calls ``blocks()``, which yields ``(a, b, X)``, ``X`` the layers
-    ``a <= k_1 < b`` of ``W`` as a tensor (:func:`dilation.generate_rows`), so no
-    box row is stored.  Cutting one-variable bases to their box rows is exact,
-    as the box projection commutes with every factor acting on another axis.
+    :func:`axis_frames`), for a thin ``W`` given by the split
+    ``W = U~ w + W_perp``: ``w = U~^H W`` as a tensor of shape
+    ``(s_0, ..., s_{n-1}, r, cols)`` and a triangular factor ``R`` of ``W_perp``,
+    ``None`` when it is zero, as it is when every ``U_i`` is square (for the box
+    rows of ``L``, :func:`dilation.box_factors`).  Cutting one-variable bases to
+    their box rows is exact, as the box projection commutes with every factor
+    acting on another axis.
 
-    The product is ``U~ E_{n-1} C E_0^H U~^H`` (:func:`_chain`).  Split
-    ``W = U~ w + W_perp``; the triangular factor of ``W_perp`` comes from
-    TSQR over the row blocks (:func:`matrixcore.tsqr`), and is zero when
-    every ``U_i`` is square.  ``W - U~ E E^H w`` is orthogonal to ``U~ E`` for
+    The product is ``U~ E_{n-1} C E_0^H U~^H`` (:func:`_chain`).
+    ``W - U~ E E^H w`` is orthogonal to ``U~ E`` for
     ``E = E_{n-1}`` and for ``E = E_0``, with triangular factors ``R_L`` and
     ``R_R`` of ``[(I - E E^H) w; W_perp]``, so in orthonormal frames the
     operator is ``K = diag(C, 0) - S_L S_R^H``, ``S_L = [E_{n-1}^H w; R_L]``,
     ``S_R = [E_0^H w; R_R]``, of ``m_{n-1} + w`` by ``m_0 + w``, ``m_i = k_i
     prod_{j != i} s_j``; for ``W X`` they are ``(C, S_L X, S_R X)`` in the same
     frames.  Raises :class:`FrameTooLarge` above ``_FRAME_MAX``."""
-    n, Us = box.n, [U for U, _, _ in frames]
-    s = [U.shape[1] for U in Us]
+    n = box.n
+    s = [U.shape[1] for U, _, _ in frames]
     m = max(Q.shape[2] * int(np.prod(s[:i] + s[i + 1:])) for i, (_, Q, _) in enumerate(frames))
     if m > _FRAME_MAX:
         raise FrameTooLarge(f"the box norm needs an m = {m} row coordinate matrix, above {_FRAME_MAX}")
-    w = 0
-    for a, b, u in blocks():
-        for j in range(1, n):
-            u = _along(Us[j].conj().T, u, j)
-        w = w + _along(Us[0][a:b].conj().T, u, 0)
     cols = w.shape[-1]
-    R = None
-    if min(s) <= box.degree:  # else U~ is square and W_perp is zero
-        for a, b, X in blocks():
-            u = _along(Us[0][a:b], w, 0)
-            for j in range(1, n):
-                u = _along(Us[j], u, j)
-            R = tsqr((X - u).reshape(-1, cols), R)
     sides = []
     for i in (n - 1, 0):  # E_i^H w (the column axis in place of axis i), then the residual
         Q = frames[i][1]
@@ -426,10 +410,18 @@ def _coordinate_norm(C, SL, SR) -> float:
 def box_distance(box: TruncatedHardySpace, frames, W) -> float:
     """Exact norm of ``prod_i P_i - W W^H`` on the margin ``box`` for flat columns
     ``W`` of the box, from its coordinates (:func:`box_coordinates`, which
-    raises :class:`FrameTooLarge`)."""
+    raises :class:`FrameTooLarge`), with ``w = U~^H W`` and the TSQR factor of
+    ``W - U~ w`` formed from ``W`` itself."""
     t = W.reshape(box.shape + W.shape[-1:])
-    blocks = lambda: ((a, b, t[a:b]) for a, b in row_blocks(box, W.shape[-1]))  # noqa: E731
-    return _coordinate_norm(*box_coordinates(box, frames, blocks))
+    w = t
+    for j, (U, _, _) in enumerate(frames):
+        w = _along(U.conj().T, w, j)
+    u = w
+    for j, (U, _, _) in enumerate(frames):
+        u = _along(U, u, j)
+    square = all(U.shape[1] > box.degree for U, _, _ in frames)  # then W_perp is zero
+    R = None if square else tsqr((t - u).reshape(-1, W.shape[-1]))
+    return _coordinate_norm(*box_coordinates(box, frames, w, R))
 
 
 def _frame_commutator(frames, a: int, b: int) -> float:
@@ -517,17 +509,17 @@ def model_space(
 
     The commutators and the two norms below are exact on the box, from one
     set of frames (:func:`axis_frames`) and one set of box coordinates
-    ``(C, S_L, S_R)`` of the box rows ``L_b`` of ``L``, generated as the rows of
-    the dilation at the box degree (:func:`box_coordinates`).
+    ``(C, S_L, S_R)`` of the box rows ``L_b`` of ``L`` (:func:`box_coordinates`),
+    whose frame coordinates and ``W_perp`` factor come from ``C0`` and the
+    powers (:func:`dilation.box_factors`).
     The operator-form Gramian ``||L_b L_b^H - prod_i (I - A_i)||`` is bounded
     by telescoping, as every ``I - A_i`` and ``B_i B_i^H`` has norm at most
     one: by the exact ``||L_b L_b^H - prod_i B_i B_i^H||`` plus the sum of
     the margin drifts.  The split between the dilation range and the
     complement of the multiplier sum space is the same norm for ``L_b W``, the
     box rows of the range basis ``L W``, of coordinates ``(C, S_L W, S_R W)``:
-    the ``dim x k`` factor ``W`` comes from the tuple's powers, with no row of
-    ``L`` read (:func:`dilation.range_factor`), so the two box passes are the
-    only ones over the rows."""
+    the ``dim x k`` factor ``W`` comes from the tuple's powers too
+    (:func:`dilation.range_factor`), so no row of ``L`` is formed."""
     d = L.degree
     space = L.space
     box = space.margin_box(d // 2)
@@ -550,7 +542,7 @@ def model_space(
     try:
         comms = {(a, b): _frame_commutator(frames, a, b)
                  for a in range(T.n) for b in range(a + 1, T.n)}
-        C, SL, SR = box_coordinates(box, frames, lambda: generate_rows(L, box.degree))
+        C, SL, SR = box_coordinates(box, frames, *box_factors(L, [U for U, _, _ in frames]))
     except FrameTooLarge as e:
         return ModelSpaces(space, fibers, box, box_fibers, margin_drifts, None, None, None, e)
     W = range_factor(L, cfg)

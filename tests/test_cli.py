@@ -477,8 +477,8 @@ class TestExitCodes:
                 assert c["status"] != "skipped"
 
     def test_memory_guard_exits_2(self, tmp_path, capsys):
-        # degree 4000 would stream a 64-million-row dilation in every row
-        # pass: the work guard stops the suite before any numerical check
+        # degree 4000 gives a 64-million-row dilation, N dim = 256 million
+        # entries: the work guard stops the suite before any numerical check
         demo = str(tmp_path / "demo.json")
         rep = str(tmp_path / "report.json")
         main(["demo", "tensor", "--dims", "2,2", "--out", demo])
@@ -489,8 +489,8 @@ class TestExitCodes:
         assert len(numerical) == 16
         for c in numerical:
             assert c["status"] == "skipped"
-            assert c["note"] == ("not evaluated: dilation at degree 4000 would generate more rows per pass "
-                                 "than the work guard allows")
+            assert c["note"] == ("not evaluated: dilation at degree 4000 has N dim = 256128016, above "
+                                 "the work guard's 60000000")
         assert all(c["status"] == "pass" for c in doc["checks"] if c["name"].startswith("validate."))
         assert doc["verdict"] == "incomplete" and doc["skipped"] == 16
 

@@ -1,5 +1,7 @@
 """Truncated dilation isometry and its checks."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,15 @@ import dcmodel.dilation as dilation
 import dcmodel.hardy as hardy
 from dcmodel.dilation import (
     DegreeCapExceeded,
+    _box,
     _box_gram_defect,
     _box_sum,
     _kernel_adjoints,
     _top_layer_tail,
     adjoint_on_kernels_check,
+    box_factors,
     build_dilation,
     compressed_tuple_residual,
-    generate_rows,
     intertwining_residual,
     isometry_defect,
     minimality_check,
@@ -241,28 +244,18 @@ class TestChecks:
         assert np.array_equal([c[1] for c in calls], w[:, :1])  # the first variable's point
         assert np.max(np.abs(got - want)) <= 1e-14
 
-    def test_adjoint_check_generates_no_rows(self, pair, monkeypatch):
+    def test_adjoint_check_generates_no_rows(self, pair):
         # L^H k is read from C0 and the power stacks alone
         T, L = pair
         rng = np.random.default_rng(3)
         samples = [(0.6 * rng.random(2) * np.exp(2j * np.pi * rng.random(2)), np.array([0.6, 0.8]))
                    for _ in range(20)]
-
-        def no_rows(*args, **kwargs):
-            raise AssertionError("generate_rows called")
-
-        monkeypatch.setattr(dilation, "generate_rows", no_rows)
         assert adjoint_on_kernels_check(L, samples) <= 1e-6
 
-    def test_dilation_checks_generate_no_rows(self, pair, monkeypatch):
+    def test_dilation_checks_generate_no_rows(self, pair):
         # all five checks and the range factor read dim x dim closed forms
         T, L = pair
         samples = [(np.array([0.3, -0.2j]), np.array([0.6, 0.8]))]
-
-        def no_rows(*args, **kwargs):
-            raise AssertionError("generate_rows called")
-
-        monkeypatch.setattr(dilation, "generate_rows", no_rows)
         assert isometry_defect(L) <= 1e-6
         assert max(intertwining_residual(L, i) for i in range(T.n)) <= 1e-6
         assert adjoint_on_kernels_check(L, samples) <= 1e-6
@@ -306,11 +299,37 @@ def _shift_conjugate():
     return ContractionTuple((U @ np.eye(4, k=1) @ U.conj().T,))
 
 
+def _box_split(L, Us):
+    """``U~^H L_b`` and ``W_perp = L_b - U~ U~^H L_b`` for the box rows ``L_b``
+    of the loop-built dilation matrix, ``U~ = U_1 (x) ... (x) U_n (x) I_r``."""
+    box = L.space.margin_box(L.degree + 1 - len(Us[0]))
+    rows = hardy.box_rows(L.space, oracles.dilation_matrix(L), box)
+    Ut = reduce(np.kron, list(Us) + [np.eye(L.defects.rank)])
+    w = Ut.conj().T @ rows
+    return w, rows - Ut @ w
+
+
+def _assert_box_factors(L, Us):
+    want, perp = _box_split(L, Us)
+    w, R = box_factors(L, Us)
+    assert w.shape == tuple(U.shape[1] for U in Us) + (L.defects.rank, L.tuple.dim)
+    assert np.max(np.abs(w.reshape(want.shape) - want)) <= 1e-14
+    assert (R is None) == all(U.shape[0] == U.shape[1] for U in Us)
+    G = perp.conj().T @ perp
+    assert operator_norm((0.0 if R is None else R.conj().T @ R) - G) <= 1e-14
+
+
+def _frame_bases(rng, rows, cols):
+    """Orthonormal bases of ``rows`` rows and the given column counts."""
+    return [np.linalg.qr(rng.standard_normal((rows, c)) + 1j * rng.standard_normal((rows, c)))[0]
+            for c in cols]
+
+
 class TestRowBlocks:
-    """The box passes of ``model_space`` run over generated row blocks of
-    whole first-variable layers; with the block size patched to two layers,
-    several blocks and their seams are exercised.  The dilation checks and
-    the range factor read no rows, and must give the unblocked values too."""
+    """The box factors of ``model_space`` run Y_i's TSQR over row blocks;
+    with the block size patched to two layers of the dilation, several
+    blocks and their seams are exercised.  The dilation checks and the range
+    factor read no rows, and must give the unblocked values too."""
 
     CASES = {
         "n1": (lambda: [make_random_pure_contraction(3, 0.7, 1)], 9),
@@ -324,25 +343,16 @@ class TestRowBlocks:
         T = make_tensor_tuple(factors())
         L = build_dilation(T, d=d, adaptive=False)
         monkeypatch.setattr(hardy, "_BLOCK_BYTES", 2 * 16 * L.space.total_dim * T.dim // (d + 1))
-        assert [b - a for a, b, _ in generate_rows(L)][:-1] == [2] * (d // 2)
         return T, L
 
     def test_build_matches_index_loop(self, blocked):
-        # every block against the rows of the loop-built matrix, at the full
-        # degree and at every lower one, whose rows are the box rows of L
+        # the box factors against the box rows of the loop-built matrix, at
+        # every box degree, for frames of one column, of two and square ones
         T, L = blocked
-        d = L.degree
-        want = oracles.dilation_matrix(L).reshape(L.space.shape + (T.dim,))
-        for b_deg in range(d + 1):
-            box = L.space.margin_box(d - b_deg)
-            rows = want[(slice(None),) + (slice(b_deg + 1),) * (T.n - 1)]
-            seen = []
-            for a, b, X in generate_rows(L, b_deg):
-                assert X.shape == (b - a,) + box.shape[1:] + (T.dim,)
-                assert np.max(np.abs(X - rows[a:b])) <= 1e-15
-                seen.append((a, b))
-            assert seen == list(hardy.row_blocks(box, T.dim))
-            assert seen[0][0] == 0 and seen[-1][1] == b_deg + 1
+        rng = np.random.default_rng(L.degree)
+        for b in range(L.degree + 1):
+            for cols in ([1] * T.n, [min(2, b + 1)] * T.n, [b + 1] + [1] * (T.n - 1), [b + 1] * T.n):
+                _assert_box_factors(L, _frame_bases(rng, b + 1, cols))
 
     def test_checks_match_unblocked(self, blocked):
         # at these low degrees every residual is far above rounding
@@ -407,6 +417,27 @@ class TestClosedForms:
         assert np.allclose(compressed_tuple_residual(L), oracles.compressed_tuple_residual(L),
                            rtol=1e-12, atol=1e-14)
 
+    def test_box_factors_match_dense(self, case):
+        # w = U~^H L_b and R^H R = W_perp^H W_perp from C0 and the powers, for
+        # the frames model_space uses
+        T, L = case
+        ms = model_space(T, L, charfns_for_tuple(T, L.defects))
+        _assert_box_factors(L, [U for U, _, _ in axis_frames(ms.box, ms.box_fibers)])
+
+    @pytest.mark.parametrize("n,square", [(2, 0), (3, 1)])
+    def test_square_frame_piece_is_skipped(self, n, square, monkeypatch):
+        # a square U_i makes piece i of I - U~ U~^H zero: no box sum is formed
+        # for it, and the other pieces still give W_perp
+        factors = [make_random_pure_contraction(2, 0.7, 2), [[0.6]], [[-0.4j]]][:n]
+        T = make_tensor_tuple(factors)
+        L = build_dilation(T, d=4, adaptive=False)
+        Us = _frame_bases(np.random.default_rng(n), 3, [3 if i == square else 1 for i in range(n)])
+        seen = []
+        monkeypatch.setattr(dilation, "_box", lambda G, T, degrees, join: seen.append(degrees)
+                            or _box(G, T, degrees, join))
+        _assert_box_factors(L, Us)
+        assert seen == [[0] * (i + 1) + [2] * (n - i - 1) for i in range(n) if i != square]
+
     def test_factor_gram_matches_dense(self, case):
         # the square-root doubling from C0 gives R with R^H R = L^H L
         T, L = case
@@ -465,8 +496,8 @@ def _n3_d32():
 
 def test_model_space_forms_no_box_row_basis(monkeypatch):
     # n = 3, d = 32: the margin box holds (17/33)^3 = 0.137 of the rows. The
-    # split and the Gramian read one set of box coordinates of L, row block
-    # by row block, so model_space allocates less than the box rows of the
+    # split and the Gramian read one set of box coordinates of L, from C0 and
+    # the powers, so model_space allocates less than the box rows of the
     # range basis alone would take (314 KB here)
     T, L = _n3_d32()
     box = L.space.margin_box(L.degree // 2)
@@ -479,8 +510,7 @@ def test_model_space_forms_no_box_row_basis(monkeypatch):
 def test_suite_stages_hold_no_dilation_matrix(monkeypatch):
     # the same tuple, N = 71,874: the build, the five dilation checks and
     # model_space together allocate less than the N x dim dilation matrix
-    # (2.3 MB): the checks read no rows, and model_space's box passes generate
-    # them block by block
+    # (2.3 MB): neither the checks nor model_space's box factors form any row
     T, L = _n3_d32()
     charfns = charfns_for_tuple(T, L.defects)
     nbytes = 16 * L.space.total_dim * T.dim

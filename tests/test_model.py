@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcmodel.dilation import DegreeCapExceeded, build_dilation, generate_rows
+from dcmodel.dilation import DegreeCapExceeded, box_factors, build_dilation
 from dcmodel.matrixcore import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -263,7 +263,7 @@ def _symbol(rng, r_out, r_in, length):
 
 
 class TestToeplitzGram:
-    """The streamed drift ``||I - A - K K^H||_F`` of the leading blocks ``A``
+    """The walked drift ``||I - A - K K^H||_F`` of the leading blocks ``A``
     of ``F^H F`` and ``F F^H`` against the dense products of the
     one-block-at-a-time Toeplitz matrix, with and without ``K``."""
 
@@ -284,7 +284,7 @@ class TestToeplitzGram:
     @pytest.mark.parametrize("d", [64, 200])
     def test_vanishing_at_zero(self, r_out, r_in, d):
         # theta_0 = 0, as for an inner function that vanishes at the origin;
-        # at these sizes the lower triangle takes many chunks
+        # at these sizes the walk takes many steps
         rng = np.random.default_rng(d + 10 * r_out)
         taylor = [np.zeros((r_out, r_in))] + _symbol(rng, r_out, r_in, d)
         for side in ("in", "out"):
@@ -307,11 +307,27 @@ class TestToeplitzGram:
         with pytest.raises(ValueError):
             toeplitz_drift(taylor, 3, 2, "left")
 
+    @pytest.mark.parametrize("length", [3, 9])  # d + 1 = 6: a shorter and a longer symbol
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_walk(self, side, length):
+        # the column walk against the dense product on one layer and on all
+        # of them, with no K and with K of no column, of one and of more
+        # columns than a layer has rows
+        rng = np.random.default_rng(length)
+        d = 5
+        taylor = _symbol(rng, 3, 2, length)
+        r = 2 if side == "in" else 3
+        for layers in (1, d + 1):
+            Ks = [rng.standard_normal((layers * r, k)) + 1j * rng.standard_normal((layers * r, k)) for k in (0, 1, 5)]
+            for k in [None] + Ks:
+                want = _dense_drift(taylor, d, layers, side, k)
+                assert toeplitz_drift(taylor, d, layers, side, k) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
     @pytest.mark.parametrize("block_bytes", [1 << 30, 1, 1 << 13])
     @pytest.mark.parametrize("r_out,r_in", [(2, 2), (3, 1), (1, 4)])
     def test_chunks(self, monkeypatch, block_bytes, r_out, r_in):
-        # one chunk, one block row per chunk, and a few rows per chunk (the
-        # last one shorter): the carried row joins the chunks exactly
+        # the walk reads no row-block size: any _BLOCK_BYTES gives the dense
+        # value
         monkeypatch.setattr(hardy, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(7 * r_out + r_in)
         d = 12
@@ -326,7 +342,7 @@ class TestToeplitzGram:
     @pytest.mark.parametrize("block_bytes", [1 << 30, 1])
     def test_zero_and_nilpotent_symbols(self, monkeypatch, block_bytes):
         # the zero symbol (A = 0), a zero-width one, and a series that stops
-        # long before d (a nilpotent operator's)
+        # long before d (a nilpotent operator's), at any row-block size
         monkeypatch.setattr(hardy, "_BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(3)
         d = 9
@@ -345,7 +361,8 @@ class TestToeplitzGram:
 
     def test_allocates_a_chunk_not_the_block(self):
         # d = 256, r = 4: the 129-layer block is 516-square (4.3 MB); the
-        # drift allocates less than an eighth of it, with K and on both sides
+        # walk holds one block column and the stacked Z, and allocates less
+        # than an eighth of it, with K and on both sides
         rng = np.random.default_rng(5)
         taylor = _symbol(rng, 4, 4, 257)
         K = rng.standard_normal((516, 4)) + 1j * rng.standard_normal((516, 4))
@@ -414,9 +431,12 @@ class TestLoopOracles:
     def test_dilation_matrix(self, case):
         _, T, L, _ = case
         want = oracles.dilation_matrix(L)
-        # powers are multiplied in another order: allow a few rounding units
-        got = np.concatenate([X.reshape(-1, T.dim).copy() for _, _, X in generate_rows(L)])
-        assert np.max(np.abs(got - want)) <= 1e-15
+        # with square frames the frame coordinates are the rows themselves and
+        # W_perp is zero; powers are multiplied in another order: allow a few
+        # rounding units
+        w, R = box_factors(L, [np.eye(L.degree + 1)] * T.n)
+        assert R is None
+        assert np.max(np.abs(w.reshape(-1, T.dim) - want)) <= 1e-15
 
 
 class TestKernelIdentities:
